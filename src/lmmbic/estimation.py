@@ -9,17 +9,25 @@ maximizes the likelihood over beta, so the numerical search runs only
 over the log variances, a space of dimension q + 1 <= 4.
 
 Each objective evaluation would naively refactor every n_i x n_i block.
-Instead, per-subject cross-products (Z'Z, Z'X_i, Z'y_i, X'X, X'y, y'y)
-are computed once per candidate and dataset, and the inversion and
-determinant lemmas reduce V_i^-1 and log det V_i to the q x q
-"capacitance" matrix
+Instead, each subject's data is rotated once per candidate into an
+orthonormal basis [Q Q_perp] of its grid, with Z = Q R from a QR
+factorization (R is k x q, k = min(n_i, q)).  Then
 
-    M = sigma2 * I_q + W^(1/2) Z'Z W^(1/2),      W = diag(omega2),
+    V_i^-1 = Q C^-1 Q' + (I - Q Q') / sigma2,   C = sigma2 * I_k + R W R',
+    log det V_i = (n_i - k) log sigma2 + log det C,       W = diag(omega2),
 
-which stays well conditioned as variances approach zero.  Subjects that
-share an observation grid share Z, so their cross-products collapse
-into group tensors and the evaluation cost does not grow with the
-number of subjects.
+so the evaluation needs only the k x k "capacitance" matrix C and
+cross-products of the rotated data: Q'X_i and Q'y_i along Z, and the
+components orthogonal to Z, which enter as plain sums.  Both parts of
+X' V^-1 X are positive semi-definite, so nothing cancels as variances
+grow relative to sigma2.  Subjects that share an observation grid share
+Q and R, so their cross-products collapse into one group tensor per
+distinct grid.  The G group tensors are stacked (R zero-padded to
+q x q, which adds sigma2 to C's diagonal and nothing else), and each
+evaluation is a fixed number of batched numpy calls whose arithmetic is
+linear in G: with one shared grid the cost does not grow with the
+number of subjects, and on unbalanced data, where every subject may
+have its own grid, it does not pay a Python loop over the grids.
 """
 
 from __future__ import annotations
@@ -97,28 +105,15 @@ class FittedModel:
         ]
 
 
-@dataclass(frozen=True, eq=False)
-class _GridGroup:
-    """Cross-product tensors for subjects sharing one observation grid.
-
-    The cross tensors are stored with their two capacitance axes
-    flattened in front, so the correction terms in evaluate() are
-    single matrix-vector products against the flattened kernel.
-    """
-
-    count: int
-    n_per: int
-    ZtZ: np.ndarray          # (q, q)
-    cross_xx: np.ndarray     # (q*q, p*p): sum_i Z'X_i (x) Z'X_i
-    cross_xy: np.ndarray     # (q*q, p):   sum_i Z'X_i (x) Z'y_i
-    cross_yy: np.ndarray     # (q*q,):     sum_i Z'y_i (x) Z'y_i
-
-
 class ProfiledLikelihood:
     """Callable core of the fit: likelihood with beta profiled out.
 
-    Construction performs all O(n) work; evaluate() then costs a few
-    q x q and p x p operations per distinct observation grid.
+    Construction performs all O(n) work and stacks the per-grid
+    tensors; evaluate() then makes the same fixed number of numpy calls
+    for any number G of distinct observation grids, with arithmetic
+    linear in G: one batched Cholesky factorization and one batched
+    inverse of the G capacitance matrices, and one matrix-vector product
+    per term of the GLS normal equations.
     """
 
     def __init__(self, candidate: CandidateModel, data: Dataset):
@@ -137,82 +132,88 @@ class ProfiledLikelihood:
         self.n_obs = data.n_obs
         self.n_subjects = data.n_subjects
 
-        xtx = np.zeros((self.p, self.p))
-        xty = np.zeros(self.p)
-        yty = 0.0
         by_grid: dict[bytes, list[int]] = {}
         for idx, block in enumerate(data.subjects):
             by_grid.setdefault(block.x.tobytes(), []).append(idx)
 
         p, q = self.p, self.q
-        groups = []
+        xtx = np.zeros((p, p))
+        perp_xx = np.zeros((p, p))
+        perp_xy = np.zeros(p)
+        perp_yy = 0.0
+        sigma_weight = 0
+        rr, counts, cross_xx, cross_xy, cross_yy = [], [], [], [], []
         for indices in by_grid.values():
             Z = designs[indices[0]].Z
-            Xs = np.stack([designs[i].X for i in indices])
-            Ys = np.stack([data.subjects[i].y for i in indices])
-            m, n = Ys.shape
-            flat_x = Xs.reshape(m * n, p)
-            xtx += flat_x.T @ flat_x
-            xty += flat_x.T @ Ys.reshape(m * n)
-            yty += float(Ys.reshape(-1) @ Ys.reshape(-1))
-            ZtX = np.tensordot(Xs, Z, axes=(1, 0)).transpose(0, 2, 1)  # (m, q, p)
-            Zty = Ys @ Z                                               # (m, q)
-            cross_xx = np.tensordot(ZtX, ZtX, axes=(0, 0))             # (q, p, q, p)
-            cross_xy = np.tensordot(ZtX, Zty, axes=(0, 0))             # (q, p, q)
-            cross_yy = Zty.T @ Zty                                     # (q, q)
-            groups.append(
-                _GridGroup(
-                    count=m,
-                    n_per=n,
-                    ZtZ=Z.T @ Z,
-                    cross_xx=np.ascontiguousarray(
-                        cross_xx.transpose(0, 2, 1, 3).reshape(q * q, p * p)
-                    ),
-                    cross_xy=np.ascontiguousarray(
-                        cross_xy.transpose(0, 2, 1).reshape(q * q, p)
-                    ),
-                    cross_yy=cross_yy.reshape(q * q),
-                )
+            Xs = np.stack([designs[i].X for i in indices], axis=1)       # (n, m, p)
+            Ys = np.stack([data.subjects[i].y for i in indices], axis=1)  # (n, m)
+            n, m = Ys.shape
+            # a grid with n < q points has k = n; zero-padding Q and R to q
+            # axes leaves C = sigma2 there, whose log sigma2 the weight
+            # n - q (not n - k) absorbs
+            Q_thin, R_thin = np.linalg.qr(Z)                             # (n, k), (k, q)
+            k = R_thin.shape[0]
+            Q = np.zeros((n, q))
+            Q[:, :k] = Q_thin
+            R = np.zeros((q, q))
+            R[:k] = R_thin
+            flat_x = Xs.reshape(n, m * p)
+            QtX = Q.T @ flat_x                                           # (q, m*p)
+            Qty = Q.T @ Ys                                               # (q, m)
+            perp_x = (flat_x - Q @ QtX).reshape(n * m, p)
+            perp_y = (Ys - Q @ Qty).reshape(n * m)
+            perp_xx += perp_x.T @ perp_x
+            perp_xy += perp_x.T @ perp_y
+            perp_yy += float(perp_y @ perp_y)
+            sigma_weight += m * (n - q)
+            counts.append(m)
+            rr.append((R[:, None, :] * R[None, :, :]).reshape(q * q, q))
+            # sums over the group's subjects of Q'X_i (x) Q'X_i etc., with
+            # the two capacitance axes flattened in front
+            along = QtX.reshape(q, m, p).transpose(1, 0, 2).reshape(m, q * p)
+            gram = (along.T @ along).reshape(q, p, q, p)
+            # X_i'X_i = X_i'QQ'X_i + perp part; the first is gram's trace
+            # over its capacitance axes
+            xtx += np.einsum("aiaj->ij", gram)
+            cross_xx.append(gram.transpose(0, 2, 1, 3).reshape(q * q, p * p))
+            cross_xy.append(
+                (along.T @ Qty.T).reshape(q, p, q).transpose(0, 2, 1).reshape(q * q, p)
             )
+            cross_yy.append((Qty @ Qty.T).reshape(q * q))
+        xtx += perp_xx
         if np.linalg.matrix_rank(xtx, hermitian=True) < p:
             raise UnidentifiableModelError(
                 f"mean design for candidate {candidate.id} is rank deficient"
             )
-        self._groups = groups
-        self._xtx = xtx
-        self._xty = xty
-        self._yty = yty
-        self._eye_q = np.eye(self.q)
+        self._rr = np.concatenate(rr)                  # (G*q*q, q): C = rr @ omega2 + sigma2*I
+        self._counts = np.array(counts, dtype=float)   # (G,)
+        self._sigma_weight = float(sigma_weight)       # sum_i (n_i - q)
+        self._cross_xx = np.concatenate(cross_xx)      # (G*q*q, p*p)
+        self._cross_xy = np.concatenate(cross_xy)      # (G*q*q, p)
+        self._cross_yy = np.concatenate(cross_yy)      # (G*q*q,)
+        self._perp_xx = perp_xx
+        self._perp_xy = perp_xy
+        self._perp_yy = perp_yy
+        self._eye_q = np.eye(q)
 
     def evaluate(self, omega2: np.ndarray, sigma2: float) -> tuple[float, np.ndarray]:
         """Profiled log-likelihood and the GLS beta at these variances.
 
         Raises:
             numpy.linalg.LinAlgError: capacitance factorization broke
-                down (numerically invalid variances).
+                down for some grid (numerically invalid variances).
             UnidentifiableModelError: the GLS normal matrix is singular.
         """
         p, q = self.p, self.q
-        w_half = np.sqrt(omega2)
-        log_sigma2 = math.log(sigma2)
-        A = self._xtx.copy()
-        b = self._xty.copy()
-        quad_const = self._yty
-        logdet_total = 0.0
-        for g in self._groups:
-            M = w_half[:, None] * g.ZtZ * w_half[None, :]
-            M.flat[:: q + 1] += sigma2
-            L = np.linalg.cholesky(M)
-            logdet_m = 2.0 * math.log(float(np.diagonal(L).prod()))
-            logdet_total += g.count * ((g.n_per - q) * log_sigma2 + logdet_m)
-            Minv = cho_solve((L, True), self._eye_q, check_finite=False)
-            kernel = (w_half[:, None] * Minv * w_half[None, :]).reshape(q * q)
-            A -= (kernel @ g.cross_xx).reshape(p, p)
-            b -= kernel @ g.cross_xy
-            quad_const -= float(kernel @ g.cross_yy)
-        A /= sigma2
-        b /= sigma2
-        quad_const /= sigma2
+        C = (self._rr @ omega2).reshape(-1, q, q)
+        C += sigma2 * self._eye_q
+        L = np.linalg.cholesky(C)
+        log_diag = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        logdet_total = self._sigma_weight * math.log(sigma2) + 2.0 * float(self._counts @ log_diag)
+        kernel = np.linalg.inv(C).reshape(-1)
+        A = self._perp_xx / sigma2 + (kernel @ self._cross_xx).reshape(p, p)
+        b = self._perp_xy / sigma2 + kernel @ self._cross_xy
+        quad_const = self._perp_yy / sigma2 + float(kernel @ self._cross_yy)
         try:
             La = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:

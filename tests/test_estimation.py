@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmmbic.candidates import (
     CandidateModel,
@@ -32,6 +34,42 @@ def random_dataset(rng, n_subjects=6, min_obs=2, max_obs=7):
     return Dataset(subjects=tuple(subjects))
 
 
+def mixed_grid_dataset(grids, positive, seed):
+    """Subjects on a mix of shared and singleton observation grids.
+
+    grids lists (n_points, n_subjects) per distinct grid; positive gives
+    the covariate sign of each subject in order.
+    """
+    rng = np.random.default_rng(seed)
+    subjects = []
+    for n_points, n_subjects in grids:
+        x = np.sort(rng.uniform(0.0, 10.0, size=n_points))
+        for _ in range(n_subjects):
+            i = len(subjects)
+            c = rng.uniform(0.2, 2.0) * (1.0 if positive[i] else -1.0)
+            y = 1.0 + 0.5 * x - 0.05 * x * x + 0.3 * c * x + rng.normal(size=n_points)
+            subjects.append(SubjectBlock(id=f"s{i}", x=x, c=c, y=y))
+    return Dataset(subjects=tuple(subjects))
+
+
+@st.composite
+def mixed_grids(draw):
+    """Layouts with at least one grid shared by several subjects and at
+    least one singleton grid.  The first grid has three or more points
+    and carries subjects of both covariate signs, so every candidate's
+    mean design is identifiable."""
+    first = (draw(st.integers(3, 6)), draw(st.integers(2, 4)))
+    shared = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(2, 4)), max_size=2))
+    singletons = draw(st.lists(st.tuples(st.integers(1, 6), st.just(1)), min_size=1, max_size=4))
+    grids = draw(st.permutations([first] + shared + singletons))
+    n_subjects = sum(m for _, m in grids)
+    positive = draw(st.lists(st.booleans(), min_size=n_subjects, max_size=n_subjects))
+    # the first grid's leading two subjects take opposite signs
+    start = sum(m for _, m in grids[: grids.index(first)])
+    positive[start], positive[start + 1] = True, False
+    return grids, positive, draw(st.integers(0, 2**32 - 1))
+
+
 def gls_dense(omega2, sigma2, candidate, data):
     """Reference GLS solution with explicit inverses."""
     A = 0.0
@@ -58,6 +96,38 @@ class TestProfiledLikelihood:
             np.testing.assert_allclose(beta, gls_dense(omega2, sigma2, cand, data), rtol=1e-9)
             params = ParameterVector(beta=beta, omega2=omega2, sigma2=sigma2)
             np.testing.assert_allclose(loglik, log_likelihood(params, cand, data), rtol=1e-8)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(mixed_grids())
+    def test_mixed_grid_sharing_matches_dense(self, layout):
+        # shared grids weight the stacked log-det and cross tensors by
+        # their subject counts; singleton grids and n_i = 1 < q ride along
+        data = mixed_grid_dataset(*layout)
+        rng = np.random.default_rng(layout[2])
+        for cand in enumerate_candidates():
+            omega2 = rng.uniform(0.05, 1.0, size=cand.n_variance)
+            sigma2 = float(rng.uniform(0.3, 2.0))
+            loglik, beta = ProfiledLikelihood(cand, data).evaluate(omega2, sigma2)
+            np.testing.assert_allclose(beta, gls_dense(omega2, sigma2, cand, data), rtol=1e-9)
+            params = ParameterVector(beta=beta, omega2=omega2, sigma2=sigma2)
+            np.testing.assert_allclose(loglik, log_likelihood(params, cand, data), rtol=1e-8)
+
+    def test_subject_order_does_not_matter(self):
+        # permuting subjects permutes the stacking order of the grid groups
+        grids = [(4, 3), (1, 1), (5, 2), (2, 1), (3, 4), (6, 1)]
+        positive = [True, False] * 6
+        data = mixed_grid_dataset(grids, positive, seed=14)
+        rng = np.random.default_rng(15)
+        for cand in enumerate_candidates():
+            omega2 = rng.uniform(0.05, 1.0, size=cand.n_variance)
+            sigma2 = float(rng.uniform(0.3, 2.0))
+            loglik, beta = ProfiledLikelihood(cand, data).evaluate(omega2, sigma2)
+            for _ in range(3):
+                order = rng.permutation(data.n_subjects)
+                shuffled = Dataset(subjects=tuple(data.subjects[i] for i in order))
+                loglik_p, beta_p = ProfiledLikelihood(cand, shuffled).evaluate(omega2, sigma2)
+                np.testing.assert_allclose(loglik_p, loglik, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(beta_p, beta, rtol=1e-10, atol=0.0)
 
     def test_zero_variances_reduce_to_ols(self):
         rng = np.random.default_rng(11)
