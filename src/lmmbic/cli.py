@@ -72,12 +72,15 @@ def _positive_int(text: str) -> int:
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--restarts", type=_positive_int, default=3,
-                        help="multistart count for the variance search (default 3)")
+    parser.add_argument("--restarts", type=_positive_int, default=2,
+                        help="starts of the quasi-Newton search over the relative "
+                             "variances: two fixed starts, then seeded jitter (default 2)")
     parser.add_argument("--max-iterations", type=_positive_int, default=2000,
-                        help="simplex iteration cap per start (default 2000)")
+                        help="quasi-Newton iteration cap per start (default 2000)")
     parser.add_argument("--rel-tolerance", type=float, default=1e-8,
-                        help="relative convergence tolerance (default 1e-8)")
+                        help="KKT tolerance, relative to 1 + |loglik|; a fit is reported "
+                             "converged when its projected gradient is within it "
+                             "(default 1e-8)")
     parser.add_argument("--variance-floor", type=float, default=1e-12,
                         help="lower clamp for variance estimates (default 1e-12)")
     parser.add_argument("--seed", type=_non_negative_int, default=0,

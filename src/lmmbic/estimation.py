@@ -1,29 +1,39 @@
 """Maximum-likelihood fitting of one candidate structure.
 
-The mean coefficients have a closed form at fixed variances: the
-generalized-least-squares solution
+Write the marginal covariance of subject i as
 
-    beta_hat = (sum_i X_i' V_i^-1 X_i)^-1  sum_i X_i' V_i^-1 y_i
+    V_i = sigma2 * (I + Z_i Theta Z_i'),   Theta = diag(theta),
 
-maximizes the likelihood over beta, so the numerical search runs only
-over the log variances, a space of dimension q + 1 <= 4.
+with theta = omega2 / sigma2 the relative variances.  At fixed theta
+the likelihood is maximized in closed form by the generalized-least-
+squares mean coefficients and the residual variance
 
-Each objective evaluation would naively refactor every n_i x n_i block.
-Instead, each subject's data is rotated once per candidate into an
-orthonormal basis [Q Q_perp] of its grid, with Z = Q R from a QR
-factorization (R is k x q, k = min(n_i, q)).  Then
+    beta_hat  = (sum_i X_i' Vt_i^-1 X_i)^-1  sum_i X_i' Vt_i^-1 y_i,
+    rss       = sum_i (y_i - X_i beta_hat)' Vt_i^-1 (y_i - X_i beta_hat),
+    sigma2_hat = rss / n,                     Vt_i = I + Z_i Theta Z_i',
 
-    V_i^-1 = Q C^-1 Q' + (I - Q Q') / sigma2,   C = sigma2 * I_k + R W R',
-    log det V_i = (n_i - k) log sigma2 + log det C,       W = diag(omega2),
+as in the lme4 profiled deviance (Bates, Maechler, Bolker & Walker
+2015, JSS 67(1)).  The numerical search therefore runs only over theta,
+a space of dimension q <= 3, and the profiled objective has an exact
+gradient (see ProfiledLikelihood.profile) that a small projected BFGS
+uses (fit_ml).
 
-so the evaluation needs only the k x k "capacitance" matrix C and
+Each evaluation would naively refactor every n_i x n_i block.  Instead,
+each subject's data is rotated once per candidate into an orthonormal
+basis [Q Q_perp] of its grid, with Z = Q R from a QR factorization (R is
+k x q, k = min(n_i, q)).  Then
+
+    Vt_i^-1 = Q K Q' + (I - Q Q'),   K = Ct^-1,   Ct = I_k + R Theta R',
+    log det Vt_i = log det Ct,
+
+so the evaluation needs only the k x k capacitance matrix Ct and
 cross-products of the rotated data: Q'X_i and Q'y_i along Z, and the
 components orthogonal to Z, which enter as plain sums.  Both parts of
-X' V^-1 X are positive semi-definite, so nothing cancels as variances
-grow relative to sigma2.  Subjects that share an observation grid share
+X' Vt^-1 X are positive semi-definite, so nothing cancels as the
+relative variances grow.  Subjects that share an observation grid share
 Q and R, so their cross-products collapse into one group tensor per
 distinct grid.  The G group tensors are stacked (R zero-padded to
-q x q, which adds sigma2 to C's diagonal and nothing else), and each
+q x q, which adds 1 to Ct's diagonal and nothing else), and each
 evaluation is a fixed number of batched numpy calls whose arithmetic is
 linear in G: with one shared grid the cost does not grow with the
 number of subjects, and on unbalanced data, where every subject may
@@ -36,16 +46,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .candidates import CandidateModel, DesignBlocks, build_design
 from .data import Dataset
 from .model import LN_TWO_PI, ParameterVector, assemble_marginal_covariance
 from .rng import substream
 
-# Log-variance bounds used inside the optimizer; the lower bound is the
-# configured floor, this is just the overflow guard above.
+# fit_ml searches w_j = log(theta_j s_j^2 + _ZERO_SHIFT), where s_j^2 is
+# the mean square of Z's column j: theta_j s_j^2 = 1 puts a random effect's
+# share of the variance on a par with the noise, and the shift makes the
+# scale linear below about _ZERO_SHIFT and puts theta_j = 0 at a finite
+# bound.  _LOG_CEILING is the overflow guard above.
+_ZERO_SHIFT = 1e-2
 _LOG_CEILING = 50.0
+# Max-norm cap on one quasi-Newton step in w: an uncapped first step can
+# land far out where the objective is flat.
+_MAX_STEP = 2.0
+# Backtracking halvings before the line search gives up.
+_LINE_SEARCH_STEPS = 30
+# Relative size of the rounding in the objective: near an optimum, changes
+# in f smaller than this carry no information.
+_F_ROUNDING = 1e-12
 
 
 class UnidentifiableModelError(ValueError):
@@ -54,15 +75,24 @@ class UnidentifiableModelError(ValueError):
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Controls for the variance search.
+    """Controls for the search over the relative variances.
 
-    seed drives the restart-jitter stream, so fits are reproducible
-    bit for bit.
+    n_restarts counts starts of the quasi-Newton search (see fit_ml):
+    the first at theta = 1/2, the second with theta_j s_j^2 = 1/2 for
+    every random effect, later ones jittered around the first by a
+    factor exp(U[-1, 1]) per coordinate.  max_iterations caps the
+    quasi-Newton iterations of each start.  rel_tolerance is the KKT
+    tolerance: a fit converged when its projected gradient on the search
+    scale is at most rel_tolerance * (1 + |loglik|).  variance_floor is
+    the smallest variance reported; estimates below it, zeros included,
+    are reported at it and listed as boundary, and it bounds the
+    profiled sigma2 from below.  seed drives the restart-jitter stream,
+    so fits are reproducible bit for bit.
     """
 
     max_iterations: int = 2000
     rel_tolerance: float = 1e-8
-    n_restarts: int = 3
+    n_restarts: int = 2
     variance_floor: float = 1e-12
     seed: int = 0
 
@@ -83,6 +113,7 @@ class FitOptions:
 class FittedModel:
     """Result of fit_ml.
 
+    converged is the KKT check at the reported point (see fit_ml).
     boundary lists the variance labels (omega* or sigma2) whose
     estimate landed on the configured floor; such solutions are
     reported rather than rejected.
@@ -109,11 +140,12 @@ class ProfiledLikelihood:
     """Callable core of the fit: likelihood with beta profiled out.
 
     Construction performs all O(n) work and stacks the per-grid
-    tensors; evaluate() then makes the same fixed number of numpy calls
-    for any number G of distinct observation grids, with arithmetic
-    linear in G: one batched Cholesky factorization and one batched
-    inverse of the G capacitance matrices, and one matrix-vector product
-    per term of the GLS normal equations.
+    tensors.  Both evaluate() and profile() then run one core that makes
+    the same fixed number of numpy calls for any number G of distinct
+    observation grids, with arithmetic linear in G: one batched Cholesky
+    factorization and one batched inverse of the G capacitance matrices
+    Ct = I + R Theta R', and one matrix-vector product per term of the
+    GLS normal equations.
     """
 
     def __init__(self, candidate: CandidateModel, data: Dataset):
@@ -141,16 +173,14 @@ class ProfiledLikelihood:
         perp_xx = np.zeros((p, p))
         perp_xy = np.zeros(p)
         perp_yy = 0.0
-        sigma_weight = 0
-        rr, counts, cross_xx, cross_xy, cross_yy = [], [], [], [], []
+        rs, counts, cross_xx, cross_xy, cross_yy = [], [], [], [], []
         for indices in by_grid.values():
             Z = designs[indices[0]].Z
             Xs = np.stack([designs[i].X for i in indices], axis=1)       # (n, m, p)
             Ys = np.stack([data.subjects[i].y for i in indices], axis=1)  # (n, m)
             n, m = Ys.shape
             # a grid with n < q points has k = n; zero-padding Q and R to q
-            # axes leaves C = sigma2 there, whose log sigma2 the weight
-            # n - q (not n - k) absorbs
+            # axes leaves Ct = 1 on the padded axes, which adds nothing
             Q_thin, R_thin = np.linalg.qr(Z)                             # (n, k), (k, q)
             k = R_thin.shape[0]
             Q = np.zeros((n, q))
@@ -165,9 +195,8 @@ class ProfiledLikelihood:
             perp_xx += perp_x.T @ perp_x
             perp_xy += perp_x.T @ perp_y
             perp_yy += float(perp_y @ perp_y)
-            sigma_weight += m * (n - q)
             counts.append(m)
-            rr.append((R[:, None, :] * R[None, :, :]).reshape(q * q, q))
+            rs.append(R)
             # sums over the group's subjects of Q'X_i (x) Q'X_i etc., with
             # the two capacitance axes flattened in front
             along = QtX.reshape(q, m, p).transpose(1, 0, 2).reshape(m, q * p)
@@ -185,9 +214,10 @@ class ProfiledLikelihood:
             raise UnidentifiableModelError(
                 f"mean design for candidate {candidate.id} is rank deficient"
             )
-        self._rr = np.concatenate(rr)                  # (G*q*q, q): C = rr @ omega2 + sigma2*I
+        self._R = np.stack(rs)                         # (G, q, q): Z = Q R per grid
+        # (G*q*q, q): Ct = I + rr @ theta, the outer products of R's columns
+        self._rr = (self._R[:, :, None, :] * self._R[:, None, :, :]).reshape(-1, q)
         self._counts = np.array(counts, dtype=float)   # (G,)
-        self._sigma_weight = float(sigma_weight)       # sum_i (n_i - q)
         self._cross_xx = np.concatenate(cross_xx)      # (G*q*q, p*p)
         self._cross_xy = np.concatenate(cross_xy)      # (G*q*q, p)
         self._cross_yy = np.concatenate(cross_yy)      # (G*q*q,)
@@ -195,6 +225,34 @@ class ProfiledLikelihood:
         self._perp_xy = perp_xy
         self._perp_yy = perp_yy
         self._eye_q = np.eye(q)
+        # mean square of each Z column over all observations: sum_g m_g R_g'R_g
+        self.z_scale2 = self._counts @ (self._R ** 2).sum(axis=1) / self.n_obs
+
+    def _solve(self, theta: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """Core at relative variances theta.
+
+        Returns sum_i log det Vt_i, the GLS residual sum of squares rss
+        in the Vt^-1 metric, beta_hat, and the stacked K = Ct^-1.
+        """
+        p, q = self.p, self.q
+        C = (self._rr @ theta).reshape(-1, q, q)
+        C += self._eye_q
+        L = np.linalg.cholesky(C)
+        log_diag = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        logdet = 2.0 * float(self._counts @ log_diag)
+        K = np.linalg.inv(C)
+        kernel = K.reshape(-1)
+        A = self._perp_xx + (kernel @ self._cross_xx).reshape(p, p)
+        b = self._perp_xy + kernel @ self._cross_xy
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            raise UnidentifiableModelError(
+                f"normal matrix for candidate {self.candidate.id} is singular"
+            ) from None
+        beta = np.linalg.solve(A, b)
+        rss = self._perp_yy + float(kernel @ self._cross_yy) - float(b @ beta)
+        return logdet, rss, beta, K
 
     def evaluate(self, omega2: np.ndarray, sigma2: float) -> tuple[float, np.ndarray]:
         """Profiled log-likelihood and the GLS beta at these variances.
@@ -204,26 +262,44 @@ class ProfiledLikelihood:
                 down for some grid (numerically invalid variances).
             UnidentifiableModelError: the GLS normal matrix is singular.
         """
-        p, q = self.p, self.q
-        C = (self._rr @ omega2).reshape(-1, q, q)
-        C += sigma2 * self._eye_q
-        L = np.linalg.cholesky(C)
-        log_diag = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-        logdet_total = self._sigma_weight * math.log(sigma2) + 2.0 * float(self._counts @ log_diag)
-        kernel = np.linalg.inv(C).reshape(-1)
-        A = self._perp_xx / sigma2 + (kernel @ self._cross_xx).reshape(p, p)
-        b = self._perp_xy / sigma2 + kernel @ self._cross_xy
-        quad_const = self._perp_yy / sigma2 + float(kernel @ self._cross_yy)
-        try:
-            La = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            raise UnidentifiableModelError(
-                f"normal matrix for candidate {self.candidate.id} is singular"
-            ) from None
-        beta = cho_solve((La, True), b, check_finite=False)
-        quad = quad_const - float(b @ beta)
-        loglik = -0.5 * (self.n_obs * LN_TWO_PI + logdet_total + quad)
+        logdet, rss, beta, _ = self._solve(np.asarray(omega2, dtype=float) / sigma2)
+        loglik = -0.5 * (self.n_obs * (LN_TWO_PI + math.log(sigma2)) + logdet + rss / sigma2)
         return loglik, beta
+
+    def profile(self, theta: np.ndarray, sigma2_floor: float) -> tuple[float, np.ndarray, float]:
+        """Negative log-likelihood with beta and sigma2 profiled out.
+
+        At relative variances theta = omega2 / sigma2 the likelihood is
+        maximized by sigma2_hat = max(rss / n, sigma2_floor).  Returns
+        f = -loglik at (theta * sigma2_hat, sigma2_hat), its exact
+        gradient in theta, and sigma2_hat.  With r_j the j-th column of
+        a grid's R, K = Ct^-1 and S = sum_i u_i u_i' over the grid's
+        subjects, u_i = Q'(y_i - X_i beta_hat),
+
+            d log det Vt / d theta_j = sum_g m_g r_j' K_g r_j,
+            d rss / d theta_j        = -sum_g r_j' K_g S_g K_g r_j,
+
+        (beta_hat is stationary, and sigma2_hat stationary or held at the
+        floor, so neither adds a term), and df/dtheta_j = (d log det + d rss / sigma2_hat) / 2.  S comes
+        from the same cross-product tensors as the normal equations.
+
+        Raises the same errors as evaluate().
+        """
+        logdet, rss, beta, K = self._solve(theta)
+        n, q = self.n_obs, self.q
+        sigma2 = max(rss / n, sigma2_floor)
+        value = 0.5 * (n * (LN_TWO_PI + math.log(sigma2)) + logdet + rss / sigma2)
+        # S up to an antisymmetric part, which the quadratic forms w'Sw
+        # below do not see: sum_i Q'y Q'y' - 2 Q'X beta Q'y' + Q'X beta beta'X'Q
+        S = (
+            self._cross_yy
+            - 2.0 * (self._cross_xy @ beta)
+            + self._cross_xx @ np.outer(beta, beta).reshape(-1)
+        ).reshape(-1, q, q)
+        W = K @ self._R                                # columns K_g r_j
+        d_logdet = self._counts @ (self._R * W).sum(axis=1)
+        d_rss = -((S @ W) * W).sum(axis=(0, 1))
+        return value, 0.5 * (d_logdet + d_rss / sigma2), sigma2
 
 
 def profile_beta(
@@ -251,86 +327,80 @@ def profile_beta(
     return beta, log_likelihood(params, candidate, data)
 
 
-def _nelder_mead(
-    objective,
-    x0: np.ndarray,
+def _minimize_box(
+    fun,
+    z0: np.ndarray,
+    lower: float,
+    upper: float,
     max_iterations: int,
     rel_tol: float,
-    step: float = 1.0,
-) -> tuple[np.ndarray, float, bool]:
-    """Minimize with the classic reflect/expand/contract/shrink simplex.
+) -> tuple[np.ndarray, float, np.ndarray, bool, int]:
+    """Minimize fun over the box [lower, upper]^d by projected BFGS.
 
-    Converged means the spread of function values across the simplex
-    dropped below rel_tol relative to the best value, i.e. a full
-    update cycle produced no meaningful relative improvement.  The best
-    vertex is never discarded, so the result is monotone in the start
-    value.
+    fun(z) returns the value and its gradient.  Each iteration takes a
+    quasi-Newton step on the coordinates not held at a bound, capped at
+    _MAX_STEP in max-norm, and halves it along the projected path until
+    the Armijo condition holds.  When the held set changes, the inverse
+    Hessian restarts from the scaled identity.  converged is the KKT
+    check at the returned point: the projected gradient is at most
+    rel_tol * (1 + |f|) in max-norm.  Returns (z, f, gradient,
+    converged, iterations taken); a start where f is not finite returns
+    at once, unconverged.
     """
-    d = x0.size
-    simplex = np.tile(x0, (d + 1, 1))
-    for i in range(d):
-        simplex[i + 1, i] += step
-    fvals = [float(objective(v)) for v in simplex]
-    vertex_sum = simplex.sum(axis=0)
-    converged = False
 
-    def replace_worst(iw: int, vertex: np.ndarray, value: float) -> None:
-        nonlocal vertex_sum
-        vertex_sum = vertex_sum + (vertex - simplex[iw])
-        simplex[iw] = vertex
-        fvals[iw] = value
+    def kkt(z: np.ndarray, f: float, g: np.ndarray) -> bool:
+        projected = z - np.clip(z - g, lower, upper)
+        return float(np.max(np.abs(projected))) <= rel_tol * (1.0 + abs(f))
 
-    for _ in range(max_iterations):
-        ib = min(range(d + 1), key=fvals.__getitem__)
-        iw = max(range(d + 1), key=fvals.__getitem__)
-        f_best, f_worst = fvals[ib], fvals[iw]
-        if f_worst - f_best <= rel_tol * (1.0 + abs(f_best)):
-            converged = True
-            break
-        f_second = max(v for i, v in enumerate(fvals) if i != iw)
-        centroid = (vertex_sum - simplex[iw]) / d
-        step_out = centroid - simplex[iw]
-        reflected = centroid + step_out
-        f_reflected = float(objective(reflected))
-        if f_reflected < f_best:
-            expanded = centroid + 2.0 * step_out
-            f_expanded = float(objective(expanded))
-            if f_expanded < f_reflected:
-                replace_worst(iw, expanded, f_expanded)
-            else:
-                replace_worst(iw, reflected, f_reflected)
-        elif f_reflected < f_second:
-            replace_worst(iw, reflected, f_reflected)
+    z = np.clip(z0, lower, upper)
+    f, g = fun(z)
+    if not math.isfinite(f):
+        return z, f, g, False, 0
+    eye = np.eye(z.size)
+    H = None                   # inverse Hessian; None until a step has been taken
+    scale = 1.0                # s'y / y'y of the last step, the restart scale
+    held = np.zeros(z.size, dtype=bool)
+    for iteration in range(max_iterations):
+        if kkt(z, f, g):
+            return z, f, g, True, iteration
+        previous, held = held, ((z <= lower) & (g > 0)) | ((z >= upper) & (g < 0))
+        if H is not None and np.any(held != previous):
+            # curvature learnt on another face of the box misleads here
+            H = scale * eye
+        g_free = np.where(held, 0.0, g)
+        d = -g_free if H is None else -(H @ g_free)
+        d[held] = 0.0
+        if not float(d @ g_free) < 0:
+            H, d = scale * eye, -scale * g_free
+        d *= min(1.0, _MAX_STEP / float(np.max(np.abs(d))))
+        t = 1.0
+        for _ in range(_LINE_SEARCH_STEPS):
+            z_new = np.clip(z + t * d, lower, upper)
+            step = z_new - z
+            slope = float(g @ step)
+            if slope < 0:
+                f_new, g_new = fun(z_new)
+                # Armijo, or its exact form on a quadratic, which reads
+                # the gradient where rounding has flattened f
+                if f_new <= f + 1e-4 * slope or (
+                    f_new <= f + _F_ROUNDING * (1.0 + abs(f))
+                    and float(g_new @ step) <= (2e-4 - 1.0) * slope
+                ):
+                    break
+            t *= 0.5
         else:
-            if f_reflected < f_worst:
-                contracted = centroid + 0.5 * step_out
-            else:
-                contracted = centroid - 0.5 * step_out
-            f_contracted = float(objective(contracted))
-            if f_contracted < min(f_reflected, f_worst):
-                replace_worst(iw, contracted, f_contracted)
-            else:
-                best = simplex[ib].copy()
-                simplex[:] = best + 0.5 * (simplex - best)
-                for i in range(d + 1):
-                    if i != ib:
-                        fvals[i] = float(objective(simplex[i]))
-                vertex_sum = simplex.sum(axis=0)
-    ib = min(range(d + 1), key=fvals.__getitem__)
-    return simplex[ib].copy(), fvals[ib], converged
-
-
-def _moment_start(designs: tuple[DesignBlocks, ...], data: Dataset, q: int, floor: float) -> np.ndarray:
-    """Log-variance start: OLS residual variance for sigma2, half of it
-    for each random-effect variance."""
-    X = np.vstack([d.X for d in designs])
-    y = np.concatenate([b.y for b in data.subjects])
-    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef
-    dof = max(y.size - X.shape[1], 1)
-    s0 = max(float(resid @ resid) / dof, floor)
-    start = np.log(np.array([0.5 * s0] * q + [s0]))
-    return np.clip(start, math.log(floor), _LOG_CEILING)
+            return z, f, g, kkt(z, f, g), iteration + 1
+        y = g_new - g
+        sy = float(step @ y)
+        yy = float(y @ y)
+        if sy > 1e-12 * math.sqrt(float(step @ step) * yy):
+            scale = sy / yy
+            if H is None:
+                H = scale * eye
+            V = eye - np.outer(step, y) / sy
+            H = V @ H @ V.T + np.outer(step, step) / sy
+        z, f, g = z_new, f_new, g_new
+    return z, f, g, kkt(z, f, g), max_iterations
 
 
 def fit_ml(
@@ -340,13 +410,22 @@ def fit_ml(
 ) -> FittedModel:
     """Fit one candidate by maximum likelihood.
 
-    Runs a multistart simplex search over log variances (the first
-    start from moment estimates, later starts jittered by a factor
-    exp(U[-1, 1]) per coordinate), then a refinement pass with a small
-    simplex from the best point found.  The reported log-likelihood is
-    the maximum over all starts.  Variances that land on the floor are
-    listed in `boundary`; a search that exhausts max_iterations is
-    returned with converged=False rather than raised.
+    beta and sigma2 are profiled out (ProfiledLikelihood.profile), and
+    a projected BFGS with the exact gradient searches the relative
+    variances from each start in FitOptions, on the scale
+    w_j = log(theta_j s_j^2 + _ZERO_SHIFT) with s_j^2 the mean square of
+    Z's column j.  That scale is logarithmic for variances well above
+    zero and linear near zero, and its lower bound w_j = log(_ZERO_SHIFT)
+    is theta_j = 0, so a variance whose maximum is at zero gets there in
+    a few steps, and one near zero whose likelihood rises with it is not
+    hidden by a vanishing log-scale gradient.  From the best start, each
+    positive relative variance is set to zero in turn, and where that
+    face point is lower the search runs again from it, since a smaller
+    random structure's optimum lies on such a face.  converged is the
+    KKT check at the returned point (see _minimize_box): a search that
+    exhausts max_iterations or stalls is returned with converged=False
+    rather than raised.  Variances below the floor are reported at the
+    floor and listed in `boundary`.
 
     Raises:
         UnidentifiableModelError: fewer observations than parameters,
@@ -360,54 +439,61 @@ def fit_ml(
         )
     prof = ProfiledLikelihood(candidate, data)
     q = prof.q
-    log_floor = math.log(options.variance_floor)
+    floor = options.variance_floor
+    scale2 = prof.z_scale2
 
-    def objective(z: np.ndarray) -> float:
+    def relative_variances(w: np.ndarray) -> np.ndarray:
+        return np.maximum(np.exp(w) - _ZERO_SHIFT, 0.0) / scale2
+
+    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
         # rank deficiency is rejected at construction, so a breakdown
         # here means the variances are numerically extreme, not that
         # the model is unidentifiable: price the point out instead
-        v = np.exp(np.clip(z, log_floor, _LOG_CEILING))
         try:
-            loglik, _ = prof.evaluate(v[:q], float(v[q]))
+            f, g, _ = prof.profile(relative_variances(w), floor)
         except (np.linalg.LinAlgError, UnidentifiableModelError):
-            return math.inf
-        return -loglik if math.isfinite(loglik) else math.inf
+            return math.inf, np.zeros(q)
+        return f, g * np.exp(w) / scale2
 
-    start = _moment_start(prof.designs, data, q, options.variance_floor)
+    centre = np.log(0.5 * scale2 + _ZERO_SHIFT)
+    starts = [centre, np.full(q, math.log(0.5 + _ZERO_SHIFT))][: options.n_restarts]
     jitter = substream(options.seed)
-    best_z: np.ndarray | None = None
-    best_f = math.inf
-    for restart in range(options.n_restarts):
-        z0 = start if restart == 0 else start + jitter.uniform(-1.0, 1.0, size=q + 1)
-        z, f, _ = _nelder_mead(objective, z0, options.max_iterations, options.rel_tolerance)
-        if f < best_f:
-            best_z, best_f = z, f
-    # Refinement from the incumbent with a tight simplex; monotone, so
-    # this can only improve the incumbent.
-    best_z, best_f, converged = _nelder_mead(
-        objective, best_z, options.max_iterations, options.rel_tolerance, step=0.05
-    )
-    if not math.isfinite(best_f):
+    starts += [centre + jitter.uniform(-1.0, 1.0, size=q) for _ in range(options.n_restarts - 2)]
+    lower = math.log(_ZERO_SHIFT)
+
+    def search(w0: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, bool, int]:
+        return _minimize_box(
+            objective, w0, lower, _LOG_CEILING, options.max_iterations, options.rel_tolerance
+        )
+
+    w, f, _, converged, _ = min((search(w0) for w0 in starts), key=lambda result: result[1])
+    if not math.isfinite(f):
         raise UnidentifiableModelError(
             f"likelihood for candidate {candidate.id} could not be evaluated "
             "at any visited point"
         )
+    # a smaller random structure's optimum lies on a face theta_j = 0; when
+    # the face next to the best point is lower, search again from there
+    for j in range(q):
+        if w[j] > lower:
+            face = w.copy()
+            face[j] = lower
+            if objective(face)[0] < f:
+                result = search(face)
+                if result[1] < f:
+                    w, f, _, converged, _ = result
 
-    z_final = np.clip(best_z, log_floor, _LOG_CEILING)
-    variances = np.exp(z_final)
-    loglik, beta = prof.evaluate(variances[:q], float(variances[q]))
+    theta = relative_variances(w)
+    _, _, sigma2 = prof.profile(theta, floor)
+    omega2 = np.maximum(theta * sigma2, floor)
+    loglik, beta = prof.evaluate(omega2, sigma2)
     labels = candidate.variance_labels() + ("sigma2",)
-    # On a collapsed-variance ridge the simplex can stall a hair above
-    # the clamp, so treat anything within 10% of the floor as pinned.
     boundary = tuple(
-        label
-        for label, z in zip(labels, best_z)
-        if z <= log_floor + 0.1
+        label for label, v in zip(labels, np.append(omega2, sigma2)) if v <= floor
     )
-    theta = ParameterVector(beta=beta, omega2=variances[:q], sigma2=float(variances[q]))
     return FittedModel(
         candidate=candidate,
-        theta_hat=theta,
+        theta_hat=ParameterVector(beta=beta, omega2=omega2, sigma2=sigma2),
         loglik=float(loglik),
         converged=converged,
         boundary=boundary,
