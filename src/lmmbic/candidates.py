@@ -136,6 +136,42 @@ class DesignBlocks:
         return self.X.shape[0]
 
 
+def design_columns(candidate: CandidateModel) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the candidate's X and Z columns among those of O4M4.
+
+    O4M4's X holds [1, x, x^2, c*x, c*x^2] and its Z [1, x, x^2] (see
+    full_design); every candidate's design is a subset of those columns
+    in the same order.
+    """
+    mean = [0, 1, 2]
+    if candidate.alpha1_free:
+        mean.append(3)
+    if candidate.alpha2_free:
+        mean.append(4)
+    random = [0]
+    if candidate.omega1_free:
+        random.append(1)
+    if candidate.omega2_free:
+        random.append(2)
+    return np.array(mean), np.array(random)
+
+
+def full_design(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """O4M4's design for subjects observed on one grid x.
+
+    c holds the m subjects' covariates.  Returns X of shape (n, m, 5),
+    subject j's X_j in X[:, j], and the shared Z of shape (n, 3).
+    """
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(c, dtype=float)
+    Z = np.column_stack([np.ones_like(x), x, x * x])
+    X = np.concatenate(
+        [np.broadcast_to(Z[:, None, :], (x.size, c.size, 3)), c[None, :, None] * Z[:, None, 1:]],
+        axis=2,
+    )
+    return X, Z
+
+
 def build_design(candidate: CandidateModel, block: SubjectBlock) -> DesignBlocks:
     """Assemble X_i and Z_i for one subject under one candidate.
 
@@ -143,21 +179,10 @@ def build_design(candidate: CandidateModel, block: SubjectBlock) -> DesignBlocks
     is in the mean, then c*x^2 when alpha2 is; Z_i holds [1], then x
     when omega1^2 is free, then x^2 when omega2^2 is.
     """
-    x = block.x
-    xsq = x * x
-    ones = np.ones_like(x)
-    xcols = [ones, x, xsq]
-    if candidate.alpha1_free:
-        xcols.append(block.c * x)
-    if candidate.alpha2_free:
-        xcols.append(block.c * xsq)
-    zcols = [ones]
-    if candidate.omega1_free:
-        zcols.append(x)
-    if candidate.omega2_free:
-        zcols.append(xsq)
-    X = np.column_stack(xcols)
-    Z = np.column_stack(zcols)
+    X, Z = full_design(block.x, [block.c])
+    mean, random = design_columns(candidate)
+    X = np.ascontiguousarray(X[:, 0, mean])
+    Z = np.ascontiguousarray(Z[:, random])
     X.flags.writeable = False
     Z.flags.writeable = False
     return DesignBlocks(X=X, Z=Z)

@@ -156,7 +156,7 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 def _block_summaries(fit) -> list[dict]:
     summaries = []
-    for design, V in zip(fit.designs, fit.covariance_blocks()):
+    for V in fit.covariance_blocks():
         R = correlation_from_covariance(V)
         off = R[~np.eye(R.shape[0], dtype=bool)]
         summaries.append(

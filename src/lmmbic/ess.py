@@ -15,25 +15,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .estimation import FittedModel
+from .candidates import build_design, design_columns
+from .estimation import FittedModel, dataset_statistics
 from .model import assemble_marginal_covariance, correlation_from_covariance
 
 
+def _magnitudes(R: np.ndarray) -> np.ndarray:
+    """1' R^-1 1 for each matrix of a stack (..., n, n).
+
+    With R = L L', 1' R^-1 1 = ||w||^2 for w = L^-1 1, and w' is the
+    last row of the Cholesky factor of the bordered matrix
+    [[R, 1], [1', c]], for any c that keeps its last pivot c - w'w
+    positive; c = the largest float does for every R that factorizes
+    (w'w overflows only when R is numerically singular, and then the
+    factorization raises).  One batched factorization thus stands in for
+    a factorization and a triangular solve.
+    """
+    n = R.shape[-1]
+    bordered = np.empty(R.shape[:-2] + (n + 1, n + 1))
+    bordered[..., :n, :n] = R
+    bordered[..., :n, n] = 1.0
+    bordered[..., n, :n] = 1.0
+    bordered[..., n, n] = np.finfo(float).max
+    w = np.linalg.cholesky(bordered)[..., n, :n]
+    return (w * w).sum(axis=-1)
+
+
 def magnitude(R: np.ndarray) -> float:
-    """Sum of the entries of R^-1, via one solve against the ones vector.
+    """Sum of the entries of R^-1, 1' R^-1 1, from one Cholesky factorization.
 
     Expects a symmetric positive-definite matrix (a correlation matrix
-    in this package's usage).  Raises numpy.linalg.LinAlgError or
-    scipy's LinAlgError when the factorization fails.
+    in this package's usage).  Raises numpy.linalg.LinAlgError when the
+    factorization fails.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ValueError("R must be square")
-    factor = cho_factor(R, lower=True, check_finite=False)
-    w = cho_solve(factor, np.ones(R.shape[0]), check_finite=False)
-    return float(w.sum())
+    return float(_magnitudes(R))
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,8 +68,9 @@ def correlation_structure(fit: FittedModel) -> CorrelationStructure:
     """Per-subject implied correlation matrices and magnitudes for a fit."""
     blocks = []
     weights = []
-    for d in fit.designs:
-        V = assemble_marginal_covariance(d.Z, fit.theta_hat.omega2, fit.theta_hat.sigma2)
+    for block in fit.data.subjects:
+        Z = build_design(fit.candidate, block).Z
+        V = assemble_marginal_covariance(Z, fit.theta_hat.omega2, fit.theta_hat.sigma2)
         R = correlation_from_covariance(V)
         blocks.append(R)
         weights.append(magnitude(R))
@@ -66,18 +86,15 @@ def effective_sample_size(fit: FittedModel) -> float:
 
     Equals sum_i 1' R_i^-1 1 over subjects.  Subjects sharing an
     observation grid share R_i, so each distinct grid is factorized
-    once.
+    once, and the grids of one length in one batched factorization.
+    The grids come from the dataset's statistics (dataset_statistics),
+    shared with the likelihood.
     """
-    counts: dict[bytes, tuple[np.ndarray, int]] = {}
-    for d in fit.designs:
-        key = d.Z.tobytes()
-        if key in counts:
-            Z, c = counts[key]
-            counts[key] = (Z, c + 1)
-        else:
-            counts[key] = (d.Z, 1)
+    _, random = design_columns(fit.candidate)
     total = 0.0
-    for Z, count in counts.values():
-        V = assemble_marginal_covariance(Z, fit.theta_hat.omega2, fit.theta_hat.sigma2)
-        total += count * magnitude(correlation_from_covariance(V))
+    for Z, counts in dataset_statistics(fit.data).grids:
+        V = assemble_marginal_covariance(
+            Z[..., random], fit.theta_hat.omega2, fit.theta_hat.sigma2
+        )
+        total += float(counts @ _magnitudes(correlation_from_covariance(V)))
     return total

@@ -19,9 +19,8 @@ gradient (see ProfiledLikelihood.profile) that a small projected BFGS
 uses (fit_ml).
 
 Each evaluation would naively refactor every n_i x n_i block.  Instead,
-each subject's data is rotated once per candidate into an orthonormal
-basis [Q Q_perp] of its grid, with Z = Q R from a QR factorization (R is
-k x q, k = min(n_i, q)).  Then
+each distinct observation grid gets an orthonormal basis [Q Q_perp],
+with Z = Q R from a QR factorization (R is k x q, k = min(n_i, q)), and
 
     Vt_i^-1 = Q K Q' + (I - Q Q'),   K = Ct^-1,   Ct = I_k + R Theta R',
     log det Vt_i = log det Ct,
@@ -30,25 +29,35 @@ so the evaluation needs only the k x k capacitance matrix Ct and
 cross-products of the rotated data: Q'X_i and Q'y_i along Z, and the
 components orthogonal to Z, which enter as plain sums.  Both parts of
 X' Vt^-1 X are positive semi-definite, so nothing cancels as the
-relative variances grow.  Subjects that share an observation grid share
-Q and R, so their cross-products collapse into one group tensor per
-distinct grid.  The G group tensors are stacked (R zero-padded to
-q x q, which adds 1 to Ct's diagonal and nothing else), and each
-evaluation is a fixed number of batched numpy calls whose arithmetic is
-linear in G: with one shared grid the cost does not grow with the
-number of subjects, and on unbalanced data, where every subject may
-have its own grid, it does not pay a Python loop over the grids.
+relative variances grow.  Subjects that share a grid share Q and R, so
+their cross-products collapse into one group tensor per distinct grid.
+
+All sixteen candidates are column subsets of O4M4, so these statistics
+are built once per dataset (dataset_statistics), for O4M4's full design,
+and each candidate takes its own as slices of them.  The dataset's
+grids are rotated in the column order (1, x, x^2) of O4M4's Z, and in
+(1, x^2, x) for the O3 candidates; as R is upper triangular, a
+candidate's Z is the leading q columns of Q times the leading q x q
+block of R, its mean columns are a mask on O4M4's, and the rotated axes
+it drops join its orthogonal part as further positive semi-definite
+terms.  The G group tensors are stacked (R zero-padded to q x q, which
+adds 1 to Ct's diagonal and nothing else), and each evaluation is a
+fixed number of batched numpy calls whose arithmetic is linear in G:
+with one shared grid the cost does not grow with the number of
+subjects, and on unbalanced data, where every subject may have its own
+grid, it does not pay a Python loop over the grids.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import CandidateModel, DesignBlocks, build_design
-from .data import Dataset
+from .candidates import CandidateModel, build_design, design_columns, full_design
+from .data import Dataset, SubjectBlock
 from .model import LN_TWO_PI, ParameterVector, assemble_marginal_covariance
 from .rng import substream
 
@@ -67,6 +76,16 @@ _LINE_SEARCH_STEPS = 30
 # Relative size of the rounding in the objective: near an optimum, changes
 # in f smaller than this carry no information.
 _F_ROUNDING = 1e-12
+# rss is a difference of sums over the n observations, each term at most
+# y'y, so its rounding grows like sqrt(n) eps y'y (on data the mean fits
+# exactly it reached 16 eps y'y at n = 24 and 171 eps y'y at n = 10^4).
+# An rss below _RSS_ROUNDING sqrt(n) y'y is taken as zero: the mean fits
+# the data exactly.
+_RSS_ROUNDING = 8.0 * float(np.finfo(float).eps)
+# The column orders of O4M4's Z = [1, x, x^2] in which some candidate's
+# random effects come first: (1, x, x^2) for O1, O2 and O4, (1, x^2, x)
+# for O3.
+_ORDERS = ((0, 1, 2), (0, 2, 1))
 
 
 class UnidentifiableModelError(ValueError):
@@ -124,106 +143,178 @@ class FittedModel:
     loglik: float
     converged: bool
     boundary: tuple[str, ...]
-    designs: tuple[DesignBlocks, ...]
+    data: Dataset
     n_obs: int
     n_subjects: int
 
     def covariance_blocks(self) -> list[np.ndarray]:
         """Per-subject marginal covariances V_i at the fitted variances."""
         return [
-            assemble_marginal_covariance(d.Z, self.theta_hat.omega2, self.theta_hat.sigma2)
-            for d in self.designs
+            assemble_marginal_covariance(
+                build_design(self.candidate, block).Z, self.theta_hat.omega2, self.theta_hat.sigma2
+            )
+            for block in self.data.subjects
         ]
+
+
+class RotatedStatistics:
+    """O4M4's rotated sufficient statistics in one column order of Z.
+
+    Per distinct observation grid g, with Z[:, order] = Q R for O4M4's
+    Z = [1, x, x^2] (Q and R zero-padded to 3 axes when the grid has
+    fewer than 3 points) and the sums running over the grid's subjects:
+
+        R[g]                                          (G, 3, 3)
+        cross_xx[g] = sum Q'X_i (x) Q'X_i, capacitance axes first,
+                                                      (G, 3, 3, 5, 5),
+        cross_xy[g], cross_yy[g] likewise             (G, 3, 3, 5), (G, 3, 3),
+
+    plus the sums over all subjects of the components orthogonal to Z:
+    perp_xx, perp_xy and perp_yy.  X has O4M4's five mean columns.
+    Because R is upper triangular, the leading q columns of Z[:, order]
+    are Q[:, :q] R[:q, :q].
+    """
+
+    def __init__(self, grids: list[tuple[np.ndarray, ...]], order: tuple[int, ...]):
+        self.perp_xx = np.zeros((5, 5))
+        self.perp_xy = np.zeros(5)
+        self.perp_yy = 0.0
+        rs, cross_xx, cross_xy, cross_yy = [], [], [], []
+        for Xs, Z, Ys in grids:
+            n, m = Ys.shape
+            # a grid with n < 3 points has k = n; zero-padding Q and R to 3
+            # axes leaves Ct = 1 on the padded axes, which adds nothing
+            Q_thin, R_thin = np.linalg.qr(Z[:, order])                   # (n, k), (k, 3)
+            k = R_thin.shape[0]
+            Q = np.zeros((n, 3))
+            Q[:, :k] = Q_thin
+            R = np.zeros((3, 3))
+            R[:k] = R_thin
+            flat_x = Xs.reshape(n, m * 5)
+            QtX = Q.T @ flat_x                                           # (3, m*5)
+            Qty = Q.T @ Ys                                               # (3, m)
+            perp_x = (flat_x - Q @ QtX).reshape(n * m, 5)
+            perp_y = (Ys - Q @ Qty).reshape(n * m)
+            self.perp_xx += perp_x.T @ perp_x
+            self.perp_xy += perp_x.T @ perp_y
+            self.perp_yy += float(perp_y @ perp_y)
+            rs.append(R)
+            # sums over the group's subjects of Q'X_i (x) Q'X_i etc., with
+            # the two capacitance axes in front
+            along = QtX.reshape(3, m, 5).transpose(1, 0, 2).reshape(m, 15)
+            cross_xx.append((along.T @ along).reshape(3, 5, 3, 5).transpose(0, 2, 1, 3))
+            cross_xy.append((along.T @ Qty.T).reshape(3, 5, 3).transpose(0, 2, 1))
+            cross_yy.append(Qty @ Qty.T)
+        self.R = np.stack(rs)
+        self.cross_xx = np.stack(cross_xx)
+        self.cross_xy = np.stack(cross_xy)
+        self.cross_yy = np.stack(cross_yy)
+
+
+class DatasetStatistics:
+    """Everything the fits of all sixteen candidates need from one dataset.
+
+    The subjects are grouped by observation grid once.  rotations maps
+    each column order of Z in which some candidate's random effects come
+    first, (1, x, x^2) and (1, x^2, x), to the RotatedStatistics of that
+    order; counts holds the subjects per grid in the same grid order.
+    xtx is O4M4's plain X'X and yty is y'y.  grids holds, per grid
+    length n, O4M4's Z of every grid of that length, stacked (g_n, n, 3),
+    and those grids' subject counts.
+    """
+
+    def __init__(self, data: Dataset):
+        by_grid: dict[bytes, list[SubjectBlock]] = {}
+        for block in data.subjects:
+            by_grid.setdefault(block.x.tobytes(), []).append(block)
+
+        self.n_obs = data.n_obs
+        self.n_subjects = data.n_subjects
+        self.constant_covariate = np.unique(data.subject_covariates()).size < 2
+        self.xtx = np.zeros((5, 5))
+        self.yty = 0.0
+        grids = []
+        by_length: dict[int, tuple[list[np.ndarray], list[int]]] = {}
+        for subjects in by_grid.values():
+            Xs, Z = full_design(subjects[0].x, [b.c for b in subjects])  # (n, m, 5), (n, 3)
+            Ys = np.stack([b.y for b in subjects], axis=1)                # (n, m)
+            X = Xs.reshape(-1, 5)
+            self.xtx += X.T @ X
+            self.yty += float((Ys * Ys).sum())
+            grids.append((Xs, Z, Ys))
+            same_length, grid_counts = by_length.setdefault(Z.shape[0], ([], []))
+            same_length.append(Z)
+            grid_counts.append(len(subjects))
+        self.counts = np.array([Ys.shape[1] for _, _, Ys in grids], dtype=float)
+        self.rotations = {order: RotatedStatistics(grids, order) for order in _ORDERS}
+        self.grids = tuple(
+            (np.stack(same_length), np.array(grid_counts, dtype=float))
+            for same_length, grid_counts in by_length.values()
+        )
+
+
+# A Dataset is frozen and its arrays are read-only, so its statistics
+# never go stale; they live exactly as long as the dataset does.
+_STATISTICS: weakref.WeakKeyDictionary[Dataset, DatasetStatistics] = weakref.WeakKeyDictionary()
+
+
+def dataset_statistics(data: Dataset) -> DatasetStatistics:
+    """The dataset's O4M4 statistics, built on first use per dataset."""
+    stats = _STATISTICS.get(data)
+    if stats is None:
+        stats = _STATISTICS[data] = DatasetStatistics(data)
+    return stats
 
 
 class ProfiledLikelihood:
     """Callable core of the fit: likelihood with beta profiled out.
 
-    Construction performs all O(n) work and stacks the per-grid
-    tensors.  Both evaluate() and profile() then run one core that makes
-    the same fixed number of numpy calls for any number G of distinct
-    observation grids, with arithmetic linear in G: one batched Cholesky
-    factorization and one batched inverse of the G capacitance matrices
-    Ct = I + R Theta R', and one matrix-vector product per term of the
-    GLS normal equations.
+    Construction slices the candidate's statistics out of the dataset's
+    (dataset_statistics), which are built once per dataset for all
+    candidates.  Both evaluate() and profile() then run one core that
+    makes the same fixed number of numpy calls for any number G of
+    distinct observation grids, with arithmetic linear in G: one batched
+    Cholesky factorization and one batched inverse of the G capacitance
+    matrices Ct = I + R Theta R', and one matrix-vector product per term
+    of the GLS normal equations.
     """
 
     def __init__(self, candidate: CandidateModel, data: Dataset):
-        if (candidate.alpha1_free or candidate.alpha2_free) and (
-            np.unique(data.subject_covariates()).size < 2
-        ):
+        stats = dataset_statistics(data)
+        if (candidate.alpha1_free or candidate.alpha2_free) and stats.constant_covariate:
             raise UnidentifiableModelError(
                 f"candidate {candidate.id} has a covariate-by-x term but "
                 "the subject covariate takes a single value"
             )
-        designs = tuple(build_design(candidate, b) for b in data.subjects)
-        self.candidate = candidate
-        self.designs = designs
-        self.p = designs[0].X.shape[1]
-        self.q = designs[0].Z.shape[1]
-        self.n_obs = data.n_obs
-        self.n_subjects = data.n_subjects
-
-        by_grid: dict[bytes, list[int]] = {}
-        for idx, block in enumerate(data.subjects):
-            by_grid.setdefault(block.x.tobytes(), []).append(idx)
-
-        p, q = self.p, self.q
-        xtx = np.zeros((p, p))
-        perp_xx = np.zeros((p, p))
-        perp_xy = np.zeros(p)
-        perp_yy = 0.0
-        rs, counts, cross_xx, cross_xy, cross_yy = [], [], [], [], []
-        for indices in by_grid.values():
-            Z = designs[indices[0]].Z
-            Xs = np.stack([designs[i].X for i in indices], axis=1)       # (n, m, p)
-            Ys = np.stack([data.subjects[i].y for i in indices], axis=1)  # (n, m)
-            n, m = Ys.shape
-            # a grid with n < q points has k = n; zero-padding Q and R to q
-            # axes leaves Ct = 1 on the padded axes, which adds nothing
-            Q_thin, R_thin = np.linalg.qr(Z)                             # (n, k), (k, q)
-            k = R_thin.shape[0]
-            Q = np.zeros((n, q))
-            Q[:, :k] = Q_thin
-            R = np.zeros((q, q))
-            R[:k] = R_thin
-            flat_x = Xs.reshape(n, m * p)
-            QtX = Q.T @ flat_x                                           # (q, m*p)
-            Qty = Q.T @ Ys                                               # (q, m)
-            perp_x = (flat_x - Q @ QtX).reshape(n * m, p)
-            perp_y = (Ys - Q @ Qty).reshape(n * m)
-            perp_xx += perp_x.T @ perp_x
-            perp_xy += perp_x.T @ perp_y
-            perp_yy += float(perp_y @ perp_y)
-            counts.append(m)
-            rs.append(R)
-            # sums over the group's subjects of Q'X_i (x) Q'X_i etc., with
-            # the two capacitance axes flattened in front
-            along = QtX.reshape(q, m, p).transpose(1, 0, 2).reshape(m, q * p)
-            gram = (along.T @ along).reshape(q, p, q, p)
-            # X_i'X_i = X_i'QQ'X_i + perp part; the first is gram's trace
-            # over its capacitance axes
-            xtx += np.einsum("aiaj->ij", gram)
-            cross_xx.append(gram.transpose(0, 2, 1, 3).reshape(q * q, p * p))
-            cross_xy.append(
-                (along.T @ Qty.T).reshape(q, p, q).transpose(0, 2, 1).reshape(q * q, p)
-            )
-            cross_yy.append((Qty @ Qty.T).reshape(q * q))
-        xtx += perp_xx
-        if np.linalg.matrix_rank(xtx, hermitian=True) < p:
+        mean, random = design_columns(candidate)
+        p, q = mean.size, random.size
+        if np.linalg.matrix_rank(stats.xtx[np.ix_(mean, mean)], hermitian=True) < p:
             raise UnidentifiableModelError(
                 f"mean design for candidate {candidate.id} is rank deficient"
             )
-        self._R = np.stack(rs)                         # (G, q, q): Z = Q R per grid
+        self.candidate = candidate
+        self.p = p
+        self.q = q
+        self.n_obs = stats.n_obs
+        self.n_subjects = stats.n_subjects
+        # the order of Z's columns that puts this candidate's first: its
+        # Z is then Q[:, :q] R[:q, :q], and the rotated axes it drops join
+        # the orthogonal part, still a sum of positive semi-definite terms
+        rot = stats.rotations[tuple(random) + tuple(j for j in range(3) if j not in random)]
+        cross_xx = rot.cross_xx[..., mean[:, None], mean]
+        cross_xy = rot.cross_xy[..., mean]
+        dropped = np.arange(q, 3)
+        self._R = rot.R[:, :q, :q]                     # (G, q, q): Z = Q R per grid
         # (G*q*q, q): Ct = I + rr @ theta, the outer products of R's columns
         self._rr = (self._R[:, :, None, :] * self._R[:, None, :, :]).reshape(-1, q)
-        self._counts = np.array(counts, dtype=float)   # (G,)
-        self._cross_xx = np.concatenate(cross_xx)      # (G*q*q, p*p)
-        self._cross_xy = np.concatenate(cross_xy)      # (G*q*q, p)
-        self._cross_yy = np.concatenate(cross_yy)      # (G*q*q,)
-        self._perp_xx = perp_xx
-        self._perp_xy = perp_xy
-        self._perp_yy = perp_yy
+        self._counts = stats.counts                    # (G,)
+        self._cross_xx = cross_xx[:, :q, :q].reshape(-1, p * p)
+        self._cross_xy = cross_xy[:, :q, :q].reshape(-1, p)
+        self._cross_yy = rot.cross_yy[:, :q, :q].reshape(-1)
+        self._perp_xx = rot.perp_xx[np.ix_(mean, mean)] + cross_xx[:, dropped, dropped].sum((0, 1))
+        self._perp_xy = rot.perp_xy[mean] + cross_xy[:, dropped, dropped].sum((0, 1))
+        self._perp_yy = rot.perp_yy + float(rot.cross_yy[:, dropped, dropped].sum())
+        self._rss_rounding = _RSS_ROUNDING * math.sqrt(self.n_obs) * stats.yty
         self._eye_q = np.eye(q)
         # mean square of each Z column over all observations: sum_g m_g R_g'R_g
         self.z_scale2 = self._counts @ (self._R ** 2).sum(axis=1) / self.n_obs
@@ -232,7 +323,8 @@ class ProfiledLikelihood:
         """Core at relative variances theta.
 
         Returns sum_i log det Vt_i, the GLS residual sum of squares rss
-        in the Vt^-1 metric, beta_hat, and the stacked K = Ct^-1.
+        in the Vt^-1 metric, beta_hat, and the stacked K = Ct^-1.  An
+        rss within its rounding (_RSS_ROUNDING) is returned as exactly 0.
         """
         p, q = self.p, self.q
         C = (self._rr @ theta).reshape(-1, q, q)
@@ -252,6 +344,8 @@ class ProfiledLikelihood:
             ) from None
         beta = np.linalg.solve(A, b)
         rss = self._perp_yy + float(kernel @ self._cross_yy) - float(b @ beta)
+        if rss <= self._rss_rounding:
+            rss = 0.0
         return logdet, rss, beta, K
 
     def evaluate(self, omega2: np.ndarray, sigma2: float) -> tuple[float, np.ndarray]:
@@ -280,24 +374,29 @@ class ProfiledLikelihood:
             d rss / d theta_j        = -sum_g r_j' K_g S_g K_g r_j,
 
         (beta_hat is stationary, and sigma2_hat stationary or held at the
-        floor, so neither adds a term), and df/dtheta_j = (d log det + d rss / sigma2_hat) / 2.  S comes
-        from the same cross-product tensors as the normal equations.
+        floor, so neither adds a term), and df/dtheta_j = (d log det +
+        d rss / sigma2_hat) / 2.  S comes from the same cross-product
+        tensors as the normal equations.  Where the mean fits the data
+        exactly, rss is zero (see _solve) and so is its gradient term:
+        S is then rounding, which sigma2_hat on the floor would magnify.
 
         Raises the same errors as evaluate().
         """
         logdet, rss, beta, K = self._solve(theta)
-        n, q = self.n_obs, self.q
+        n = self.n_obs
         sigma2 = max(rss / n, sigma2_floor)
         value = 0.5 * (n * (LN_TWO_PI + math.log(sigma2)) + logdet + rss / sigma2)
+        W = K @ self._R                                # columns K_g r_j
+        d_logdet = self._counts @ (self._R * W).sum(axis=1)
+        if rss == 0.0:
+            return value, 0.5 * d_logdet, sigma2
         # S up to an antisymmetric part, which the quadratic forms w'Sw
         # below do not see: sum_i Q'y Q'y' - 2 Q'X beta Q'y' + Q'X beta beta'X'Q
         S = (
             self._cross_yy
             - 2.0 * (self._cross_xy @ beta)
             + self._cross_xx @ np.outer(beta, beta).reshape(-1)
-        ).reshape(-1, q, q)
-        W = K @ self._R                                # columns K_g r_j
-        d_logdet = self._counts @ (self._R * W).sum(axis=1)
+        ).reshape(-1, self.q, self.q)
         d_rss = -((S @ W) * W).sum(axis=(0, 1))
         return value, 0.5 * (d_logdet + d_rss / sigma2), sigma2
 
@@ -497,7 +596,7 @@ def fit_ml(
         loglik=float(loglik),
         converged=converged,
         boundary=boundary,
-        designs=prof.designs,
+        data=data,
         n_obs=prof.n_obs,
         n_subjects=prof.n_subjects,
     )

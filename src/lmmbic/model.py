@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .candidates import CandidateModel, build_design
 from .data import Dataset
@@ -54,26 +53,33 @@ class ParameterVector:
 
 
 def assemble_marginal_covariance(Z: np.ndarray, omega2: np.ndarray, sigma2: float) -> np.ndarray:
-    """V = Z diag(omega2) Z' + sigma2 * I, symmetrized exactly."""
+    """V = Z diag(omega2) Z' + sigma2 * I, symmetrized exactly.
+
+    Z may be a stack (..., n, q) of designs, giving a stack of V.
+    """
     Z = np.asarray(Z, dtype=float)
     omega2 = np.asarray(omega2, dtype=float)
-    if Z.ndim != 2:
+    if Z.ndim < 2:
         raise ValueError("Z must be a matrix")
-    if omega2.shape != (Z.shape[1],):
+    if omega2.shape != (Z.shape[-1],):
         raise ValueError(
-            f"omega2 has {omega2.size} entries but Z has {Z.shape[1]} columns"
+            f"omega2 has {omega2.size} entries but Z has {Z.shape[-1]} columns"
         )
     if np.any(omega2 < 0):
         raise ValueError("omega2 entries must be non-negative")
     if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
-    V = (Z * omega2) @ Z.T
-    V = 0.5 * (V + V.T)
-    V[np.diag_indices_from(V)] += sigma2
+    V = (Z * omega2) @ Z.swapaxes(-1, -2)
+    V = 0.5 * (V + V.swapaxes(-1, -2))
+    diagonal = np.arange(Z.shape[-2])
+    V[..., diagonal, diagonal] += sigma2
     return V
 
 
 def _block_log_density(resid: np.ndarray, V: np.ndarray) -> float:
+    # the reference path alone needs scipy, so importing lmmbic does not
+    from scipy.linalg import solve_triangular
+
     # np.linalg.cholesky raises LinAlgError when V is not numerically PD
     L = np.linalg.cholesky(V)
     half = solve_triangular(L, resid, lower=True, check_finite=False)
@@ -104,15 +110,17 @@ def log_likelihood(params: ParameterVector, candidate: CandidateModel, data: Dat
 
 
 def correlation_from_covariance(V: np.ndarray) -> np.ndarray:
-    """Rescale a covariance matrix to unit diagonal.
+    """Rescale a covariance matrix, or a stack (..., n, n) of them, to
+    unit diagonal.
 
     The diagonal of the result is set to exactly 1.
     """
     V = np.asarray(V, dtype=float)
-    d = np.diagonal(V)
+    d = np.diagonal(V, axis1=-2, axis2=-1)
     if np.any(d <= 0):
         raise ValueError("covariance diagonal must be strictly positive")
     inv_sd = 1.0 / np.sqrt(d)
-    R = V * inv_sd[:, None] * inv_sd[None, :]
-    np.fill_diagonal(R, 1.0)
+    R = V * inv_sd[..., :, None] * inv_sd[..., None, :]
+    diagonal = np.arange(V.shape[-1])
+    R[..., diagonal, diagonal] = 1.0
     return R

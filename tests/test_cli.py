@@ -1,6 +1,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,3 +221,17 @@ class TestParser:
     def test_verbose_flag_counts(self):
         args = build_parser().parse_args(["-vv", "simulate", "--design", "a"])
         assert args.verbose == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only the dense reference likelihood; loading it would
+    # add to the start-up time and memory of every lmmbic process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, lmmbic.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

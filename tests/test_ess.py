@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lmmbic.candidates import CandidateModel, TrueParameters, build_design, generate_dataset
+from lmmbic.candidates import CandidateModel, TrueParameters, generate_dataset
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import FittedModel, fit_ml
 from lmmbic.ess import correlation_structure, effective_sample_size, magnitude
@@ -105,7 +105,6 @@ def intercept_fit(seed=60, n_subjects=12, n_per=5, omega0=0.5):
 
 def synthetic_fit(candidate, data, omega2, sigma2, loglik=-50.0):
     """A FittedModel at chosen variances, bypassing the optimizer."""
-    designs = tuple(build_design(candidate, b) for b in data.subjects)
     theta = ParameterVector(
         beta=np.zeros(candidate.n_mean), omega2=np.array(omega2), sigma2=sigma2
     )
@@ -115,7 +114,7 @@ def synthetic_fit(candidate, data, omega2, sigma2, loglik=-50.0):
         loglik=loglik,
         converged=True,
         boundary=(),
-        designs=designs,
+        data=data,
         n_obs=data.n_obs,
         n_subjects=data.n_subjects,
     )

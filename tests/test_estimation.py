@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +13,14 @@ from lmmbic.candidates import (
     enumerate_candidates,
     generate_dataset,
 )
+import lmmbic.estimation
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
     FitOptions,
     ProfiledLikelihood,
     UnidentifiableModelError,
     _minimize_box,
+    dataset_statistics,
     fit_ml,
     profile_beta,
 )
@@ -210,6 +215,44 @@ class TestProfiledLikelihood:
                     assert prof.evaluate(theta * sigma2 * factor, sigma2 * factor)[0] < loglik
 
 
+class TestDatasetStatistics:
+    def test_built_once_for_all_candidates(self, monkeypatch):
+        built = []
+
+        class Counting(lmmbic.estimation.DatasetStatistics):
+            def __init__(self, data):
+                built.append(data)
+                super().__init__(data)
+
+        monkeypatch.setattr(lmmbic.estimation, "DatasetStatistics", Counting)
+        data = random_dataset(np.random.default_rng(22), n_subjects=10)
+        for cand in enumerate_candidates():
+            ProfiledLikelihood(cand, data)
+        assert built == [data]
+
+    def test_equal_dataset_gets_its_own_statistics(self):
+        data = random_dataset(np.random.default_rng(23), n_subjects=10)
+        copy = Dataset(subjects=tuple(
+            SubjectBlock(id=b.id, x=b.x.copy(), c=b.c, y=b.y.copy()) for b in data.subjects
+        ))
+        assert dataset_statistics(copy) is not dataset_statistics(data)
+        assert dataset_statistics(data) is dataset_statistics(data)
+        for cand in enumerate_candidates():
+            a, b = fit_ml(cand, data), fit_ml(cand, copy)
+            assert a.loglik == b.loglik
+            np.testing.assert_array_equal(a.theta_hat.beta, b.theta_hat.beta)
+            np.testing.assert_array_equal(a.theta_hat.omega2, b.theta_hat.omega2)
+            assert a.theta_hat.sigma2 == b.theta_hat.sigma2
+
+    def test_memo_does_not_keep_dataset_alive(self):
+        data = random_dataset(np.random.default_rng(24), n_subjects=10)
+        fit_ml(CandidateModel(m=4, o=4), data)
+        ref = weakref.ref(data)
+        del data
+        gc.collect()
+        assert ref() is None
+
+
 class TestProfileBeta:
     def test_beta_maximizes_over_grid(self):
         rng = np.random.default_rng(20)
@@ -369,6 +412,21 @@ class TestFitMl:
                     if free_terms(small) <= free_terms(large):
                         assert loglik[large] >= loglik[small] - 1e-5, (small.id, large.id)
 
+    def test_loglik_matches_dense_reference_at_fitted_optima(self):
+        # shared grid, ragged grids, a mix of shared and singleton grids,
+        # and subjects with fewer points than O4's three random effects
+        shared = study_dataset("a", "O4M4")
+        rng = np.random.default_rng(35)
+        ragged = random_dataset(rng, n_subjects=12, min_obs=2, max_obs=9)
+        layout = [(4, 3), (1, 1), (5, 2), (2, 1), (3, 4)]
+        mixed = mixed_grid_dataset(layout, [True, False] * 6, seed=36)
+        tiny = random_dataset(rng, n_subjects=30, min_obs=1, max_obs=2)
+        for data in (shared, ragged, mixed, tiny):
+            for cand in enumerate_candidates():
+                fit = fit_ml(cand, data)
+                dense = log_likelihood(fit.theta_hat, cand, data)
+                np.testing.assert_allclose(fit.loglik, dense, rtol=1e-9, err_msg=cand.id)
+
     def test_reaches_optimum_the_log_variance_simplex_missed(self):
         # the simplex stopped at -191.53 here, 1.73 short of the optimum
         truth = sample_true_parameters(CandidateModel.from_id("O1M4"), substream(7, 3))
@@ -410,6 +468,20 @@ class TestFitMl:
         assert "sigma2" in fit.boundary
         assert fit.theta_hat.sigma2 == pytest.approx(1e-12)
         np.testing.assert_allclose(fit.theta_hat.beta, [1.0, 2.0, 0.0], atol=1e-6)
+
+    def test_every_candidate_converges_on_exact_fit(self):
+        # on exact data rss is rounding; divided by sigma2 on its floor it
+        # would read as a gradient and fail the KKT check
+        x = np.linspace(0.0, 10.0, 4)
+        subjects = tuple(
+            SubjectBlock(id=f"s{i}", x=x, c=float(i), y=1.0 + 2.0 * x)
+            for i in range(6)
+        )
+        data = Dataset(subjects=subjects)
+        for cand in enumerate_candidates():
+            fit = fit_ml(cand, data)
+            assert fit.converged, cand.id
+            assert "sigma2" in fit.boundary, cand.id
 
     def test_boundary_empty_on_regular_data(self):
         data, _ = study_data()
