@@ -11,13 +11,13 @@ import numpy as np
 
 from lmmbic import (
     CandidateModel,
-    SimulationDesign,
     TrueParameters,
     effective_sample_size,
     fit_ml,
     generate_dataset,
     magnitude,
 )
+from lmmbic.simulation import SimulationDesign
 
 # ---------------------------------------------------------------------
 # The building block: one cluster's worth of information.

@@ -9,7 +9,6 @@ is enough to change the winner.
 
 from lmmbic import (
     CRITERIA,
-    SimulationDesign,
     TrueParameters,
     build_report,
     criterion_value,
@@ -18,6 +17,7 @@ from lmmbic import (
     generate_dataset,
     selection_summary,
 )
+from lmmbic.simulation import SimulationDesign
 
 truth = TrueParameters(
     mu=[1.0, 0.8, -0.04],

@@ -9,7 +9,8 @@ designs and replicates.
 Writes results.csv, summary.csv and figure.svg into ./demo-study/.
 """
 
-from lmmbic import StudyConfig, emit_report, run_study
+from lmmbic.report import emit_report
+from lmmbic.simulation import StudyConfig, run_study
 
 config = StudyConfig(designs=("a",), replicates=5, seed=3)
 table = run_study(config)

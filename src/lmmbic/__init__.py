@@ -5,113 +5,31 @@ likelihood and ranks them under four BIC-type criteria whose penalties
 differ in what they count as the sample size: subjects, observations,
 the effective sample size implied by the fitted correlation structure,
 or a hybrid that charges subject-level parameters and population-level
-parameters separately.  A Monte-Carlo harness measures how often each
-criterion recovers the generating structure.
+parameters separately.  The Monte-Carlo harness that measures how often
+each criterion recovers the generating structure lives in
+lmmbic.simulation, and its report files in lmmbic.report.
 """
 
-from .candidates import (
-    CandidateModel,
-    DesignBlocks,
-    TrueParameters,
-    build_design,
-    enumerate_candidates,
-    generate_dataset,
-    shared_x_grid,
-)
-from .criteria import (
-    CRITERIA,
-    BicReport,
-    ParameterPartition,
-    bayes_factor_from_bics,
-    bic,
-    bic_h,
-    build_report,
-    criterion_value,
-    delta_bic_label,
-    jeffreys_label,
-    partition_parameters,
-    select_model,
-    selection_summary,
-)
-from .data import DataFormatError, Dataset, SubjectBlock, read_dataset
-from .ess import CorrelationStructure, correlation_structure, effective_sample_size, magnitude
-from .estimation import (
-    FitOptions,
-    FittedModel,
-    ProfiledLikelihood,
-    UnidentifiableModelError,
-    fit_ml,
-    profile_beta,
-)
-from .model import (
-    ParameterVector,
-    assemble_marginal_covariance,
-    correlation_from_covariance,
-    log_likelihood,
-)
-from .report import emit_report
-from .simulation import (
-    DESIGNS,
-    FrequencyTable,
-    ReplicateResult,
-    SelectionCell,
-    SimulationDesign,
-    StudyConfig,
-    run_replicate,
-    run_study,
-    sample_true_parameters,
-)
+from .candidates import CandidateModel, TrueParameters, enumerate_candidates, generate_dataset
+from .criteria import CRITERIA, build_report, criterion_value, selection_summary
+from .data import read_dataset
+from .ess import effective_sample_size, magnitude
+from .estimation import fit_ml
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BicReport",
     "CRITERIA",
     "CandidateModel",
-    "CorrelationStructure",
-    "DESIGNS",
-    "DataFormatError",
-    "Dataset",
-    "DesignBlocks",
-    "FitOptions",
-    "FittedModel",
-    "FrequencyTable",
-    "ParameterPartition",
-    "ParameterVector",
-    "ProfiledLikelihood",
-    "ReplicateResult",
-    "SelectionCell",
-    "SimulationDesign",
-    "StudyConfig",
-    "SubjectBlock",
     "TrueParameters",
-    "UnidentifiableModelError",
-    "assemble_marginal_covariance",
-    "bayes_factor_from_bics",
-    "bic",
-    "bic_h",
-    "build_design",
     "build_report",
-    "correlation_from_covariance",
-    "correlation_structure",
     "criterion_value",
-    "delta_bic_label",
     "effective_sample_size",
-    "emit_report",
     "enumerate_candidates",
     "fit_ml",
     "generate_dataset",
-    "jeffreys_label",
-    "log_likelihood",
     "magnitude",
-    "partition_parameters",
-    "profile_beta",
     "read_dataset",
-    "run_replicate",
-    "run_study",
-    "sample_true_parameters",
-    "select_model",
     "selection_summary",
-    "shared_x_grid",
     "__version__",
 ]

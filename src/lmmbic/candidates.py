@@ -22,15 +22,11 @@ Expanding the coefficients gives the fixed-effect regressors
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import Dataset, SubjectBlock
 from .rng import substream
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .simulation import SimulationDesign
 
 MEAN_LABELS = ("mu0", "mu1", "mu2", "alpha1", "alpha2")
 VARIANCE_LABELS = ("omega0", "omega1", "omega2")
@@ -249,7 +245,24 @@ def shared_x_grid(n_per_subject: int) -> np.ndarray:
     return np.linspace(X_RANGE[0], X_RANGE[1], n_per_subject)
 
 
-def generate_dataset(design: "SimulationDesign", truth: TrueParameters, seed: int) -> Dataset:
+@dataclass(frozen=True)
+class SimulationDesign:
+    """A study cell size: N subjects, each observed n_per_subject times."""
+
+    label: str
+    n_subjects: int
+    n_per_subject: int
+
+
+DESIGNS = {
+    "a": SimulationDesign("a", 20, 5),
+    "b": SimulationDesign("b", 20, 100),
+    "c": SimulationDesign("c", 100, 5),
+    "d": SimulationDesign("d", 100, 100),
+}
+
+
+def generate_dataset(design: SimulationDesign, truth: TrueParameters, seed: int) -> Dataset:
     """Simulate one dataset from `truth` on the given design.
 
     Subject i draws its covariate and random effects from the Philox

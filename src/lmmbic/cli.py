@@ -18,14 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .candidates import CandidateModel, enumerate_candidates
+from .candidates import DESIGNS, CandidateModel, enumerate_candidates
 from .criteria import CRITERIA, build_report, selection_summary
-from .data import DataFormatError, read_dataset
+from .data import read_dataset
 from .ess import effective_sample_size
-from .estimation import FitOptions, UnidentifiableModelError, fit_ml
+from .estimation import UnidentifiableModelError, fit_ml
 from .model import correlation_from_covariance
-from .report import emit_report
-from .simulation import DESIGNS, StudyConfig, run_study
 
 logger = logging.getLogger("lmmbic")
 
@@ -71,32 +69,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--restarts", type=_positive_int, default=2,
-                        help="starts of the quasi-Newton search over the relative "
-                             "variances: two fixed starts, then seeded jitter (default 2)")
-    parser.add_argument("--max-iterations", type=_positive_int, default=2000,
-                        help="quasi-Newton iteration cap per start (default 2000)")
-    parser.add_argument("--rel-tolerance", type=float, default=1e-8,
-                        help="KKT tolerance, relative to 1 + |loglik|; a fit is reported "
-                             "converged when its projected gradient is within it "
-                             "(default 1e-8)")
-    parser.add_argument("--variance-floor", type=float, default=1e-12,
-                        help="lower clamp for variance estimates (default 1e-12)")
-    parser.add_argument("--seed", type=_non_negative_int, default=0,
-                        help="seed for every random draw (default 0)")
-
-
-def _fit_options(args: argparse.Namespace) -> FitOptions:
-    return FitOptions(
-        max_iterations=args.max_iterations,
-        rel_tolerance=args.rel_tolerance,
-        n_restarts=args.restarts,
-        variance_floor=args.variance_floor,
-        seed=args.seed,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmmbic",
@@ -112,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--candidate", type=_candidate_id, required=True,
                        help="candidate id such as O2M1")
     p_fit.add_argument("--out", help="write JSON here instead of stdout")
-    _add_fit_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
     p_select = sub.add_parser("select", help="rank all sixteen candidates")
@@ -120,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--criteria", type=_criteria_list, default=list(CRITERIA),
                           help="comma-separated subset of N,n,ne,h (default: all)")
     p_select.add_argument("--out", help="write JSON here instead of stdout")
-    _add_fit_flags(p_select)
     p_select.set_defaults(func=cmd_select)
 
     p_ess = sub.add_parser("ess", help="effective sample size under one fitted candidate")
@@ -128,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ess.add_argument("--candidate", type=_candidate_id, required=True,
                        help="candidate id such as O1M1")
     p_ess.add_argument("--out", help="write JSON here instead of stdout")
-    _add_fit_flags(p_ess)
     p_ess.set_defaults(func=cmd_ess)
 
     p_sim = sub.add_parser("simulate", help="run the Monte-Carlo selection study")
@@ -140,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for results.csv, summary.csv, figure.svg (default .)")
     p_sim.add_argument("--threads", type=_positive_int, default=None,
                        help="worker processes (default: LMMBIC_THREADS or the CPU count)")
-    _add_fit_flags(p_sim)
+    p_sim.add_argument("--seed", type=_non_negative_int, default=0,
+                       help="seed for every random draw of the study (default 0)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 
@@ -171,7 +141,7 @@ def _block_summaries(fit) -> list[dict]:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     data = read_dataset(args.data)
-    fit = fit_ml(args.candidate, data, _fit_options(args))
+    fit = fit_ml(args.candidate, data)
     labels = (
         fit.candidate.mean_labels()
         + fit.candidate.variance_labels()
@@ -194,11 +164,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     data = read_dataset(args.data)
-    options = _fit_options(args)
     reports = []
     for cand in enumerate_candidates():
         try:
-            fit = fit_ml(cand, data, options)
+            fit = fit_ml(cand, data)
         except (UnidentifiableModelError, np.linalg.LinAlgError) as exc:
             logger.warning("candidate %s failed to fit: %s", cand.id, exc)
             continue
@@ -215,7 +184,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_ess(args: argparse.Namespace) -> int:
     data = read_dataset(args.data)
-    fit = fit_ml(args.candidate, data, _fit_options(args))
+    fit = fit_ml(args.candidate, data)
     payload = {
         "candidate": fit.candidate.id,
         "n": fit.n_obs,
@@ -242,12 +211,12 @@ def _thread_count(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = StudyConfig(
-        designs=tuple(args.design),
-        replicates=args.replicates,
-        seed=args.seed,
-        fit_options=_fit_options(args),
-    )
+    # imported here so that fit, select and ess start up without the
+    # study stack and its process pool
+    from .report import emit_report
+    from .simulation import StudyConfig, run_study
+
+    config = StudyConfig(designs=tuple(args.design), replicates=args.replicates, seed=args.seed)
     workers = _thread_count(args)
     logger.info(
         "running %d designs x 16 truths x %d replicates on %d worker(s)",
@@ -270,10 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (DataFormatError, UnidentifiableModelError, np.linalg.LinAlgError) as exc:
-        logger.error("%s", exc)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # data, fit and linalg errors are ValueErrors
         logger.error("%s", exc)
         return 1
 

@@ -98,6 +98,21 @@ def _infer_delimiter(header_line: str) -> str:
     return ","
 
 
+def _floats(path: Path, column: str, values: list[str], lines: list[int]) -> np.ndarray:
+    """One column's values as floats; a failure names its first bad line."""
+    try:
+        return np.array(list(map(float, values)))
+    except ValueError:
+        for raw, line in zip(values, lines):
+            try:
+                float(raw)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{line}: column {column!r} has non-numeric value {raw.strip()!r}"
+                ) from None
+        raise
+
+
 def read_dataset(path: str | Path) -> Dataset:
     """Read a delimited text file with columns subject, x, c and y.
 
@@ -107,9 +122,9 @@ def read_dataset(path: str | Path) -> Dataset:
     covariate must be constant within each subject.
 
     Raises:
-        DataFormatError: on a missing column, an unparsable number
-            (reported with its line number), or a subject whose c value
-            changes between rows.
+        DataFormatError: on a missing column, an empty subject id, an
+            unparsable number or a subject whose c value changes between
+            rows, each reported with the line it is first found on.
     """
     path = Path(path)
     with path.open(newline="") as handle:
@@ -117,47 +132,49 @@ def read_dataset(path: str | Path) -> Dataset:
         if not first.strip():
             raise DataFormatError(f"{path}: file is empty")
         handle.seek(0)
-        reader = csv.DictReader(handle, delimiter=_infer_delimiter(first))
-        header = [h.strip() for h in reader.fieldnames or []]
+        reader = csv.reader(handle, delimiter=_infer_delimiter(first))
+        header = [h.strip() for h in next(reader)]
         for column in REQUIRED_COLUMNS:
             if column not in header:
                 raise DataFormatError(f"{path}: missing column {column!r}")
-
-        order: list[str] = []
-        xs: dict[str, list[float]] = {}
-        ys: dict[str, list[float]] = {}
-        cs: dict[str, float] = {}
+        index = [header.index(column) for column in REQUIRED_COLUMNS]
+        width = max(index) + 1
+        rows: list[list[str]] = []
+        lines: list[int] = []
         for row in reader:
-            line = reader.line_num
-            subject = (row.get("subject") or "").strip()
-            if not subject:
-                raise DataFormatError(f"{path}:{line}: empty subject id")
-            values = {}
-            for column in ("x", "c", "y"):
-                raw = (row.get(column) or "").strip()
-                try:
-                    values[column] = float(raw)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{line}: column {column!r} has non-numeric value {raw!r}"
-                    ) from None
-            if subject not in cs:
-                order.append(subject)
-                cs[subject] = values["c"]
-                xs[subject] = []
-                ys[subject] = []
-            elif values["c"] != cs[subject]:
-                raise DataFormatError(
-                    f"{path}:{line}: subject {subject!r} has inconsistent c "
-                    f"({values['c']!r} after {cs[subject]!r})"
-                )
-            xs[subject].append(values["x"])
-            ys[subject].append(values["y"])
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
 
-    if not order:
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
+    for row in rows:
+        if len(row) < width:
+            row += [""] * (width - len(row))
+    columns = list(zip(*rows))
+    subjects = [s.strip() for s in columns[index[0]]]
+    if "" in subjects:
+        raise DataFormatError(f"{path}:{lines[subjects.index('')]}: empty subject id")
+    x, c, y = (
+        _floats(path, column, columns[i], lines)
+        for column, i in zip(REQUIRED_COLUMNS[1:], index[1:])
+    )
+    # head[k] is the row on which row k's subject first appears; that row
+    # is compared with nothing, so a nan c there fails as non-finite
+    first_row: dict[str, int] = {}
+    head = np.array([first_row.setdefault(s, k) for k, s in enumerate(subjects)])
+    changed = np.flatnonzero((c != c[head]) & (head != np.arange(head.size)))
+    if changed.size:
+        k = changed[0]
+        raise DataFormatError(
+            f"{path}:{lines[k]}: subject {subjects[k]!r} has inconsistent c "
+            f"({float(c[k])!r} after {float(c[head[k]])!r})"
+        )
+    # rows ordered by subject in order of first appearance, then by row
+    order = np.argsort(head, kind="stable")
+    cuts = np.flatnonzero(np.diff(head[order])) + 1
     blocks = tuple(
-        SubjectBlock(id=sid, x=np.array(xs[sid]), c=cs[sid], y=np.array(ys[sid]))
-        for sid in order
+        SubjectBlock(id=subjects[k], x=xs, c=c[k], y=ys)
+        for k, xs, ys in zip(first_row.values(), np.split(x[order], cuts), np.split(y[order], cuts))
     )
     return Dataset(subjects=blocks)

@@ -59,7 +59,19 @@ import numpy as np
 from .candidates import CandidateModel, build_design, design_columns, full_design
 from .data import Dataset, SubjectBlock
 from .model import LN_TWO_PI, ParameterVector, assemble_marginal_covariance
-from .rng import substream
+
+# The smallest variance reported: estimates below it, zeros included, are
+# reported at it and listed as boundary, and it bounds the profiled
+# sigma2 from below.
+VARIANCE_FLOOR = 1e-12
+# KKT tolerance: a fit converged when its projected gradient on the
+# search scale is at most _KKT_TOLERANCE * (1 + |loglik|).
+_KKT_TOLERANCE = 1e-8
+# Quasi-Newton iteration cap of each start.
+_MAX_ITERATIONS = 2000
+# The search's two starts: theta_j = _START for every random effect, and
+# theta_j s_j^2 = _START, with s_j^2 as for _ZERO_SHIFT below.
+_START = 0.5
 
 # fit_ml searches w_j = log(theta_j s_j^2 + _ZERO_SHIFT), where s_j^2 is
 # the mean square of Z's column j: theta_j s_j^2 = 1 puts a random effect's
@@ -92,50 +104,14 @@ class UnidentifiableModelError(ValueError):
     """The candidate's mean structure is not estimable from the data."""
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    """Controls for the search over the relative variances.
-
-    n_restarts counts starts of the quasi-Newton search (see fit_ml):
-    the first at theta = 1/2, the second with theta_j s_j^2 = 1/2 for
-    every random effect, later ones jittered around the first by a
-    factor exp(U[-1, 1]) per coordinate.  max_iterations caps the
-    quasi-Newton iterations of each start.  rel_tolerance is the KKT
-    tolerance: a fit converged when its projected gradient on the search
-    scale is at most rel_tolerance * (1 + |loglik|).  variance_floor is
-    the smallest variance reported; estimates below it, zeros included,
-    are reported at it and listed as boundary, and it bounds the
-    profiled sigma2 from below.  seed drives the restart-jitter stream,
-    so fits are reproducible bit for bit.
-    """
-
-    max_iterations: int = 2000
-    rel_tolerance: float = 1e-8
-    n_restarts: int = 2
-    variance_floor: float = 1e-12
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not self.rel_tolerance > 0:
-            raise ValueError("rel_tolerance must be positive")
-        if self.n_restarts < 1:
-            raise ValueError("n_restarts must be at least 1")
-        if not self.variance_floor > 0:
-            raise ValueError("variance_floor must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-
-
 @dataclass(frozen=True, eq=False)
 class FittedModel:
     """Result of fit_ml.
 
     converged is the KKT check at the reported point (see fit_ml).
     boundary lists the variance labels (omega* or sigma2) whose
-    estimate landed on the configured floor; such solutions are
-    reported rather than rejected.
+    estimate landed on VARIANCE_FLOOR; such solutions are reported
+    rather than rejected.
     """
 
     candidate: CandidateModel
@@ -360,11 +336,11 @@ class ProfiledLikelihood:
         loglik = -0.5 * (self.n_obs * (LN_TWO_PI + math.log(sigma2)) + logdet + rss / sigma2)
         return loglik, beta
 
-    def profile(self, theta: np.ndarray, sigma2_floor: float) -> tuple[float, np.ndarray, float]:
+    def profile(self, theta: np.ndarray) -> tuple[float, np.ndarray, float]:
         """Negative log-likelihood with beta and sigma2 profiled out.
 
         At relative variances theta = omega2 / sigma2 the likelihood is
-        maximized by sigma2_hat = max(rss / n, sigma2_floor).  Returns
+        maximized by sigma2_hat = max(rss / n, VARIANCE_FLOOR).  Returns
         f = -loglik at (theta * sigma2_hat, sigma2_hat), its exact
         gradient in theta, and sigma2_hat.  With r_j the j-th column of
         a grid's R, K = Ct^-1 and S = sum_i u_i u_i' over the grid's
@@ -384,7 +360,7 @@ class ProfiledLikelihood:
         """
         logdet, rss, beta, K = self._solve(theta)
         n = self.n_obs
-        sigma2 = max(rss / n, sigma2_floor)
+        sigma2 = max(rss / n, VARIANCE_FLOOR)
         value = 0.5 * (n * (LN_TWO_PI + math.log(sigma2)) + logdet + rss / sigma2)
         W = K @ self._R                                # columns K_g r_j
         d_logdet = self._counts @ (self._R * W).sum(axis=1)
@@ -399,31 +375,6 @@ class ProfiledLikelihood:
         ).reshape(-1, self.q, self.q)
         d_rss = -((S @ W) * W).sum(axis=(0, 1))
         return value, 0.5 * (d_logdet + d_rss / sigma2), sigma2
-
-
-def profile_beta(
-    omega2: np.ndarray,
-    sigma2: float,
-    candidate: CandidateModel,
-    data: Dataset,
-) -> tuple[np.ndarray, float]:
-    """GLS mean coefficients and profiled log-likelihood at fixed variances.
-
-    The returned log-likelihood is recomputed through the per-block
-    Cholesky path of model.log_likelihood at the profiled solution.
-    """
-    from .model import log_likelihood
-
-    omega2 = np.asarray(omega2, dtype=float)
-    prof = ProfiledLikelihood(candidate, data)
-    if omega2.shape != (prof.q,):
-        raise ValueError(
-            f"candidate {candidate.id} has {prof.q} random-effect variances, "
-            f"got {omega2.size}"
-        )
-    _, beta = prof.evaluate(omega2, sigma2)
-    params = ParameterVector(beta=beta, omega2=omega2, sigma2=sigma2)
-    return beta, log_likelihood(params, candidate, data)
 
 
 def _minimize_box(
@@ -502,16 +453,12 @@ def _minimize_box(
     return z, f, g, kkt(z, f, g), max_iterations
 
 
-def fit_ml(
-    candidate: CandidateModel,
-    data: Dataset,
-    options: FitOptions = FitOptions(),
-) -> FittedModel:
+def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     """Fit one candidate by maximum likelihood.
 
     beta and sigma2 are profiled out (ProfiledLikelihood.profile), and
     a projected BFGS with the exact gradient searches the relative
-    variances from each start in FitOptions, on the scale
+    variances from two fixed starts (see _START), on the scale
     w_j = log(theta_j s_j^2 + _ZERO_SHIFT) with s_j^2 the mean square of
     Z's column j.  That scale is logarithmic for variances well above
     zero and linear near zero, and its lower bound w_j = log(_ZERO_SHIFT)
@@ -521,10 +468,10 @@ def fit_ml(
     positive relative variance is set to zero in turn, and where that
     face point is lower the search runs again from it, since a smaller
     random structure's optimum lies on such a face.  converged is the
-    KKT check at the returned point (see _minimize_box): a search that
-    exhausts max_iterations or stalls is returned with converged=False
-    rather than raised.  Variances below the floor are reported at the
-    floor and listed in `boundary`.
+    KKT check at the returned point (see _minimize_box), to
+    _KKT_TOLERANCE: a search that exhausts _MAX_ITERATIONS or stalls is
+    returned with converged=False rather than raised.  Variances below
+    VARIANCE_FLOOR are reported at it and listed in `boundary`.
 
     Raises:
         UnidentifiableModelError: fewer observations than parameters,
@@ -538,7 +485,6 @@ def fit_ml(
         )
     prof = ProfiledLikelihood(candidate, data)
     q = prof.q
-    floor = options.variance_floor
     scale2 = prof.z_scale2
 
     def relative_variances(w: np.ndarray) -> np.ndarray:
@@ -549,21 +495,16 @@ def fit_ml(
         # here means the variances are numerically extreme, not that
         # the model is unidentifiable: price the point out instead
         try:
-            f, g, _ = prof.profile(relative_variances(w), floor)
+            f, g, _ = prof.profile(relative_variances(w))
         except (np.linalg.LinAlgError, UnidentifiableModelError):
             return math.inf, np.zeros(q)
         return f, g * np.exp(w) / scale2
 
-    centre = np.log(0.5 * scale2 + _ZERO_SHIFT)
-    starts = [centre, np.full(q, math.log(0.5 + _ZERO_SHIFT))][: options.n_restarts]
-    jitter = substream(options.seed)
-    starts += [centre + jitter.uniform(-1.0, 1.0, size=q) for _ in range(options.n_restarts - 2)]
+    starts = (np.log(_START * scale2 + _ZERO_SHIFT), np.full(q, math.log(_START + _ZERO_SHIFT)))
     lower = math.log(_ZERO_SHIFT)
 
     def search(w0: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, bool, int]:
-        return _minimize_box(
-            objective, w0, lower, _LOG_CEILING, options.max_iterations, options.rel_tolerance
-        )
+        return _minimize_box(objective, w0, lower, _LOG_CEILING, _MAX_ITERATIONS, _KKT_TOLERANCE)
 
     w, f, _, converged, _ = min((search(w0) for w0 in starts), key=lambda result: result[1])
     if not math.isfinite(f):
@@ -583,12 +524,12 @@ def fit_ml(
                     w, f, _, converged, _ = result
 
     theta = relative_variances(w)
-    _, _, sigma2 = prof.profile(theta, floor)
-    omega2 = np.maximum(theta * sigma2, floor)
+    _, _, sigma2 = prof.profile(theta)
+    omega2 = np.maximum(theta * sigma2, VARIANCE_FLOOR)
     loglik, beta = prof.evaluate(omega2, sigma2)
     labels = candidate.variance_labels() + ("sigma2",)
     boundary = tuple(
-        label for label, v in zip(labels, np.append(omega2, sigma2)) if v <= floor
+        label for label, v in zip(labels, np.append(omega2, sigma2)) if v <= VARIANCE_FLOOR
     )
     return FittedModel(
         candidate=candidate,

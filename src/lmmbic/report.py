@@ -9,7 +9,8 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .simulation import DESIGNS, FrequencyTable
+from .candidates import DESIGNS
+from .simulation import FrequencyTable
 
 CRITERION_NAMES = {
     "N": "BIC_N",

@@ -15,45 +15,33 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import CandidateModel, TrueParameters, enumerate_candidates, generate_dataset
+from .candidates import (
+    DESIGNS,
+    CandidateModel,
+    SimulationDesign,
+    TrueParameters,
+    enumerate_candidates,
+    generate_dataset,
+)
 from .criteria import CRITERIA, build_report, select_model
-from .estimation import FitOptions, UnidentifiableModelError, fit_ml
+from .estimation import UnidentifiableModelError, fit_ml
 from .rng import substream
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class SimulationDesign:
-    """A study cell size: N subjects, each observed n_per_subject times."""
-
-    label: str
-    n_subjects: int
-    n_per_subject: int
-
-
-DESIGNS = {
-    "a": SimulationDesign("a", 20, 5),
-    "b": SimulationDesign("b", 20, 100),
-    "c": SimulationDesign("c", 100, 5),
-    "d": SimulationDesign("d", 100, 100),
-}
-
-
-@dataclass(frozen=True)
 class StudyConfig:
     """What to run: which designs, how many replicates per (design,
-    truth) cell, the master seed, and the fit options applied to every
-    candidate fit."""
+    truth) cell, and the master seed."""
 
     designs: tuple[str, ...] = ("a", "b", "c", "d")
     replicates: int = 100
     seed: int = 0
-    fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "designs", tuple(self.designs))
@@ -139,7 +127,7 @@ def run_replicate(
     failed = 0
     for cand in enumerate_candidates():
         try:
-            fit = fit_ml(cand, data, config.fit_options)
+            fit = fit_ml(cand, data)
         except (UnidentifiableModelError, np.linalg.LinAlgError) as exc:
             logger.warning(
                 "design %s truth %s rep %d: candidate %s failed to fit (%s)",

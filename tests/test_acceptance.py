@@ -48,7 +48,7 @@ from lmmbic.criteria import (
 )
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.ess import effective_sample_size, magnitude
-from lmmbic.estimation import FittedModel, fit_ml, profile_beta
+from lmmbic.estimation import ProfiledLikelihood, fit_ml
 from lmmbic.model import ParameterVector, log_likelihood
 from lmmbic.rng import substream
 from lmmbic.simulation import DESIGNS, SimulationDesign, StudyConfig, sample_true_parameters, run_study
@@ -247,7 +247,7 @@ def test_06_literal_likelihood_and_gls():
             abs(log_likelihood(params, cand, data) - _brute_force_loglik(params, cand, data)),
         )
 
-        beta_hat, _ = profile_beta(params.omega2, params.sigma2, cand, data)
+        _, beta_hat = ProfiledLikelihood(cand, data).evaluate(params.omega2, params.sigma2)
         score = np.zeros(cand.n_mean)
         for block in data.subjects:
             design = build_design(cand, block)

@@ -101,12 +101,6 @@ class TestFitCommand:
             main(["fit", str(path), "--candidate", "O9M1"])
         assert excinfo.value.code == 2
 
-    def test_bad_restarts_is_usage_error(self, data_file):
-        path, _ = data_file
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fit", str(path), "--candidate", "O1M1", "--restarts", "0"])
-        assert excinfo.value.code == 2
-
 
 class TestSelectCommand:
     def test_full_ranking(self, data_file, capsys):
@@ -224,14 +218,20 @@ class TestParser:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy serves only the dense reference likelihood; loading it would
-    # add to the start-up time and memory of every lmmbic process
+    # scipy serves only the dense reference likelihood, and the study
+    # stack only simulate; loading either would add to the start-up time
+    # and memory of every lmmbic process
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, lmmbic.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    unwanted = ("scipy", "lmmbic.simulation", "lmmbic.report", "concurrent.futures.process")
+    for module in ("lmmbic.cli", "lmmbic"):
+        probe = (
+            f"import sys, {module}; "
+            f"print([m for m in sys.modules if m.startswith({unwanted!r})])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", module

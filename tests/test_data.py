@@ -89,6 +89,10 @@ class TestReadDataset:
         path = self.write(tmp_path, "subject,x,c,y,site\ns1,0,1,2,A\ns1,1,1,3,A\n")
         assert read_dataset(path).n_obs == 2
 
+    def test_header_whitespace_ignored(self, tmp_path):
+        path = self.write(tmp_path, "subject, x ,c,y\ns1,0,1,2\ns1,1,1,3\n")
+        np.testing.assert_array_equal(read_dataset(path).subjects[0].x, [0.0, 1.0])
+
     def test_missing_column_named(self, tmp_path):
         path = self.write(tmp_path, "subject,x,c\ns1,0,1\n")
         with pytest.raises(DataFormatError, match="'y'"):

@@ -3,7 +3,6 @@ import pytest
 
 from lmmbic.candidates import CandidateModel, enumerate_candidates
 from lmmbic.criteria import CRITERIA
-from lmmbic.estimation import FitOptions
 from lmmbic.rng import substream
 from lmmbic.simulation import (
     DESIGNS,
@@ -31,7 +30,6 @@ class TestStudyConfig:
         config = StudyConfig()
         assert config.designs == ("a", "b", "c", "d")
         assert config.replicates == 100
-        assert isinstance(config.fit_options, FitOptions)
 
     def test_bad_label(self):
         with pytest.raises(ValueError, match="unknown design"):
