@@ -37,6 +37,11 @@ _JEFFREYS_LABELS = (
     "Decisive",
 )
 
+# Criterion values within this relative distance of the best are tied:
+# the fitted log-likelihood is good to about 1e-11 relative, so a nested
+# pair whose extra variance sits at zero differs only in rounding there.
+_TIE_RTOL = 1e-9
+
 _DELTA_BREAKS = (2.0, 6.0, 10.0)
 _DELTA_LABELS = (
     "Not worth more than a bare mention",
@@ -180,21 +185,25 @@ def criterion_value(report: BicReport, criterion: str) -> float:
 
 
 def _ranked(reports: Sequence[BicReport], criterion: str) -> list[BicReport]:
-    def key(r: BicReport):
-        return (
-            criterion_value(r, criterion),
-            r.p,
-            CandidateModel.from_id(r.candidate_id).enumeration_index,
-        )
+    """Reports best first: the candidates tied with the best (within
+    _TIE_RTOL) by (p, enumeration index), then the rest by value."""
 
-    return sorted(reports, key=key)
+    def parsimony(r: BicReport) -> tuple[int, int]:
+        return r.p, CandidateModel.from_id(r.candidate_id).enumeration_index
+
+    by_value = sorted(reports, key=lambda r: (criterion_value(r, criterion), *parsimony(r)))
+    best = criterion_value(by_value[0], criterion)
+    tolerance = _TIE_RTOL * abs(best)
+    tied = [r for r in by_value if criterion_value(r, criterion) - best <= tolerance]
+    return sorted(tied, key=parsimony) + by_value[len(tied):]
 
 
 def select_model(reports: Sequence[BicReport], criterion: str) -> str:
     """Candidate id with the smallest value of one criterion.
 
-    Exact ties go to the candidate with fewer parameters, then to the
-    earlier one in enumeration order.
+    Values within _TIE_RTOL of the smallest are ties; they go to the
+    candidate with fewer parameters, then to the earlier one in
+    enumeration order.
     """
     if not reports:
         raise ValueError("no reports to select from")
@@ -226,7 +235,8 @@ def selection_summary(
 
     For each criterion the two best candidates are compared by
     criterion difference and the matching approximate Bayes factor,
-    each with its evidence grade.
+    each with its evidence grade; a runner-up tied with the winner (see
+    select_model) has difference 0.
     """
     if not reports:
         raise ValueError("no reports to summarize")
@@ -240,10 +250,11 @@ def selection_summary(
         winners[crit] = ranked[0].candidate_id
         if len(ranked) > 1:
             best, runner = ranked[0], ranked[1]
-            delta = criterion_value(runner, crit) - criterion_value(best, crit)
-            bf = bayes_factor_from_bics(
-                criterion_value(best, crit), criterion_value(runner, crit)
-            )
+            best_value = criterion_value(best, crit)
+            # a runner-up tied with the winner may sit below it by rounding
+            runner_value = max(criterion_value(runner, crit), best_value)
+            delta = runner_value - best_value
+            bf = bayes_factor_from_bics(best_value, runner_value)
             evidence[crit] = {
                 "best": best.candidate_id,
                 "runner_up": runner.candidate_id,

@@ -245,6 +245,16 @@ class TestSelectModel:
         assert criterion_value(r_large, "n") == criterion_value(r_small, "n")
         assert select_model([r_large, r_small], "n") == "O1M1"
 
+    def test_rounding_level_tie_prefers_fewer_parameters(self):
+        # the larger candidate is lower by 1e-12 relative, rounding in the
+        # log-likelihood rather than evidence
+        r_small = report_for("O1M1", -50.0)
+        r_large = dataclasses.replace(
+            report_for("O2M1", -50.0), bic_h=criterion_value(r_small, "h") * (1 - 1e-12)
+        )
+        assert criterion_value(r_large, "h") < criterion_value(r_small, "h")
+        assert select_model([r_large, r_small], "h") == "O1M1"
+
     def test_tie_on_everything_prefers_enumeration_order(self):
         # O2M1 and O3M1 have identical p; give them identical logliks
         r_a = report_for("O3M1", -50.0)
@@ -283,6 +293,17 @@ class TestSelectionSummary:
         assert ev["bayes_factor"] >= 1.0
         assert ev["delta_label"] == delta_bic_label(ev["delta"])
         assert ev["jeffreys_label"] == jeffreys_label(ev["bayes_factor"])
+
+    def test_tied_runner_up_below_winner_has_zero_delta(self):
+        r_small = report_for("O1M1", -50.0)
+        r_large = dataclasses.replace(
+            report_for("O2M1", -50.0), bic_h=criterion_value(r_small, "h") * (1 - 1e-12)
+        )
+        ev = selection_summary([r_large, r_small], criteria=["h"])["evidence"]["h"]
+        assert (ev["best"], ev["runner_up"]) == ("O1M1", "O2M1")
+        assert ev["delta"] == 0.0
+        assert ev["bayes_factor"] == 1.0
+        assert ev["delta_label"] == delta_bic_label(0.0)
 
     def test_criteria_subset(self):
         reports = [report_for("O1M1", -60.0), report_for("O2M1", -40.0)]
