@@ -28,9 +28,6 @@ import numpy as np
 from .data import Dataset, SubjectBlock
 from .rng import substream
 
-MEAN_LABELS = ("mu0", "mu1", "mu2", "alpha1", "alpha2")
-VARIANCE_LABELS = ("omega0", "omega1", "omega2")
-
 X_RANGE = (0.0, 10.0)
 
 

@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .candidates import DESIGNS, CandidateModel, enumerate_candidates
+from .candidates import DESIGNS, CandidateModel, build_design, enumerate_candidates
 from .criteria import CRITERIA, build_report, selection_summary
 from .data import read_dataset
 from .ess import effective_sample_size
 from .estimation import UnidentifiableModelError, fit_ml
-from .model import correlation_from_covariance
+from .model import assemble_marginal_covariance, correlation_from_covariance
 
 logger = logging.getLogger("lmmbic")
 
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=".",
                        help="directory for results.csv, summary.csv, figure.svg (default .)")
     p_sim.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker processes (default: LMMBIC_THREADS or the CPU count)")
+                       help="worker processes (default: the CPU count)")
     p_sim.add_argument("--seed", type=_non_negative_int, default=0,
                        help="seed for every random draw of the study (default 0)")
     p_sim.set_defaults(func=cmd_simulate)
@@ -125,17 +125,26 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _block_summaries(fit) -> list[dict]:
+    """Per-subject covariance and correlation summaries, in subject order.
+
+    Subjects on one observation grid share V_i, so each grid's summary is
+    computed once.
+    """
+    by_grid: dict[bytes, dict] = {}
     summaries = []
-    for V in fit.covariance_blocks():
-        R = correlation_from_covariance(V)
-        off = R[~np.eye(R.shape[0], dtype=bool)]
-        summaries.append(
-            {
+    for block in fit.data.subjects:
+        key = block.x.tobytes()
+        if key not in by_grid:
+            Z = build_design(fit.candidate, block).Z
+            V = assemble_marginal_covariance(Z, fit.theta_hat.omega2, fit.theta_hat.sigma2)
+            R = correlation_from_covariance(V)
+            off = R[~np.eye(R.shape[0], dtype=bool)]
+            by_grid[key] = {
                 "n_obs": int(V.shape[0]),
                 "variance_mean": float(np.diagonal(V).mean()),
                 "correlation_mean": float(off.mean()) if off.size else 0.0,
             }
-        )
+        summaries.append(by_grid[key])
     return summaries
 
 
@@ -198,15 +207,6 @@ def cmd_ess(args: argparse.Namespace) -> int:
 def _thread_count(args: argparse.Namespace) -> int:
     if args.threads is not None:
         return args.threads
-    env = os.environ.get("LMMBIC_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"LMMBIC_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError("LMMBIC_THREADS must be at least 1")
-        return value
     return os.cpu_count() or 1
 
 

@@ -20,7 +20,8 @@ uses (fit_ml).
 
 Each evaluation would naively refactor every n_i x n_i block.  Instead,
 each distinct observation grid gets an orthonormal basis [Q Q_perp],
-with Z = Q R from a QR factorization (R is k x q, k = min(n_i, q)), and
+with Q from a QR factorization of O4M4's Z = [1, x, x^2] (k = min(n_i, 3)
+columns), so that any candidate's Z is Q R with R k x q, and
 
     Vt_i^-1 = Q K Q' + (I - Q Q'),   K = Ct^-1,   Ct = I_k + R Theta R',
     log det Vt_i = log det Ct,
@@ -32,17 +33,17 @@ X' Vt^-1 X are positive semi-definite, so nothing cancels as the
 relative variances grow.  Subjects that share a grid share Q and R, so
 their cross-products collapse into one group tensor per distinct grid.
 
-All sixteen candidates are column subsets of O4M4, so these statistics
-are built once per dataset (dataset_statistics), for O4M4's full design,
-and each candidate takes its own as slices of them.  The dataset's
-grids are rotated in the column order (1, x, x^2) of O4M4's Z, and in
-(1, x^2, x) for the O3 candidates; as R is upper triangular, a
-candidate's Z is the leading q columns of Q times the leading q x q
-block of R, its mean columns are a mask on O4M4's, and the rotated axes
-it drops join its orthogonal part as further positive semi-definite
-terms.  The G group tensors are stacked (R zero-padded to q x q, which
-adds 1 to Ct's diagonal and nothing else), and each evaluation is a
-fixed number of batched numpy calls whose arithmetic is linear in G:
+All sixteen candidates are O4M4 with some terms removed, so these
+statistics are built once per dataset (dataset_statistics), for O4M4's
+full design, and each candidate reads them whole.  Its mean columns are
+a mask on O4M4's, and its R is its columns of O4M4's R, so a random
+effect the candidate lacks has no column in Ct = I_3 + R Theta R': the
+candidate is O4M4 with that variance held at zero, as the lme4
+profiled deviance treats a term at its boundary.  The G group tensors
+are stacked (Q and R zero-padded to 3 axes on a grid of fewer than 3
+points, which adds 1 to Ct's diagonal and nothing else), and each
+evaluation is a fixed number of batched numpy calls whose arithmetic
+is linear in G:
 with one shared grid the cost does not grow with the number of
 subjects, and on unbalanced data, where every subject may have its own
 grid, it does not pay a Python loop over the grids.
@@ -56,9 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import CandidateModel, build_design, design_columns, full_design
+from .candidates import CandidateModel, design_columns, full_design
 from .data import Dataset, SubjectBlock
-from .model import LN_TWO_PI, ParameterVector, assemble_marginal_covariance
+from .model import LN_TWO_PI, ParameterVector
 
 # The smallest variance reported: estimates below it, zeros included, are
 # reported at it and listed as boundary, and it bounds the profiled
@@ -94,10 +95,7 @@ _F_ROUNDING = 1e-12
 # An rss below _RSS_ROUNDING sqrt(n) y'y is taken as zero: the mean fits
 # the data exactly.
 _RSS_ROUNDING = 8.0 * float(np.finfo(float).eps)
-# The column orders of O4M4's Z = [1, x, x^2] in which some candidate's
-# random effects come first: (1, x, x^2) for O1, O2 and O4, (1, x^2, x)
-# for O3.
-_ORDERS = ((0, 1, 2), (0, 2, 1))
+_EYE3 = np.eye(3)
 
 
 class UnidentifiableModelError(ValueError):
@@ -123,50 +121,59 @@ class FittedModel:
     n_obs: int
     n_subjects: int
 
-    def covariance_blocks(self) -> list[np.ndarray]:
-        """Per-subject marginal covariances V_i at the fitted variances."""
-        return [
-            assemble_marginal_covariance(
-                build_design(self.candidate, block).Z, self.theta_hat.omega2, self.theta_hat.sigma2
-            )
-            for block in self.data.subjects
-        ]
 
+class DatasetStatistics:
+    """Everything the fits of all sixteen candidates need from one dataset.
 
-class RotatedStatistics:
-    """O4M4's rotated sufficient statistics in one column order of Z.
-
-    Per distinct observation grid g, with Z[:, order] = Q R for O4M4's
-    Z = [1, x, x^2] (Q and R zero-padded to 3 axes when the grid has
-    fewer than 3 points) and the sums running over the grid's subjects:
+    The subjects are grouped by observation grid once.  Per distinct
+    grid g, with O4M4's Z = [1, x, x^2] = Q R (Q and R zero-padded to 3
+    axes when the grid has fewer than 3 points) and the sums running
+    over the grid's subjects:
 
         R[g]                                          (G, 3, 3)
         cross_xx[g] = sum Q'X_i (x) Q'X_i, capacitance axes first,
                                                       (G, 3, 3, 5, 5),
         cross_xy[g], cross_yy[g] likewise             (G, 3, 3, 5), (G, 3, 3),
+        counts[g], the grid's number of subjects      (G,)
 
     plus the sums over all subjects of the components orthogonal to Z:
-    perp_xx, perp_xy and perp_yy.  X has O4M4's five mean columns.
-    Because R is upper triangular, the leading q columns of Z[:, order]
-    are Q[:, :q] R[:q, :q].
+    perp_xx, perp_xy and perp_yy.  X has O4M4's five mean columns.  xtx
+    is O4M4's plain X'X and yty is y'y.  grids holds, per grid length n,
+    O4M4's Z of every grid of that length, stacked (g_n, n, 3), and
+    those grids' subject counts.
     """
 
-    def __init__(self, grids: list[tuple[np.ndarray, ...]], order: tuple[int, ...]):
+    def __init__(self, data: Dataset):
+        by_grid: dict[bytes, list[SubjectBlock]] = {}
+        for block in data.subjects:
+            by_grid.setdefault(block.x.tobytes(), []).append(block)
+
+        self.n_obs = data.n_obs
+        self.n_subjects = data.n_subjects
+        self.constant_covariate = np.unique(data.subject_covariates()).size < 2
+        self.xtx = np.zeros((5, 5))
+        self.yty = 0.0
         self.perp_xx = np.zeros((5, 5))
         self.perp_xy = np.zeros(5)
         self.perp_yy = 0.0
         rs, cross_xx, cross_xy, cross_yy = [], [], [], []
-        for Xs, Z, Ys in grids:
+        by_length: dict[int, tuple[list[np.ndarray], list[int]]] = {}
+        for subjects in by_grid.values():
+            Xs, Z = full_design(subjects[0].x, [b.c for b in subjects])  # (n, m, 5), (n, 3)
+            Ys = np.stack([b.y for b in subjects], axis=1)                # (n, m)
+            X = Xs.reshape(-1, 5)
+            self.xtx += X.T @ X
+            self.yty += float((Ys * Ys).sum())
             n, m = Ys.shape
+            flat_x = Xs.reshape(n, m * 5)
             # a grid with n < 3 points has k = n; zero-padding Q and R to 3
             # axes leaves Ct = 1 on the padded axes, which adds nothing
-            Q_thin, R_thin = np.linalg.qr(Z[:, order])                   # (n, k), (k, 3)
+            Q_thin, R_thin = np.linalg.qr(Z)                             # (n, k), (k, 3)
             k = R_thin.shape[0]
             Q = np.zeros((n, 3))
             Q[:, :k] = Q_thin
             R = np.zeros((3, 3))
             R[:k] = R_thin
-            flat_x = Xs.reshape(n, m * 5)
             QtX = Q.T @ flat_x                                           # (3, m*5)
             Qty = Q.T @ Ys                                               # (3, m)
             perp_x = (flat_x - Q @ QtX).reshape(n * m, 5)
@@ -181,48 +188,14 @@ class RotatedStatistics:
             cross_xx.append((along.T @ along).reshape(3, 5, 3, 5).transpose(0, 2, 1, 3))
             cross_xy.append((along.T @ Qty.T).reshape(3, 5, 3).transpose(0, 2, 1))
             cross_yy.append(Qty @ Qty.T)
+            same_length, grid_counts = by_length.setdefault(n, ([], []))
+            same_length.append(Z)
+            grid_counts.append(m)
+        self.counts = np.array([len(subjects) for subjects in by_grid.values()], dtype=float)
         self.R = np.stack(rs)
         self.cross_xx = np.stack(cross_xx)
         self.cross_xy = np.stack(cross_xy)
         self.cross_yy = np.stack(cross_yy)
-
-
-class DatasetStatistics:
-    """Everything the fits of all sixteen candidates need from one dataset.
-
-    The subjects are grouped by observation grid once.  rotations maps
-    each column order of Z in which some candidate's random effects come
-    first, (1, x, x^2) and (1, x^2, x), to the RotatedStatistics of that
-    order; counts holds the subjects per grid in the same grid order.
-    xtx is O4M4's plain X'X and yty is y'y.  grids holds, per grid
-    length n, O4M4's Z of every grid of that length, stacked (g_n, n, 3),
-    and those grids' subject counts.
-    """
-
-    def __init__(self, data: Dataset):
-        by_grid: dict[bytes, list[SubjectBlock]] = {}
-        for block in data.subjects:
-            by_grid.setdefault(block.x.tobytes(), []).append(block)
-
-        self.n_obs = data.n_obs
-        self.n_subjects = data.n_subjects
-        self.constant_covariate = np.unique(data.subject_covariates()).size < 2
-        self.xtx = np.zeros((5, 5))
-        self.yty = 0.0
-        grids = []
-        by_length: dict[int, tuple[list[np.ndarray], list[int]]] = {}
-        for subjects in by_grid.values():
-            Xs, Z = full_design(subjects[0].x, [b.c for b in subjects])  # (n, m, 5), (n, 3)
-            Ys = np.stack([b.y for b in subjects], axis=1)                # (n, m)
-            X = Xs.reshape(-1, 5)
-            self.xtx += X.T @ X
-            self.yty += float((Ys * Ys).sum())
-            grids.append((Xs, Z, Ys))
-            same_length, grid_counts = by_length.setdefault(Z.shape[0], ([], []))
-            same_length.append(Z)
-            grid_counts.append(len(subjects))
-        self.counts = np.array([Ys.shape[1] for _, _, Ys in grids], dtype=float)
-        self.rotations = {order: RotatedStatistics(grids, order) for order in _ORDERS}
         self.grids = tuple(
             (np.stack(same_length), np.array(grid_counts, dtype=float))
             for same_length, grid_counts in by_length.values()
@@ -273,25 +246,17 @@ class ProfiledLikelihood:
         self.q = q
         self.n_obs = stats.n_obs
         self.n_subjects = stats.n_subjects
-        # the order of Z's columns that puts this candidate's first: its
-        # Z is then Q[:, :q] R[:q, :q], and the rotated axes it drops join
-        # the orthogonal part, still a sum of positive semi-definite terms
-        rot = stats.rotations[tuple(random) + tuple(j for j in range(3) if j not in random)]
-        cross_xx = rot.cross_xx[..., mean[:, None], mean]
-        cross_xy = rot.cross_xy[..., mean]
-        dropped = np.arange(q, 3)
-        self._R = rot.R[:, :q, :q]                     # (G, q, q): Z = Q R per grid
-        # (G*q*q, q): Ct = I + rr @ theta, the outer products of R's columns
+        self._R = stats.R[:, :, random]                # (G, 3, q): Z = Q R per grid
+        # (G*3*3, q): Ct = I + rr @ theta, the outer products of R's columns
         self._rr = (self._R[:, :, None, :] * self._R[:, None, :, :]).reshape(-1, q)
         self._counts = stats.counts                    # (G,)
-        self._cross_xx = cross_xx[:, :q, :q].reshape(-1, p * p)
-        self._cross_xy = cross_xy[:, :q, :q].reshape(-1, p)
-        self._cross_yy = rot.cross_yy[:, :q, :q].reshape(-1)
-        self._perp_xx = rot.perp_xx[np.ix_(mean, mean)] + cross_xx[:, dropped, dropped].sum((0, 1))
-        self._perp_xy = rot.perp_xy[mean] + cross_xy[:, dropped, dropped].sum((0, 1))
-        self._perp_yy = rot.perp_yy + float(rot.cross_yy[:, dropped, dropped].sum())
+        self._cross_xx = stats.cross_xx[..., mean[:, None], mean].reshape(-1, p * p)
+        self._cross_xy = stats.cross_xy[..., mean].reshape(-1, p)
+        self._cross_yy = stats.cross_yy.reshape(-1)
+        self._perp_xx = stats.perp_xx[np.ix_(mean, mean)]
+        self._perp_xy = stats.perp_xy[mean]
+        self._perp_yy = stats.perp_yy
         self._rss_rounding = _RSS_ROUNDING * math.sqrt(self.n_obs) * stats.yty
-        self._eye_q = np.eye(q)
         # mean square of each Z column over all observations: sum_g m_g R_g'R_g
         self.z_scale2 = self._counts @ (self._R ** 2).sum(axis=1) / self.n_obs
 
@@ -302,9 +267,9 @@ class ProfiledLikelihood:
         in the Vt^-1 metric, beta_hat, and the stacked K = Ct^-1.  An
         rss within its rounding (_RSS_ROUNDING) is returned as exactly 0.
         """
-        p, q = self.p, self.q
-        C = (self._rr @ theta).reshape(-1, q, q)
-        C += self._eye_q
+        p = self.p
+        C = (self._rr @ theta).reshape(-1, 3, 3)
+        C += _EYE3
         L = np.linalg.cholesky(C)
         log_diag = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
         logdet = 2.0 * float(self._counts @ log_diag)
@@ -372,7 +337,7 @@ class ProfiledLikelihood:
             self._cross_yy
             - 2.0 * (self._cross_xy @ beta)
             + self._cross_xx @ np.outer(beta, beta).reshape(-1)
-        ).reshape(-1, self.q, self.q)
+        ).reshape(-1, 3, 3)
         d_rss = -((S @ W) * W).sum(axis=(0, 1))
         return value, 0.5 * (d_logdet + d_rss / sigma2), sigma2
 

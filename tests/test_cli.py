@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmmbic.candidates import CandidateModel, TrueParameters, generate_dataset
+from lmmbic.candidates import CandidateModel, TrueParameters, build_design, generate_dataset
 from lmmbic.cli import _thread_count, build_parser, main
 from lmmbic.criteria import CRITERIA
+from lmmbic.data import Dataset, SubjectBlock, read_dataset
 from lmmbic.estimation import fit_ml
+from lmmbic.model import assemble_marginal_covariance, correlation_from_covariance
 from lmmbic.simulation import SimulationDesign
 
 
@@ -23,12 +25,16 @@ def data_file(tmp_path):
     )
     data = generate_dataset(SimulationDesign("t", 15, 6), truth, seed=202)
     path = tmp_path / "data.csv"
+    write_data(data, path)
+    return path, data
+
+
+def write_data(data, path):
     lines = ["subject,x,c,y"]
     for block in data.subjects:
         for x, y in zip(block.x, block.y):
             lines.append(f"{block.id},{float(x)!r},{float(block.c)!r},{float(y)!r}")
     path.write_text("\n".join(lines) + "\n")
-    return path, data
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +69,38 @@ class TestFitCommand:
         fit = fit_ml(CandidateModel.from_id("O1M1"), data)
         assert payload["loglik"] == pytest.approx(fit.loglik, abs=1e-10)
         assert payload["estimates"]["mu0"] == pytest.approx(fit.theta_hat.beta[0], abs=1e-10)
+
+    def test_block_summaries_match_dense_per_subject(self, tmp_path, capsys):
+        # shared grids interleaved with singleton grids: summaries computed
+        # once per grid must come out in subject order
+        rng = np.random.default_rng(203)
+        grids = {n: np.sort(rng.uniform(0.0, 10.0, size=n)) for n in (5, 3)}
+        layout = [5, 3, 5, "4", 5, 3, "2", 5]
+        subjects = []
+        for i, grid in enumerate(layout):
+            x = grids[grid] if isinstance(grid, int) else np.sort(rng.uniform(0.0, 10.0, int(grid)))
+            c = rng.normal()
+            y = 1.0 + 0.5 * x - 0.05 * x * x + 0.3 * c * x + rng.normal(size=x.size)
+            subjects.append(SubjectBlock(id=f"s{i}", x=x, c=c, y=y))
+        path = tmp_path / "mixed.csv"
+        write_data(Dataset(subjects=tuple(subjects)), path)
+        code, out, _ = run_cli(capsys, "fit", str(path), "--candidate", "O4M2")
+        assert code == 0
+        cand = CandidateModel.from_id("O4M2")
+        data = read_dataset(path)
+        fit = fit_ml(cand, data)
+        expected = []
+        for block in data.subjects:
+            Z = build_design(cand, block).Z
+            V = assemble_marginal_covariance(Z, fit.theta_hat.omega2, fit.theta_hat.sigma2)
+            R = correlation_from_covariance(V)
+            off = R[~np.eye(R.shape[0], dtype=bool)]
+            expected.append({
+                "n_obs": block.n_obs,
+                "variance_mean": float(np.diagonal(V).mean()),
+                "correlation_mean": float(off.mean()) if off.size else 0.0,
+            })
+        assert json.loads(out)["blocks"] == expected
 
     def test_out_flag_writes_file(self, data_file, tmp_path, capsys):
         path, _ = data_file
@@ -175,29 +213,11 @@ class TestThreadCount:
     def make_args(self, threads=None):
         return argparse.Namespace(threads=threads)
 
-    def test_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("LMMBIC_THREADS", "7")
+    def test_flag_wins(self):
         assert _thread_count(self.make_args(threads=3)) == 3
 
-    def test_env_wins_over_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("LMMBIC_THREADS", "5")
-        assert _thread_count(self.make_args()) == 5
-
-    def test_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("LMMBIC_THREADS", raising=False)
-        import os
-
+    def test_falls_back_to_cpu_count(self):
         assert _thread_count(self.make_args()) == (os.cpu_count() or 1)
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv("LMMBIC_THREADS", "many")
-        with pytest.raises(ValueError, match="integer"):
-            _thread_count(self.make_args())
-
-    def test_nonpositive_env_raises(self, monkeypatch):
-        monkeypatch.setenv("LMMBIC_THREADS", "0")
-        with pytest.raises(ValueError, match="at least 1"):
-            _thread_count(self.make_args())
 
 
 class TestParser:

@@ -213,6 +213,22 @@ class TestProfiledLikelihood:
                 for factor in (0.9, 1.1):
                     assert prof.evaluate(theta * sigma2 * factor, sigma2 * factor)[0] < loglik
 
+    def test_absent_random_effects_are_zero_variances_of_o4(self):
+        # every candidate reads O4M4's one rotation: it is O4Mm with the
+        # variances it lacks held at zero
+        rng = np.random.default_rng(20)
+        for data in self.gradient_layouts():
+            for cand in enumerate_candidates():
+                full = CandidateModel(m=cand.m, o=4)
+                omega2 = rng.uniform(0.05, 1.0, size=cand.n_variance)
+                sigma2 = float(rng.uniform(0.3, 2.0))
+                padded = np.zeros(3)
+                padded[[label in cand.variance_labels() for label in full.variance_labels()]] = omega2
+                loglik, beta = ProfiledLikelihood(cand, data).evaluate(omega2, sigma2)
+                loglik_4, beta_4 = ProfiledLikelihood(full, data).evaluate(padded, sigma2)
+                np.testing.assert_allclose(loglik, loglik_4, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(beta, beta_4, rtol=1e-10, atol=0.0)
+
 
 class TestDatasetStatistics:
     def test_built_once_for_all_candidates(self, monkeypatch):
@@ -517,12 +533,3 @@ class TestFitMl:
         data = Dataset(subjects=subjects)
         with pytest.raises(UnidentifiableModelError):
             fit_ml(CandidateModel(m=1, o=1), data)
-
-    def test_covariance_blocks_shapes(self):
-        data, _ = study_data(n_subjects=5, n_per=6)
-        fit = fit_ml(CandidateModel(m=1, o=2), data)
-        blocks = fit.covariance_blocks()
-        assert len(blocks) == 5
-        for V in blocks:
-            assert V.shape == (6, 6)
-            np.testing.assert_array_equal(V, V.T)
