@@ -71,14 +71,16 @@ class TestFitCommand:
         assert payload["estimates"]["mu0"] == pytest.approx(fit.theta_hat.beta[0], abs=1e-10)
 
     def test_block_summaries_match_dense_per_subject(self, tmp_path, capsys):
-        # shared grids interleaved with singleton grids: summaries computed
-        # once per grid must come out in subject order
+        # shared grids interleaved with singleton grids of the same lengths:
+        # summaries computed once per grid must come out in subject order
         rng = np.random.default_rng(203)
-        grids = {n: np.sort(rng.uniform(0.0, 10.0, size=n)) for n in (5, 3)}
-        layout = [5, 3, 5, "4", 5, 3, "2", 5]
+
+        def grid(n_points):
+            return np.sort(rng.uniform(0.0, 10.0, size=n_points))
+
+        a, b = grid(5), grid(3)
         subjects = []
-        for i, grid in enumerate(layout):
-            x = grids[grid] if isinstance(grid, int) else np.sort(rng.uniform(0.0, 10.0, int(grid)))
+        for i, x in enumerate([a, b, a, grid(5), a, b, grid(3), a]):
             c = rng.normal()
             y = 1.0 + 0.5 * x - 0.05 * x * x + 0.3 * c * x + rng.normal(size=x.size)
             subjects.append(SubjectBlock(id=f"s{i}", x=x, c=c, y=y))
