@@ -61,17 +61,16 @@ from .candidates import CandidateModel, design_columns, full_design
 from .data import Dataset, SubjectBlock
 from .model import LN_TWO_PI, ParameterVector
 
-# The smallest variance reported: estimates below it, zeros included, are
-# reported at it and listed as boundary, and it bounds the profiled
-# sigma2 from below.
+# The lower bound of the profiled sigma2: on data the mean fits exactly
+# sigma2_hat sits on it and is listed as boundary.  Relative variances
+# have their own bound at exactly zero (see _ZERO_SHIFT).
 VARIANCE_FLOOR = 1e-12
 # KKT tolerance: a fit converged when its projected gradient on the
 # search scale is at most _KKT_TOLERANCE * (1 + |loglik|).
 _KKT_TOLERANCE = 1e-8
-# Quasi-Newton iteration cap of each start.
+# Quasi-Newton iteration cap of each search.
 _MAX_ITERATIONS = 2000
-# The search's two starts: theta_j = _START for every random effect, and
-# theta_j s_j^2 = _START, with s_j^2 as for _ZERO_SHIFT below.
+# Every candidate's search starts at theta_j = _START for each random effect.
 _START = 0.5
 
 # fit_ml searches w_j = log(theta_j s_j^2 + _ZERO_SHIFT), where s_j^2 is
@@ -107,8 +106,8 @@ class FittedModel:
     """Result of fit_ml.
 
     converged is the KKT check at the reported point (see fit_ml).
-    boundary lists the variance labels (omega* or sigma2) whose
-    estimate landed on VARIANCE_FLOOR; such solutions are reported
+    boundary lists the omega* labels whose estimate is exactly zero, and
+    sigma2 when it sits on VARIANCE_FLOOR; such solutions are reported
     rather than rejected.
     """
 
@@ -140,7 +139,8 @@ class DatasetStatistics:
     perp_xx, perp_xy and perp_yy.  X has O4M4's five mean columns.  xtx
     is O4M4's plain X'X and yty is y'y.  grids holds, per grid length n,
     O4M4's Z of every grid of that length, stacked (g_n, n, 3), and
-    those grids' subject counts.
+    those grids' subject counts.  optima holds each candidate's optimum
+    once it has been searched (_optimum); no entry refers to the data.
     """
 
     def __init__(self, data: Dataset):
@@ -150,6 +150,7 @@ class DatasetStatistics:
 
         self.n_obs = data.n_obs
         self.n_subjects = data.n_subjects
+        self.optima: dict[CandidateModel, tuple[np.ndarray, float, bool]] = {}
         self.constant_covariate = np.unique(data.subject_covariates()).size < 2
         self.xtx = np.zeros((5, 5))
         self.yty = 0.0
@@ -418,25 +419,87 @@ def _minimize_box(
     return z, f, g, kkt(z, f, g), max_iterations
 
 
+def _covers(candidate: CandidateModel) -> list[CandidateModel]:
+    """The candidates with exactly one term fewer; for O4M4: O4M2, O4M3, O2M4, O3M4."""
+    fewer = {1: (), 2: (1,), 3: (1,), 4: (2, 3)}
+    return [CandidateModel(m=m, o=candidate.o) for m in fewer[candidate.m]] + [
+        CandidateModel(m=candidate.m, o=o) for o in fewer[candidate.o]
+    ]
+
+
+def _optimum(candidate: CandidateModel, data: Dataset) -> tuple[np.ndarray, float, bool]:
+    """The candidate's optimum, memoised beside the dataset's statistics.
+
+    Returns theta over O4M4's three random effects (zero where the
+    candidate has none), f = -loglik there and the KKT flag.  A cover
+    (_covers) is this candidate with a variance or a mean coefficient
+    held at zero, so its optimum is a feasible point here: where the best
+    one is lower than the search from _START by more than rounding, the
+    search restarts from it.
+    """
+    optima = dataset_statistics(data).optima
+    if candidate in optima:
+        return optima[candidate]
+    prof = ProfiledLikelihood(candidate, data)
+    _, random = design_columns(candidate)
+    lower = math.log(_ZERO_SHIFT)
+
+    def relative_variances(w: np.ndarray) -> np.ndarray:
+        # the lower bound is theta_j = 0 exactly, not exp(lower) - _ZERO_SHIFT
+        return np.where(w > lower, np.exp(w) - _ZERO_SHIFT, 0.0) / prof.z_scale2
+
+    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
+        # rank deficiency is rejected at construction, so a breakdown
+        # here means the variances are numerically extreme, not that
+        # the model is unidentifiable: price the point out instead
+        try:
+            f, g, _ = prof.profile(relative_variances(w))
+        except (np.linalg.LinAlgError, UnidentifiableModelError):
+            return math.inf, np.zeros(prof.q)
+        return f, g * np.exp(w) / prof.z_scale2
+
+    def search(theta: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, bool, int]:
+        w0 = np.log(theta * prof.z_scale2 + _ZERO_SHIFT)
+        return _minimize_box(objective, w0, lower, _LOG_CEILING, _MAX_ITERATIONS, _KKT_TOLERANCE)
+
+    w, f, _, converged, _ = search(np.full(prof.q, _START))
+    nested = (_optimum(cover, data) for cover in _covers(candidate))
+    best = min(nested, key=lambda optimum: optimum[1], default=None)
+    # rounding relative to the cover's f, which is finite even where f is not
+    if best is not None and best[1] < f - _F_ROUNDING * (1.0 + abs(best[1])):
+        w, f, _, converged, _ = search(best[0][random])
+    if not math.isfinite(f):
+        raise UnidentifiableModelError(
+            f"likelihood for candidate {candidate.id} could not be evaluated "
+            "at any visited point"
+        )
+    theta = np.zeros(3)
+    theta[random] = relative_variances(w)
+    theta.flags.writeable = False
+    optima[candidate] = theta, f, converged
+    return optima[candidate]
+
+
 def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     """Fit one candidate by maximum likelihood.
 
     beta and sigma2 are profiled out (ProfiledLikelihood.profile), and
     a projected BFGS with the exact gradient searches the relative
-    variances from two fixed starts (see _START), on the scale
-    w_j = log(theta_j s_j^2 + _ZERO_SHIFT) with s_j^2 the mean square of
-    Z's column j.  That scale is logarithmic for variances well above
-    zero and linear near zero, and its lower bound w_j = log(_ZERO_SHIFT)
-    is theta_j = 0, so a variance whose maximum is at zero gets there in
-    a few steps, and one near zero whose likelihood rises with it is not
-    hidden by a vanishing log-scale gradient.  From the best start, each
-    positive relative variance is set to zero in turn, and where that
-    face point is lower the search runs again from it, since a smaller
-    random structure's optimum lies on such a face.  converged is the
+    variances on the scale w_j = log(theta_j s_j^2 + _ZERO_SHIFT), with
+    s_j^2 the mean square of Z's column j.  That scale is logarithmic for
+    variances well above zero and linear near zero, and its lower bound
+    w_j = log(_ZERO_SHIFT) is theta_j = 0, so a variance whose maximum is
+    at zero gets there in a few steps, and one near zero whose likelihood
+    rises with it is not hidden by a vanishing log-scale gradient.  The
+    search starts from _START, and once more from the best optimum of
+    the candidates with one term fewer where that is lower (_optimum),
+    so the candidates below this one are fitted too, once per dataset,
+    and no candidate's maximum lies below one it nests.  converged is the
     KKT check at the returned point (see _minimize_box), to
     _KKT_TOLERANCE: a search that exhausts _MAX_ITERATIONS or stalls is
-    returned with converged=False rather than raised.  Variances below
-    VARIANCE_FLOOR are reported at it and listed in `boundary`.
+    returned with converged=False rather than raised.  The log-likelihood
+    and beta are those at the point found, zero variances included, and
+    `boundary` lists those zeros.
 
     Raises:
         UnidentifiableModelError: fewer observations than parameters,
@@ -449,53 +512,14 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
             f"but the data has only {data.n_obs} observations"
         )
     prof = ProfiledLikelihood(candidate, data)
-    q = prof.q
-    scale2 = prof.z_scale2
-
-    def relative_variances(w: np.ndarray) -> np.ndarray:
-        return np.maximum(np.exp(w) - _ZERO_SHIFT, 0.0) / scale2
-
-    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        # rank deficiency is rejected at construction, so a breakdown
-        # here means the variances are numerically extreme, not that
-        # the model is unidentifiable: price the point out instead
-        try:
-            f, g, _ = prof.profile(relative_variances(w))
-        except (np.linalg.LinAlgError, UnidentifiableModelError):
-            return math.inf, np.zeros(q)
-        return f, g * np.exp(w) / scale2
-
-    starts = (np.log(_START * scale2 + _ZERO_SHIFT), np.full(q, math.log(_START + _ZERO_SHIFT)))
-    lower = math.log(_ZERO_SHIFT)
-
-    def search(w0: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, bool, int]:
-        return _minimize_box(objective, w0, lower, _LOG_CEILING, _MAX_ITERATIONS, _KKT_TOLERANCE)
-
-    w, f, _, converged, _ = min((search(w0) for w0 in starts), key=lambda result: result[1])
-    if not math.isfinite(f):
-        raise UnidentifiableModelError(
-            f"likelihood for candidate {candidate.id} could not be evaluated "
-            "at any visited point"
-        )
-    # a smaller random structure's optimum lies on a face theta_j = 0; when
-    # the face next to the best point is lower, search again from there
-    for j in range(q):
-        if w[j] > lower:
-            face = w.copy()
-            face[j] = lower
-            if objective(face)[0] < f:
-                result = search(face)
-                if result[1] < f:
-                    w, f, _, converged, _ = result
-
-    theta = relative_variances(w)
+    theta, _, converged = _optimum(candidate, data)
+    theta = theta[design_columns(candidate)[1]]
     _, _, sigma2 = prof.profile(theta)
-    omega2 = np.maximum(theta * sigma2, VARIANCE_FLOOR)
+    omega2 = theta * sigma2
     loglik, beta = prof.evaluate(omega2, sigma2)
-    labels = candidate.variance_labels() + ("sigma2",)
-    boundary = tuple(
-        label for label, v in zip(labels, np.append(omega2, sigma2)) if v <= VARIANCE_FLOOR
-    )
+    boundary = tuple(label for label, v in zip(candidate.variance_labels(), omega2) if v == 0.0)
+    if sigma2 <= VARIANCE_FLOOR:
+        boundary += ("sigma2",)
     return FittedModel(
         candidate=candidate,
         theta_hat=ParameterVector(beta=beta, omega2=omega2, sigma2=sigma2),
