@@ -1,4 +1,4 @@
-"""Maximum-likelihood fitting of one candidate structure.
+"""Maximum-likelihood fitting of the sixteen candidate structures.
 
 Write the marginal covariance of subject i as
 
@@ -15,8 +15,8 @@ squares mean coefficients and the residual variance
 as in the lme4 profiled deviance (Bates, Maechler, Bolker & Walker
 2015, JSS 67(1)).  The numerical search therefore runs only over theta,
 a space of dimension q <= 3, and the profiled objective has an exact
-gradient (see ProfiledLikelihood.profile) that a small projected BFGS
-uses (fit_ml).
+gradient (see _profile) that a small projected BFGS uses
+(_minimize_box).
 
 Each evaluation would naively refactor every n_i x n_i block.  Instead,
 each distinct observation grid gets an orthonormal basis [Q Q_perp],
@@ -35,29 +35,30 @@ their cross-products collapse into one group tensor per distinct grid.
 
 All sixteen candidates are O4M4 with some terms removed, so these
 statistics are built once per dataset (dataset_statistics), for O4M4's
-full design, and each candidate reads them whole.  Its mean columns are
-a mask on O4M4's, and its R is its columns of O4M4's R, so a random
-effect the candidate lacks has no column in Ct = I_3 + R Theta R': the
-candidate is O4M4 with that variance held at zero, as the lme4
-profiled deviance treats a term at its boundary.  The G group tensors
-are stacked (Q and R zero-padded to 3 axes on a grid of fewer than 3
-points, which adds 1 to Ct's diagonal and nothing else), and each
-evaluation is a fixed number of batched numpy calls whose arithmetic
-is linear in G:
+full design, and one core (_solve, _profile) evaluates B candidates at
+once: theta (B, 3) is over O4M4's random effects, zero on those a
+candidate lacks, as the lme4 profiled deviance treats a term at its
+boundary, and a mean column it lacks gets 1 on the normal matrix's
+diagonal and 0 on its right-hand side.  The G group tensors are stacked
+(Q and R zero-padded to 3 axes on a grid of fewer than 3 points, which
+adds 1 to Ct's diagonal and nothing else), and each evaluation is a
+fixed number of batched numpy calls whose arithmetic is linear in B G:
 with one shared grid the cost does not grow with the number of
 subjects, and on unbalanced data, where every subject may have its own
-grid, it does not pay a Python loop over the grids.
+grid, it does not pay a Python loop over the grids.  The sixteen
+searches run in lockstep on the first fit of a dataset (_search_family).
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import CandidateModel, design_columns, full_design
+from .candidates import CandidateModel, design_columns, enumerate_candidates, full_design
 from .data import Dataset, SubjectBlock
 from .model import LN_TWO_PI, ParameterVector
 
@@ -79,6 +80,7 @@ _START = 0.5
 # scale linear below about _ZERO_SHIFT and puts theta_j = 0 at a finite
 # bound.  _LOG_CEILING is the overflow guard above.
 _ZERO_SHIFT = 1e-2
+_LOWER = math.log(_ZERO_SHIFT)
 _LOG_CEILING = 50.0
 # Max-norm cap on one quasi-Newton step in w: an uncapped first step can
 # land far out where the objective is flat.
@@ -88,6 +90,9 @@ _LINE_SEARCH_STEPS = 30
 # Relative size of the rounding in the objective: near an optimum, changes
 # in f smaller than this carry no information.
 _F_ROUNDING = 1e-12
+# Relative gap in f within which two optima of one model are the same:
+# above f's rounding (2e-12 at n = 10^4), below the 1e-11 nesting holds to.
+_SAME_OPTIMUM = 5e-12
 # rss is a difference of sums over the n observations, each term at most
 # y'y, so its rounding grows like sqrt(n) eps y'y (on data the mean fits
 # exactly it reached 16 eps y'y at n = 24 and 171 eps y'y at n = 10^4).
@@ -95,6 +100,7 @@ _F_ROUNDING = 1e-12
 # the data exactly.
 _RSS_ROUNDING = 8.0 * float(np.finfo(float).eps)
 _EYE3 = np.eye(3)
+_EYE5 = np.eye(5)
 
 
 class UnidentifiableModelError(ValueError):
@@ -105,10 +111,12 @@ class UnidentifiableModelError(ValueError):
 class FittedModel:
     """Result of fit_ml.
 
-    converged is the KKT check at the reported point (see fit_ml).
+    converged is the KKT check where the search stopped (see fit_ml).
     boundary lists the omega* labels whose estimate is exactly zero, and
     sigma2 when it sits on VARIANCE_FLOOR; such solutions are reported
-    rather than rejected.
+    rather than rejected.  evaluations counts the likelihood evaluations
+    of the candidate's searches, and restarted says whether its optimum
+    came from the restart at the optimum of a candidate it nests.
     """
 
     candidate: CandidateModel
@@ -119,6 +127,13 @@ class FittedModel:
     data: Dataset
     n_obs: int
     n_subjects: int
+    evaluations: int = 0
+    restarted: bool = False
+
+
+# A candidate's maximum as DatasetStatistics.optima keeps it, with theta
+# and beta over O4M4's terms.
+_Optimum = namedtuple("_Optimum", "theta f converged beta sigma2 evaluations restarted")
 
 
 class DatasetStatistics:
@@ -135,12 +150,16 @@ class DatasetStatistics:
         cross_xy[g], cross_yy[g] likewise             (G, 3, 3, 5), (G, 3, 3),
         counts[g], the grid's number of subjects      (G,)
 
-    plus the sums over all subjects of the components orthogonal to Z:
+    with the cross tensors kept flat, (G*9, 25), (G*9, 5) and (G*9,), and
+    rr (3, G*9) the outer products of R's columns: Ct = I + theta @ rr.
+    Also the sums over all subjects of the components orthogonal to Z:
     perp_xx, perp_xy and perp_yy.  X has O4M4's five mean columns.  xtx
-    is O4M4's plain X'X and yty is y'y.  grids holds, per grid length n,
-    O4M4's Z of every grid of that length, stacked (g_n, n, 3), and
-    those grids' subject counts.  optima holds each candidate's optimum
-    once it has been searched (_optimum); no entry refers to the data.
+    is O4M4's plain X'X and yty is y'y; z_scale2 is the mean square of
+    each Z column.  grids holds, per grid length n, O4M4's Z of every
+    grid of that length, stacked (g_n, n, 3), and those grids' subject
+    counts.  optima holds, once the family has been searched (fit_ml),
+    each candidate's _Optimum, or the message of the error that makes it
+    unidentifiable; no entry refers to the data.
     """
 
     def __init__(self, data: Dataset):
@@ -150,7 +169,7 @@ class DatasetStatistics:
 
         self.n_obs = data.n_obs
         self.n_subjects = data.n_subjects
-        self.optima: dict[CandidateModel, tuple[np.ndarray, float, bool]] = {}
+        self.optima: dict[CandidateModel, _Optimum | str] = {}
         self.constant_covariate = np.unique(data.subject_covariates()).size < 2
         self.xtx = np.zeros((5, 5))
         self.yty = 0.0
@@ -194,9 +213,13 @@ class DatasetStatistics:
             grid_counts.append(m)
         self.counts = np.array([len(subjects) for subjects in by_grid.values()], dtype=float)
         self.R = np.stack(rs)
-        self.cross_xx = np.stack(cross_xx)
-        self.cross_xy = np.stack(cross_xy)
-        self.cross_yy = np.stack(cross_yy)
+        self.rr = (self.R[:, :, None, :] * self.R[:, None, :, :]).reshape(-1, 3).T.copy()
+        self.cross_xx = np.stack(cross_xx).reshape(-1, 25)
+        self.cross_xy = np.stack(cross_xy).reshape(-1, 5)
+        self.cross_yy = np.stack(cross_yy).reshape(-1)
+        self.rss_rounding = _RSS_ROUNDING * math.sqrt(self.n_obs) * self.yty
+        # sum_g m_g R_g'R_g over all observations
+        self.z_scale2 = self.counts @ (self.R ** 2).sum(axis=1) / self.n_obs
         self.grids = tuple(
             (np.stack(same_length), np.array(grid_counts, dtype=float))
             for same_length, grid_counts in by_length.values()
@@ -217,16 +240,11 @@ def dataset_statistics(data: Dataset) -> DatasetStatistics:
 
 
 class ProfiledLikelihood:
-    """Callable core of the fit: likelihood with beta profiled out.
+    """One candidate's likelihood with beta profiled out.
 
-    Construction slices the candidate's statistics out of the dataset's
-    (dataset_statistics), which are built once per dataset for all
-    candidates.  Both evaluate() and profile() then run one core that
-    makes the same fixed number of numpy calls for any number G of
-    distinct observation grids, with arithmetic linear in G: one batched
-    Cholesky factorization and one batched inverse of the G capacitance
-    matrices Ct = I + R Theta R', and one matrix-vector product per term
-    of the GLS normal equations.
+    Construction checks that the candidate is identifiable on the data.
+    evaluate() and profile() are the one-row case of the stacked core
+    (_solve, _profile) on the dataset's statistics (dataset_statistics).
     """
 
     def __init__(self, candidate: CandidateModel, data: Dataset):
@@ -237,58 +255,15 @@ class ProfiledLikelihood:
                 "the subject covariate takes a single value"
             )
         mean, random = design_columns(candidate)
-        p, q = mean.size, random.size
-        if np.linalg.matrix_rank(stats.xtx[np.ix_(mean, mean)], hermitian=True) < p:
+        if np.linalg.matrix_rank(stats.xtx[np.ix_(mean, mean)], hermitian=True) < mean.size:
             raise UnidentifiableModelError(
                 f"mean design for candidate {candidate.id} is rank deficient"
             )
         self.candidate = candidate
-        self.p = p
-        self.q = q
-        self.n_obs = stats.n_obs
-        self.n_subjects = stats.n_subjects
-        self._R = stats.R[:, :, random]                # (G, 3, q): Z = Q R per grid
-        # (G*3*3, q): Ct = I + rr @ theta, the outer products of R's columns
-        self._rr = (self._R[:, :, None, :] * self._R[:, None, :, :]).reshape(-1, q)
-        self._counts = stats.counts                    # (G,)
-        self._cross_xx = stats.cross_xx[..., mean[:, None], mean].reshape(-1, p * p)
-        self._cross_xy = stats.cross_xy[..., mean].reshape(-1, p)
-        self._cross_yy = stats.cross_yy.reshape(-1)
-        self._perp_xx = stats.perp_xx[np.ix_(mean, mean)]
-        self._perp_xy = stats.perp_xy[mean]
-        self._perp_yy = stats.perp_yy
-        self._rss_rounding = _RSS_ROUNDING * math.sqrt(self.n_obs) * stats.yty
-        # mean square of each Z column over all observations: sum_g m_g R_g'R_g
-        self.z_scale2 = self._counts @ (self._R ** 2).sum(axis=1) / self.n_obs
-
-    def _solve(self, theta: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """Core at relative variances theta.
-
-        Returns sum_i log det Vt_i, the GLS residual sum of squares rss
-        in the Vt^-1 metric, beta_hat, and the stacked K = Ct^-1.  An
-        rss within its rounding (_RSS_ROUNDING) is returned as exactly 0.
-        """
-        p = self.p
-        C = (self._rr @ theta).reshape(-1, 3, 3)
-        C += _EYE3
-        L = np.linalg.cholesky(C)
-        log_diag = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-        logdet = 2.0 * float(self._counts @ log_diag)
-        K = np.linalg.inv(C)
-        kernel = K.reshape(-1)
-        A = self._perp_xx + (kernel @ self._cross_xx).reshape(p, p)
-        b = self._perp_xy + kernel @ self._cross_xy
-        try:
-            np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            raise UnidentifiableModelError(
-                f"normal matrix for candidate {self.candidate.id} is singular"
-            ) from None
-        beta = np.linalg.solve(A, b)
-        rss = self._perp_yy + float(kernel @ self._cross_yy) - float(b @ beta)
-        if rss <= self._rss_rounding:
-            rss = 0.0
-        return logdet, rss, beta, K
+        self._stats = stats
+        self._mean = np.bincount(mean, minlength=5) > 0      # (5,): its columns of O4M4's X
+        self._random = np.bincount(random, minlength=3) > 0  # (3,): its columns of O4M4's Z
+        self.z_scale2 = stats.z_scale2[random]
 
     def evaluate(self, omega2: np.ndarray, sigma2: float) -> tuple[float, np.ndarray]:
         """Profiled log-likelihood and the GLS beta at these variances.
@@ -298,125 +273,208 @@ class ProfiledLikelihood:
                 down for some grid (numerically invalid variances).
             UnidentifiableModelError: the GLS normal matrix is singular.
         """
-        logdet, rss, beta, _ = self._solve(np.asarray(omega2, dtype=float) / sigma2)
-        loglik = -0.5 * (self.n_obs * (LN_TWO_PI + math.log(sigma2)) + logdet + rss / sigma2)
-        return loglik, beta
+        theta = np.zeros((1, 3))
+        theta[0, self._random] = np.asarray(omega2, dtype=float) / sigma2
+        logdet, rss, beta, _ = _solve(self._stats, self._mean[None], theta)
+        n = self._stats.n_obs
+        loglik = -0.5 * (n * (LN_TWO_PI + math.log(sigma2)) + logdet[0] + rss[0] / sigma2)
+        return float(loglik), beta[0, self._mean]
 
     def profile(self, theta: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """Negative log-likelihood with beta and sigma2 profiled out.
-
-        At relative variances theta = omega2 / sigma2 the likelihood is
-        maximized by sigma2_hat = max(rss / n, VARIANCE_FLOOR).  Returns
-        f = -loglik at (theta * sigma2_hat, sigma2_hat), its exact
-        gradient in theta, and sigma2_hat.  With r_j the j-th column of
-        a grid's R, K = Ct^-1 and S = sum_i u_i u_i' over the grid's
-        subjects, u_i = Q'(y_i - X_i beta_hat),
-
-            d log det Vt / d theta_j = sum_g m_g r_j' K_g r_j,
-            d rss / d theta_j        = -sum_g r_j' K_g S_g K_g r_j,
-
-        (beta_hat is stationary, and sigma2_hat stationary or held at the
-        floor, so neither adds a term), and df/dtheta_j = (d log det +
-        d rss / sigma2_hat) / 2.  S comes from the same cross-product
-        tensors as the normal equations.  Where the mean fits the data
-        exactly, rss is zero (see _solve) and so is its gradient term:
-        S is then rounding, which sigma2_hat on the floor would magnify.
-
-        Raises the same errors as evaluate().
-        """
-        logdet, rss, beta, K = self._solve(theta)
-        n = self.n_obs
-        sigma2 = max(rss / n, VARIANCE_FLOOR)
-        value = 0.5 * (n * (LN_TWO_PI + math.log(sigma2)) + logdet + rss / sigma2)
-        W = K @ self._R                                # columns K_g r_j
-        d_logdet = self._counts @ (self._R * W).sum(axis=1)
-        if rss == 0.0:
-            return value, 0.5 * d_logdet, sigma2
-        # S up to an antisymmetric part, which the quadratic forms w'Sw
-        # below do not see: sum_i Q'y Q'y' - 2 Q'X beta Q'y' + Q'X beta beta'X'Q
-        S = (
-            self._cross_yy
-            - 2.0 * (self._cross_xy @ beta)
-            + self._cross_xx @ np.outer(beta, beta).reshape(-1)
-        ).reshape(-1, 3, 3)
-        d_rss = -((S @ W) * W).sum(axis=(0, 1))
-        return value, 0.5 * (d_logdet + d_rss / sigma2), sigma2
+        """f = -loglik with beta and sigma2 profiled out, its gradient in
+        theta, and sigma2_hat (see _profile); raises as evaluate() does."""
+        padded = np.zeros((1, 3))
+        padded[0, self._random] = theta
+        f, g, sigma2, _ = _profile(self._stats, self._mean[None], padded)
+        return float(f[0]), g[0, self._random], float(sigma2[0])
 
 
-def _minimize_box(
-    fun,
-    z0: np.ndarray,
-    lower: float,
-    upper: float,
-    max_iterations: int,
-    rel_tol: float,
-) -> tuple[np.ndarray, float, np.ndarray, bool, int]:
-    """Minimize fun over the box [lower, upper]^d by projected BFGS.
+def _solve(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tuple:
+    """The core at B candidates' relative variances theta (B, 3).
 
-    fun(z) returns the value and its gradient.  Each iteration takes a
-    quasi-Newton step on the coordinates not held at a bound, capped at
-    _MAX_STEP in max-norm, and halves it along the projected path until
-    the Armijo condition holds.  When the held set changes, the inverse
-    Hessian restarts from the scaled identity.  converged is the KKT
-    check at the returned point: the projected gradient is at most
-    rel_tol * (1 + |f|) in max-norm.  Returns (z, f, gradient,
-    converged, iterations taken); a start where f is not finite returns
-    at once, unconverged.
+    mean (B, 5) marks each candidate's columns of O4M4's X.  Returns per
+    candidate sum_i log det Vt_i, the GLS residual sum of squares rss in
+    the Vt^-1 metric (0 within its rounding, _RSS_ROUNDING), beta_hat
+    (B, 5), zero on absent columns, and K = Ct^-1 (B, G, 3, 3).  Raises
+    as ProfiledLikelihood.evaluate does.
     """
+    B = theta.shape[0]
+    C = (theta @ stats.rr).reshape(B, -1, 3, 3)
+    C += _EYE3
+    L = np.linalg.cholesky(C)
+    logdet = 2.0 * (np.log(np.diagonal(L, axis1=2, axis2=3)).sum(axis=2) @ stats.counts)
+    K = np.linalg.inv(C)
+    kernel = K.reshape(B, -1)
+    A = stats.perp_xx + (kernel @ stats.cross_xx).reshape(B, 5, 5)
+    A = np.where(mean[:, :, None] & mean[:, None, :], A, _EYE5)
+    b = np.where(mean, stats.perp_xy + kernel @ stats.cross_xy, 0.0)
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise UnidentifiableModelError("the GLS normal matrix is singular") from None
+    beta = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    rss = stats.perp_yy + kernel @ stats.cross_yy - (b * beta).sum(axis=1)
+    rss[rss <= stats.rss_rounding] = 0.0
+    return logdet, rss, beta, K
 
-    def kkt(z: np.ndarray, f: float, g: np.ndarray) -> bool:
-        projected = z - np.clip(z - g, lower, upper)
-        return float(np.max(np.abs(projected))) <= rel_tol * (1.0 + abs(f))
 
+def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tuple:
+    """Negative log-likelihoods with beta and sigma2 profiled out.
+
+    At relative variances theta = omega2 / sigma2 (B, 3) the likelihood
+    is maximized by sigma2_hat = max(rss / n, VARIANCE_FLOOR).  Returns
+    per candidate f = -loglik at (theta * sigma2_hat, sigma2_hat), its
+    exact gradient in theta (B, 3), sigma2_hat and beta_hat (B, 5).
+    With r_j the j-th column of a grid's R, K = Ct^-1 and S = sum_i
+    u_i u_i' over the grid's subjects, u_i = Q'(y_i - X_i beta_hat),
+
+        d log det Vt / d theta_j = sum_g m_g r_j' K_g r_j,
+        d rss / d theta_j        = -sum_g r_j' K_g S_g K_g r_j,
+
+    (beta_hat is stationary, and sigma2_hat stationary or held at the
+    floor, so neither adds a term), and df/dtheta_j = (d log det +
+    d rss / sigma2_hat) / 2.  S comes from the same cross-product
+    tensors as the normal equations.  Where the mean fits the data
+    exactly, rss is zero (see _solve) and so is its gradient term:
+    S is then rounding, which sigma2_hat on the floor would magnify.
+
+    Raises the same errors as _solve.
+    """
+    logdet, rss, beta, K = _solve(stats, mean, theta)
+    n = stats.n_obs
+    sigma2 = np.maximum(rss / n, VARIANCE_FLOOR)
+    value = 0.5 * (n * (LN_TWO_PI + np.log(sigma2)) + logdet + rss / sigma2)
+    W = K @ stats.R                                # columns K_g r_j
+    d_logdet = stats.counts @ (stats.R * W).sum(axis=2)
+    # S up to an antisymmetric part, which the quadratic forms w'Sw
+    # below do not see: sum_i Q'y Q'y' - 2 Q'X beta Q'y' + Q'X beta beta'X'Q
+    S = (
+        stats.cross_yy[:, None]
+        - 2.0 * (stats.cross_xy @ beta.T)
+        + stats.cross_xx @ (beta[:, :, None] * beta[:, None, :]).reshape(-1, 25).T
+    ).T.reshape(W.shape)
+    d_rss = -((S @ W) * W).sum(axis=(1, 2))
+    d_rss = np.where(rss[:, None] > 0.0, d_rss / sigma2[:, None], 0.0)
+    return value, 0.5 * (d_logdet + d_rss), sigma2, beta
+
+
+def _profile_stack(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tuple:
+    """_profile with a breakdown kept to its own rows: when the stack
+    raises or some f is not finite, each row is evaluated alone, and one
+    that breaks down alone gets f = inf and a zero gradient."""
+    try:
+        out = _profile(stats, mean, theta)
+        if np.isfinite(out[0]).all():
+            return out
+    except (np.linalg.LinAlgError, UnidentifiableModelError):
+        pass
+    if theta.shape[0] == 1:
+        return np.array([math.inf]), np.zeros((1, 3)), np.array([math.nan]), np.zeros((1, 5))
+    rows = [_profile_stack(stats, mean[i : i + 1], theta[i : i + 1]) for i in range(theta.shape[0])]
+    return tuple(np.concatenate(column) for column in zip(*rows))
+
+
+def _relative_variances(w: np.ndarray, z_scale2: np.ndarray) -> np.ndarray:
+    """theta at w_j = log(theta_j s_j^2 + _ZERO_SHIFT); w_j = _LOWER is theta_j = 0 exactly."""
+    return np.where(w > _LOWER, np.exp(w) - _ZERO_SHIFT, 0.0) / z_scale2
+
+
+def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) -> tuple:
+    """Minimize B functions, each over its box, by projected BFGS in lockstep.
+
+    z0 (B, d) holds the starts; lower and upper broadcast to its shape.
+    fun(z, rows) returns the values (k,) and gradients (k, d) of stack
+    rows `rows` at z (k, d); each round calls it once, on the next point
+    of every row still searching.  Each row is a search of its own: an
+    iteration takes a quasi-Newton step on the coordinates not held at a
+    bound, capped at _MAX_STEP in max-norm, and halves it along the
+    projected path until the Armijo condition holds.  When the held set
+    changes, the inverse Hessian restarts from the scaled identity.
+    converged is the KKT check at the returned point: the projected
+    gradient is at most rel_tol * (1 + |f|) in max-norm.  Returns per row
+    (z, f, gradient, converged, iterations, calls of fun); a row whose
+    start is not finite stops there, unconverged, after 0 iterations.
+    """
+    B, d = z0.shape
+    lower, upper = np.broadcast_to(lower, z0.shape), np.broadcast_to(upper, z0.shape)
+    eye = np.eye(d)
     z = np.clip(z0, lower, upper)
-    f, g = fun(z)
-    if not math.isfinite(f):
-        return z, f, g, False, 0
-    eye = np.eye(z.size)
-    H = None                   # inverse Hessian; None until a step has been taken
-    scale = 1.0                # s'y / y'y of the last step, the restart scale
-    held = np.zeros(z.size, dtype=bool)
-    for iteration in range(max_iterations):
-        if kkt(z, f, g):
-            return z, f, g, True, iteration
-        previous, held = held, ((z <= lower) & (g > 0)) | ((z >= upper) & (g < 0))
-        if H is not None and np.any(held != previous):
-            # curvature learnt on another face of the box misleads here
-            H = scale * eye
-        g_free = np.where(held, 0.0, g)
-        d = -g_free if H is None else -(H @ g_free)
-        d[held] = 0.0
-        if not float(d @ g_free) < 0:
-            H, d = scale * eye, -scale * g_free
-        d *= min(1.0, _MAX_STEP / float(np.max(np.abs(d))))
-        t = 1.0
-        for _ in range(_LINE_SEARCH_STEPS):
-            z_new = np.clip(z + t * d, lower, upper)
-            step = z_new - z
-            slope = float(g @ step)
-            if slope < 0:
-                f_new, g_new = fun(z_new)
-                # Armijo, or its exact form on a quadratic, which reads
-                # the gradient where rounding has flattened f
-                if f_new <= f + 1e-4 * slope or (
-                    f_new <= f + _F_ROUNDING * (1.0 + abs(f))
-                    and float(g_new @ step) <= (2e-4 - 1.0) * slope
-                ):
-                    break
-            t *= 0.5
-        else:
-            return z, f, g, kkt(z, f, g), iteration + 1
-        y = g_new - g
-        sy = float(step @ y)
-        yy = float(y @ y)
-        if sy > 1e-12 * math.sqrt(float(step @ step) * yy):
-            scale = sy / yy
-            if H is None:
-                H = scale * eye
-            V = eye - np.outer(step, y) / sy
-            H = V @ H @ V.T + np.outer(step, step) / sy
-        z, f, g = z_new, f_new, g_new
-    return z, f, g, kkt(z, f, g), max_iterations
+    f, g = fun(z, np.arange(B))
+    evaluations, iterations = np.ones(B, dtype=int), np.zeros(B, dtype=int)
+    converged, running = np.zeros(B, dtype=bool), np.isfinite(f)
+    H = np.tile(eye, (B, 1, 1))     # inverse Hessians
+    fresh = np.ones(B, dtype=bool)  # H = I until the first update or reset
+    scale = np.ones(B)              # s'y / y'y of the last step, the restart scale
+    held = np.zeros((B, d), dtype=bool)
+    direction, trial = np.zeros((B, d)), z.copy()
+    t, tries = np.ones(B), np.zeros(B, dtype=int)
+
+    def kkt(rows: np.ndarray) -> np.ndarray:
+        projected = z[rows] - np.clip(z[rows] - g[rows], lower[rows], upper[rows])
+        return np.abs(projected).max(axis=1) <= rel_tol * (1.0 + np.abs(f[rows]))
+
+    def halve(rows: np.ndarray) -> np.ndarray:
+        # a row out of halvings stops where it is
+        t[rows] *= 0.5
+        tries[rows] += 1
+        out = rows[tries[rows] >= _LINE_SEARCH_STEPS]
+        converged[out], running[out] = kkt(out), False
+        iterations[out] += 1
+        return rows[tries[rows] < _LINE_SEARCH_STEPS]
+
+    starting, backtracking = np.flatnonzero(running), np.zeros(0, dtype=int)
+    while True:
+        # an iteration begins with the KKT check and the cap
+        converged[starting] = kkt(starting)
+        stop = converged[starting] | (iterations[starting] >= max_iterations)
+        running[starting[stop]] = False
+        rows = starting[~stop]
+        zr, gr = z[rows], g[rows]
+        now_held = ((zr <= lower[rows]) & (gr > 0)) | ((zr >= upper[rows]) & (gr < 0))
+        # curvature learnt on another face of the box misleads here
+        reset = rows[(now_held != held[rows]).any(axis=1)]
+        H[reset] = scale[reset, None, None] * eye
+        held[rows] = now_held
+        g_free = np.where(now_held, 0.0, gr)
+        dr = np.where(now_held, 0.0, -(H[rows] @ g_free[:, :, None])[:, :, 0])
+        uphill = ~((dr * g_free).sum(axis=1) < 0)
+        H[rows[uphill]] = scale[rows[uphill], None, None] * eye
+        fresh[rows[uphill]] = False
+        dr[uphill] = -scale[rows[uphill], None] * g_free[uphill]
+        direction[rows] = dr * np.minimum(1.0, _MAX_STEP / np.abs(dr).max(axis=1))[:, None]
+        t[rows], tries[rows] = 1.0, 0
+        # each row halves its step until its projected path descends
+        pending = np.concatenate([rows, backtracking])
+        while pending.size:
+            zp, dp = z[pending], t[pending, None] * direction[pending]
+            trial[pending] = np.clip(zp + dp, lower[pending], upper[pending])
+            pending = halve(pending[~((g[pending] * (trial[pending] - zp)).sum(axis=1) < 0)])
+        rows = np.flatnonzero(running)
+        if not rows.size:
+            return z, f, g, converged, iterations, evaluations
+        f_new, g_new = fun(trial[rows], rows)
+        evaluations[rows] += 1
+        fr, s = f[rows], trial[rows] - z[rows]
+        slope = (g[rows] * s).sum(axis=1)
+        # Armijo, or its exact form on a quadratic, which reads the
+        # gradient where rounding has flattened f
+        accept = (f_new <= fr + 1e-4 * slope) | (
+            (f_new <= fr + _F_ROUNDING * (1.0 + np.abs(fr)))
+            & ((g_new * s).sum(axis=1) <= (2e-4 - 1.0) * slope)
+        )
+        backtracking = halve(rows[~accept])
+        starting, s, f_new, g_new = rows[accept], s[accept], f_new[accept], g_new[accept]
+        y = g_new - g[starting]
+        sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
+        curved = sy > 1e-12 * np.sqrt((s * s).sum(axis=1) * yy)
+        u, s, y, sy = starting[curved], s[curved], y[curved], sy[curved]
+        scale[u] = sy / yy[curved]
+        H[u[fresh[u]]] = scale[u[fresh[u]], None, None] * eye
+        fresh[u] = False
+        V = eye - s[:, :, None] * y[:, None, :] / sy[:, None, None]
+        H[u] = V @ H[u] @ V.transpose(0, 2, 1) + s[:, :, None] * s[:, None, :] / sy[:, None, None]
+        z[starting], f[starting], g[starting] = trial[starting], f_new, g_new
+        iterations[starting] += 1
 
 
 def _covers(candidate: CandidateModel) -> list[CandidateModel]:
@@ -427,106 +485,135 @@ def _covers(candidate: CandidateModel) -> list[CandidateModel]:
     ]
 
 
-def _optimum(candidate: CandidateModel, data: Dataset) -> tuple[np.ndarray, float, bool]:
-    """The candidate's optimum, memoised beside the dataset's statistics.
+def _search(stats: DatasetStatistics, mean: np.ndarray, present: np.ndarray, start: np.ndarray):
+    """Search B candidates' maxima from start (B, 3) in one stack; mean
+    (B, 5) and present (B, 3) mark their columns of O4M4's X and Z.
+    Returns per candidate theta, f, the KKT flag and the evaluations."""
+    scale2 = stats.z_scale2
 
-    Returns theta over O4M4's three random effects (zero where the
-    candidate has none), f = -loglik there and the KKT flag.  A cover
-    (_covers) is this candidate with a variance or a mean coefficient
-    held at zero, so its optimum is a feasible point here: where the best
-    one is lower than the search from _START by more than rounding, the
-    search restarts from it.
+    def objective(w: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # rank deficiency is rejected before the search, so a breakdown
+        # means the variances are numerically extreme: price them out
+        f, g, _, _ = _profile_stack(stats, mean[rows], _relative_variances(w, scale2))
+        return f, np.where(present[rows], g * np.exp(w) / scale2, 0.0)
+
+    w0 = np.log(start * scale2 + _ZERO_SHIFT)
+    upper = np.where(present, _LOG_CEILING, _LOWER)
+    w, f, _, converged, _, evaluations = _minimize_box(
+        objective, w0, _LOWER, upper, _MAX_ITERATIONS, _KKT_TOLERANCE
+    )
+    return _relative_variances(w, scale2), f, converged, evaluations
+
+
+def _search_family(data: Dataset, optima: dict[CandidateModel, _Optimum | str]) -> None:
+    """Fit all sixteen candidates on the dataset into optima.
+
+    Every identifiable candidate searches from _START, all in one stack.
+    A cover (_covers) is the candidate with a term held at zero, so its
+    optimum is a feasible point: level by level up the lattice, each
+    candidate whose best cover is lower by more than rounding searches
+    once more from there, each level's restarts in one stack.  One whose
+    variances beyond a cover with its mean columns end at exactly zero
+    is that cover's model and reports the cover's optimum, unless its
+    own is better by more than _SAME_OPTIMUM.  An unidentifiable
+    candidate gets its error's message.
     """
-    optima = dataset_statistics(data).optima
-    if candidate in optima:
-        return optima[candidate]
-    prof = ProfiledLikelihood(candidate, data)
-    _, random = design_columns(candidate)
-    lower = math.log(_ZERO_SHIFT)
-
-    def relative_variances(w: np.ndarray) -> np.ndarray:
-        # the lower bound is theta_j = 0 exactly, not exp(lower) - _ZERO_SHIFT
-        return np.where(w > lower, np.exp(w) - _ZERO_SHIFT, 0.0) / prof.z_scale2
-
-    def objective(w: np.ndarray) -> tuple[float, np.ndarray]:
-        # rank deficiency is rejected at construction, so a breakdown
-        # here means the variances are numerically extreme, not that
-        # the model is unidentifiable: price the point out instead
+    profs = []
+    for candidate in enumerate_candidates():
         try:
-            f, g, _ = prof.profile(relative_variances(w))
-        except (np.linalg.LinAlgError, UnidentifiableModelError):
-            return math.inf, np.zeros(prof.q)
-        return f, g * np.exp(w) / prof.z_scale2
-
-    def search(theta: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, bool, int]:
-        w0 = np.log(theta * prof.z_scale2 + _ZERO_SHIFT)
-        return _minimize_box(objective, w0, lower, _LOG_CEILING, _MAX_ITERATIONS, _KKT_TOLERANCE)
-
-    w, f, _, converged, _ = search(np.full(prof.q, _START))
-    nested = (_optimum(cover, data) for cover in _covers(candidate))
-    best = min(nested, key=lambda optimum: optimum[1], default=None)
-    # rounding relative to the cover's f, which is finite even where f is not
-    if best is not None and best[1] < f - _F_ROUNDING * (1.0 + abs(best[1])):
-        w, f, _, converged, _ = search(best[0][random])
-    if not math.isfinite(f):
-        raise UnidentifiableModelError(
-            f"likelihood for candidate {candidate.id} could not be evaluated "
-            "at any visited point"
+            profs.append(ProfiledLikelihood(candidate, data))
+        except UnidentifiableModelError as exc:
+            optima[candidate] = str(exc)
+    if not profs:
+        return
+    stats = dataset_statistics(data)
+    index = {prof.candidate: i for i, prof in enumerate(profs)}
+    mean = np.array([prof._mean for prof in profs])
+    present = np.array([prof._random for prof in profs])
+    theta, f, converged, evaluations = _search(stats, mean, present, np.where(present, _START, 0.0))
+    restarted = np.zeros(len(profs), dtype=bool)
+    for size in range(6, 10):  # a level of the lattice; its covers have a parameter fewer
+        best = {
+            i: min((index[cover] for cover in _covers(candidate)), key=lambda j: f[j])
+            for candidate, i in index.items() if candidate.n_parameters == size
+        }
+        # rounding relative to the cover's f, which is finite even where f is not
+        rows = [i for i, j in best.items() if f[j] < f[i] - _F_ROUNDING * (1.0 + abs(f[j]))]
+        if rows:
+            theta[rows], f[rows], converged[rows], spent = _search(
+                stats, mean[rows], present[rows], theta[[best[i] for i in rows]]
+            )
+            evaluations[rows] += spent
+            restarted[rows] = True
+    f, _, sigma2, beta = _profile_stack(stats, mean, theta)
+    for candidate, i in index.items():  # covers come first in this order
+        same = [index[cover] for cover in _covers(candidate) if cover.m == candidate.m]
+        j = min((j for j in same if not theta[i, ~present[j]].any()), key=lambda j: f[j], default=i)
+        if f[j] <= f[i] + _SAME_OPTIMUM * (1.0 + abs(f[i])):
+            theta[i], f[i], beta[i], sigma2[i] = theta[j], f[j], beta[j], sigma2[j]
+    theta.flags.writeable = beta.flags.writeable = False
+    for candidate, i in index.items():
+        optima[candidate] = _Optimum(
+            theta[i], f[i], converged[i], beta[i], sigma2[i], evaluations[i], restarted[i]
+        ) if math.isfinite(f[i]) else (
+            f"likelihood for candidate {candidate.id} could not be evaluated at any visited point"
         )
-    theta = np.zeros(3)
-    theta[random] = relative_variances(w)
-    theta.flags.writeable = False
-    optima[candidate] = theta, f, converged
-    return optima[candidate]
 
 
 def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     """Fit one candidate by maximum likelihood.
 
-    beta and sigma2 are profiled out (ProfiledLikelihood.profile), and
-    a projected BFGS with the exact gradient searches the relative
-    variances on the scale w_j = log(theta_j s_j^2 + _ZERO_SHIFT), with
-    s_j^2 the mean square of Z's column j.  That scale is logarithmic for
-    variances well above zero and linear near zero, and its lower bound
-    w_j = log(_ZERO_SHIFT) is theta_j = 0, so a variance whose maximum is
-    at zero gets there in a few steps, and one near zero whose likelihood
-    rises with it is not hidden by a vanishing log-scale gradient.  The
-    search starts from _START, and once more from the best optimum of
-    the candidates with one term fewer where that is lower (_optimum),
-    so the candidates below this one are fitted too, once per dataset,
-    and no candidate's maximum lies below one it nests.  converged is the
-    KKT check at the returned point (see _minimize_box), to
-    _KKT_TOLERANCE: a search that exhausts _MAX_ITERATIONS or stalls is
-    returned with converged=False rather than raised.  The log-likelihood
-    and beta are those at the point found, zero variances included, and
-    `boundary` lists those zeros.
+    The first fit on a dataset fits all sixteen (_search_family), and
+    each fit reads its optimum from there.  beta and sigma2 are profiled
+    out (_profile), and a projected BFGS with the exact gradient
+    searches the relative variances on the scale
+    w_j = log(theta_j s_j^2 + _ZERO_SHIFT), with s_j^2 the mean square
+    of Z's column j.  That scale is logarithmic for variances well above
+    zero and linear near zero, and its lower bound w_j = log(_ZERO_SHIFT)
+    is theta_j = 0, so a variance whose maximum is at zero gets there in
+    a few steps, and one near zero whose likelihood rises with it is not
+    hidden by a vanishing log-scale gradient.  The search starts from
+    _START, and once more from the best optimum of the candidates with
+    one term fewer where that is lower, so no candidate's maximum lies
+    below one it nests.  converged is the KKT check at the point the
+    search returned (see _minimize_box), to _KKT_TOLERANCE: a search
+    that exhausts _MAX_ITERATIONS or stalls is returned with
+    converged=False rather than raised.  The log-likelihood and beta are
+    those at the point found, zero variances included, and `boundary`
+    lists those zeros.  A search that ends on the model of a candidate
+    it nests reports that candidate's optimum bit for bit.
 
     Raises:
         UnidentifiableModelError: fewer observations than parameters,
-            rank-deficient mean design, or an alpha term with a
-            constant subject covariate.
+            rank-deficient mean design, an alpha term with a constant
+            subject covariate, or a likelihood that could not be
+            evaluated anywhere the search went.
     """
-    if data.n_obs <= candidate.n_parameters:
+    stats = dataset_statistics(data)
+    if stats.n_obs <= candidate.n_parameters:
         raise UnidentifiableModelError(
             f"candidate {candidate.id} has {candidate.n_parameters} parameters "
-            f"but the data has only {data.n_obs} observations"
+            f"but the data has only {stats.n_obs} observations"
         )
-    prof = ProfiledLikelihood(candidate, data)
-    theta, _, converged = _optimum(candidate, data)
-    theta = theta[design_columns(candidate)[1]]
-    _, _, sigma2 = prof.profile(theta)
-    omega2 = theta * sigma2
-    loglik, beta = prof.evaluate(omega2, sigma2)
+    if not stats.optima:
+        _search_family(data, stats.optima)
+    optimum = stats.optima[candidate]
+    if isinstance(optimum, str):
+        raise UnidentifiableModelError(optimum)
+    mean, random = design_columns(candidate)
+    omega2 = optimum.theta[random] * optimum.sigma2
     boundary = tuple(label for label, v in zip(candidate.variance_labels(), omega2) if v == 0.0)
-    if sigma2 <= VARIANCE_FLOOR:
+    if optimum.sigma2 <= VARIANCE_FLOOR:
         boundary += ("sigma2",)
     return FittedModel(
         candidate=candidate,
-        theta_hat=ParameterVector(beta=beta, omega2=omega2, sigma2=sigma2),
-        loglik=float(loglik),
-        converged=converged,
+        theta_hat=ParameterVector(beta=optimum.beta[mean], omega2=omega2, sigma2=optimum.sigma2),
+        loglik=-float(optimum.f),
+        converged=bool(optimum.converged),
         boundary=boundary,
         data=data,
-        n_obs=prof.n_obs,
-        n_subjects=prof.n_subjects,
+        n_obs=stats.n_obs,
+        n_subjects=stats.n_subjects,
+        evaluations=int(optimum.evaluations),
+        restarted=bool(optimum.restarted),
     )

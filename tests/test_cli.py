@@ -70,6 +70,15 @@ class TestFitCommand:
         assert payload["loglik"] == pytest.approx(fit.loglik, abs=1e-10)
         assert payload["estimates"]["mu0"] == pytest.approx(fit.theta_hat.beta[0], abs=1e-10)
 
+    def test_search_diagnostics(self, data_file, capsys):
+        path, data = data_file
+        code, out, _ = run_cli(capsys, "fit", str(path), "--candidate", "O4M4")
+        assert code == 0
+        search = json.loads(out)["search"]
+        fit = fit_ml(CandidateModel.from_id("O4M4"), data)
+        assert search == {"evaluations": fit.evaluations, "restarted": fit.restarted}
+        assert search["evaluations"] > 1
+
     def test_block_summaries_match_dense_per_subject(self, tmp_path, capsys):
         # shared grids interleaved with singleton grids of the same lengths:
         # summaries computed once per grid must come out in subject order

@@ -10,6 +10,7 @@ from lmmbic.candidates import (
     CandidateModel,
     TrueParameters,
     build_design,
+    design_columns,
     enumerate_candidates,
     generate_dataset,
 )
@@ -19,7 +20,10 @@ from lmmbic.estimation import (
     VARIANCE_FLOOR,
     ProfiledLikelihood,
     UnidentifiableModelError,
+    _covers,
     _minimize_box,
+    _profile_stack,
+    _search,
     dataset_statistics,
     fit_ml,
 )
@@ -213,6 +217,22 @@ class TestProfiledLikelihood:
                 for factor in (0.9, 1.1):
                     assert prof.evaluate(theta * sigma2 * factor, sigma2 * factor)[0] < loglik
 
+    def test_breakdown_stays_in_its_row(self):
+        # a stacked factorization that fails, or overflows, fails for the
+        # whole stack: the other rows keep their one-row values bit for bit
+        stats = dataset_statistics(study_dataset("a", "O4M4"))
+        theta = np.random.default_rng(21).uniform(0.0, 2.0, size=(4, 3))
+        theta[2] = 1e306  # 1e300 still gives a finite f on this design
+        mean = np.ones((4, 5), dtype=bool)
+        mean[1, 3:] = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = _profile_stack(stats, mean, theta)
+            assert stacked[0][2] == np.inf
+            for i in (0, 1, 3):
+                alone = _profile_stack(stats, mean[i : i + 1], theta[i : i + 1])
+                for a, b in zip(alone, stacked):
+                    np.testing.assert_array_equal(a[0], b[i])
+
     def test_absent_random_effects_are_zero_variances_of_o4(self):
         # every candidate reads O4M4's one rotation: it is O4Mm with the
         # variances it lacks held at zero
@@ -313,44 +333,80 @@ class TestProfileBeta:
 
 
 class TestBoundedQuasiNewton:
+    # _minimize_box searches a stack of functions; these call it on
+    # one-row stacks, except the test that compares a stack against them
+
     @staticmethod
     def bowl(target):
-        def f(z):
-            return float(((z - target) ** 2).sum()), 2.0 * (z - target)
+        def f(z, rows):
+            return ((z - target) ** 2).sum(axis=1), 2.0 * (z - target)
 
         return f
 
+    @staticmethod
+    def rosenbrock(z, rows):
+        a, b = z[:, 0], z[:, 1]
+        value = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+        grad = np.stack([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)], axis=1)
+        return value, grad
+
     def test_quadratic_bowl(self):
         target = np.array([1.5, -2.0, 0.5])
-        z, fz, g, converged, _ = _minimize_box(self.bowl(target), np.zeros(3), -5.0, 5.0, 500, 1e-10)
-        assert converged
-        np.testing.assert_allclose(z, target, atol=1e-8)
-        assert fz < 1e-14
+        z, fz, g, converged, _, _ = _minimize_box(
+            self.bowl(target), np.zeros((1, 3)), -5.0, 5.0, 500, 1e-10
+        )
+        assert converged[0]
+        np.testing.assert_allclose(z[0], target, atol=1e-8)
+        assert fz[0] < 1e-14
 
     def test_minimum_outside_box_lands_on_bound(self):
         # the unconstrained minimum (-3, 7, 0.5) lies outside [-1, 2]^3
         # on two coordinates: both stop on their bounds with the gradient
         # pointing out of the box, and the KKT report holds there
         target = np.array([-3.0, 7.0, 0.5])
-        z, _, g, converged, _ = _minimize_box(self.bowl(target), np.zeros(3), -1.0, 2.0, 500, 1e-10)
-        assert converged
-        np.testing.assert_allclose(z, [-1.0, 2.0, 0.5], atol=1e-8)
-        assert g[0] > 0 and g[1] < 0
+        z, _, g, converged, _, _ = _minimize_box(
+            self.bowl(target), np.zeros((1, 3)), -1.0, 2.0, 500, 1e-10
+        )
+        assert converged[0]
+        np.testing.assert_allclose(z[0], [-1.0, 2.0, 0.5], atol=1e-8)
+        assert g[0, 0] > 0 and g[0, 1] < 0
 
     def test_iteration_cap_reports_nonconvergence(self):
-        def rosenbrock(z):
-            a, b = z
-            value = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
-            grad = np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)])
-            return value, grad
+        start = np.array([[-1.2, 1.0]])
+        z, _, _, converged, iterations, _ = _minimize_box(self.rosenbrock, start, -5.0, 5.0, 3, 1e-10)
+        assert not converged[0]
+        assert iterations[0] == 3
+        _, _, _, converged, _, _ = _minimize_box(self.rosenbrock, start, -5.0, 5.0, 500, 1e-10)
+        assert converged[0]
 
-        z, _, _, converged, iterations = _minimize_box(
-            rosenbrock, np.array([-1.2, 1.0]), -5.0, 5.0, 3, 1e-10
-        )
-        assert not converged
-        assert iterations == 3
-        _, _, _, converged, _ = _minimize_box(rosenbrock, np.array([-1.2, 1.0]), -5.0, 5.0, 500, 1e-10)
-        assert converged
+    def test_stack_rows_search_as_if_alone(self):
+        # a bowl, a bowl whose minimum lies outside its box, Rosenbrock on
+        # the first two coordinates and a row whose start is not finite
+        bowl, boxed = self.bowl(np.array([1.5, -2.0, 0.5])), self.bowl(np.array([-3.0, 7.0, 0.5]))
+
+        def rosenbrock(z, rows):
+            value, grad = self.rosenbrock(z, rows)
+            return value, np.column_stack([grad, np.zeros(len(z))])
+
+        def infinite(z, rows):
+            return np.full(len(z), np.inf), np.zeros_like(z)
+
+        pieces = [bowl, boxed, rosenbrock, infinite]
+
+        def stacked(z, rows):
+            parts = [pieces[r](z[k : k + 1], rows[k : k + 1]) for k, r in enumerate(rows)]
+            return np.concatenate([f for f, _ in parts]), np.concatenate([g for _, g in parts])
+
+        starts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.2, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        lower = np.array([[-5.0], [-1.0], [-5.0], [-5.0]])
+        upper = np.array([[5.0], [2.0], [5.0], [5.0]])
+        together = _minimize_box(stacked, starts, lower, upper, 500, 1e-10)
+        assert list(together[3]) == [True, True, True, False]
+        assert together[1][3] == np.inf and together[4][3] == 0
+        for r, piece in enumerate(pieces):
+            alone = _minimize_box(piece, starts[r : r + 1], lower[r], upper[r], 500, 1e-10)
+            for a, b in zip(alone, together):
+                np.testing.assert_array_equal(a[0], b[r])
 
 
 def study_data(seed=101, n_subjects=40, n_per=8, truth=None):
@@ -441,27 +497,59 @@ class TestFitMl:
         datasets += [random_dataset(rng, n_subjects=12, min_obs=2, max_obs=9) for _ in range(3)]
         cands = enumerate_candidates()
         for data in datasets:
-            loglik = {c: fit_ml(c, data).loglik for c in cands}
+            fits = {c: fit_ml(c, data) for c in cands}
+            loglik = {c: fit.loglik for c, fit in fits.items()}
             for small in cands:
                 for large in cands:
                     if free_terms(small) <= free_terms(large):
                         tolerance = 1e-11 * (1.0 + abs(loglik[large]))
                         assert loglik[large] >= loglik[small] - tolerance, (small.id, large.id)
+                # a candidate whose search ends with the variance it adds over
+                # a cover at exactly zero is that cover's model, bit for bit
+                for large in cands:
+                    if small in _covers(large) and small.m == large.m:
+                        labels = large.variance_labels()
+                        (extra,) = set(labels) - set(small.variance_labels())
+                        if fits[large].theta_hat.omega2[labels.index(extra)] == 0.0:
+                            assert loglik[large] == loglik[small], (small.id, large.id)
 
-    def test_loglik_matches_dense_reference_at_fitted_optima(self):
-        # shared grid, ragged grids, a mix of shared and singleton grids,
-        # and subjects with fewer points than O4's three random effects
+    @staticmethod
+    def reference_layouts():
+        """A shared grid, ragged grids, a mix of shared and singleton
+        grids, and subjects with fewer points than O4's three random
+        effects."""
         shared = study_dataset("a", "O4M4")
         rng = np.random.default_rng(35)
         ragged = random_dataset(rng, n_subjects=12, min_obs=2, max_obs=9)
         layout = [(4, 3), (1, 1), (5, 2), (2, 1), (3, 4)]
         mixed = mixed_grid_dataset(layout, [True, False] * 6, seed=36)
         tiny = random_dataset(rng, n_subjects=30, min_obs=1, max_obs=2)
-        for data in (shared, ragged, mixed, tiny):
+        return shared, ragged, mixed, tiny
+
+    def test_loglik_matches_dense_reference_at_fitted_optima(self):
+        for data in self.reference_layouts():
             for cand in enumerate_candidates():
                 fit = fit_ml(cand, data)
                 dense = log_likelihood(fit.theta_hat, cand, data)
                 np.testing.assert_allclose(fit.loglik, dense, rtol=1e-9, err_msg=cand.id)
+
+    def test_family_matches_one_row_searches(self):
+        # each candidate's optimum from the family's stacked searches is the
+        # one its own search reaches from the same start; O2M3 and O4M3
+        # restart from O1M3's optimum on the last dataset
+        for data in self.reference_layouts() + (study_dataset("d", "O1M4", seed=7),):
+            fit_ml(CandidateModel(m=1, o=1), data)
+            stats = dataset_statistics(data)
+            for cand in enumerate_candidates():
+                optimum = stats.optima[cand]
+                mean_columns, random_columns = design_columns(cand)
+                mean = np.isin(np.arange(5), mean_columns)[None]
+                random = np.isin(np.arange(3), random_columns)[None]
+                start = np.where(random, lmmbic.estimation._START, 0.0)
+                if optimum.restarted:
+                    start = min((stats.optima[c] for c in _covers(cand)), key=lambda o: o.f).theta
+                _, f, _, _ = _search(stats, mean, random, start.reshape(1, 3))
+                np.testing.assert_allclose(optimum.f, f[0], rtol=1e-12, atol=0.0, err_msg=cand.id)
 
     def test_reaches_optimum_the_log_variance_simplex_missed(self):
         # the simplex stopped at -191.53 here, 1.73 short of the optimum
