@@ -165,7 +165,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "N": fit.n_subjects,
         "estimates": {label: float(v) for label, v in zip(labels, values)},
         "boundary": list(fit.boundary),
-        "search": {"evaluations": fit.evaluations, "restarted": fit.restarted},
+        "search": {
+            "iterations": fit.iterations,
+            "evaluations": fit.evaluations,
+            "restarted": fit.restarted,
+        },
         "blocks": _block_summaries(fit),
     }
     _emit_json(payload, args.out)

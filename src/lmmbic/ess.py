@@ -7,7 +7,23 @@ n / (1 + (n - 1) rho), so strong positive correlation shrinks the
 count toward 1 and independence leaves it at n.
 
 Grouped data has block-diagonal correlation, so the dataset total is
-the sum of per-subject magnitudes; the full matrix is never formed.
+the sum of per-subject magnitudes.  Neither the full matrix nor a
+subject's R_i is formed: with a grid's basis Q and capacitance
+Ct = I + D = L L', D = R Theta R' (see estimation), s the square roots
+of Vt's diagonal 1 + diag(Q D Q') and a = Q's, R_i^-1 =
+diag(s) Vt^-1 diag(s) and the Woodbury identity give
+
+    1' R_i^-1 1 = ||s - Q a||^2 + a' Ct^-1 a
+                = (n_i - ||Q'1||^2) + (||s - Q a||^2 + ||L^-1 a||^2).
+
+The first term is zero in exact arithmetic (the intercept puts 1 in
+Q's span); it makes two cases exact by construction.  Without random
+effects D = 0, so s = 1, a = Q'1, L = I, and ||s - Q a||^2 is below
+half an ulp of ||Q'1||^2, which is within a factor 2 of n_i:
+n_i - ||Q'1||^2 is exact and adding ||Q'1||^2 back gives n_i.  On a
+one-point grid Q = [1, 0, 0], s = Q a and s^2 = 1 + D_00 = Ct_00, so
+L^-1 a = s / sqrt(Ct_00) = 1: the sum is 1.  The second term adds two
+non-negative parts, so nothing cancels as the variances grow.
 """
 
 from __future__ import annotations
@@ -84,17 +100,22 @@ def correlation_structure(fit: FittedModel) -> CorrelationStructure:
 def effective_sample_size(fit: FittedModel) -> float:
     """Total magnitude of the fit's implied correlation structure.
 
-    Equals sum_i 1' R_i^-1 1 over subjects.  Subjects sharing an
-    observation grid share R_i, so each distinct grid is factorized
-    once, and the grids of one length in one batched factorization.
-    The grids come from the dataset's statistics (dataset_statistics),
-    shared with the likelihood.
+    Equals sum_i 1' R_i^-1 1 over subjects, read off the capacitance of
+    each distinct grid of the dataset's statistics (dataset_statistics),
+    shared with the likelihood, in a few batched calls over all grids.
     """
+    stats = dataset_statistics(fit.data)
     _, random = design_columns(fit.candidate)
-    total = 0.0
-    for Z, counts in dataset_statistics(fit.data).grids:
-        V = assemble_marginal_covariance(
-            Z[..., random], fit.theta_hat.omega2, fit.theta_hat.sigma2
-        )
-        total += float(counts @ _magnitudes(correlation_from_covariance(V)))
-    return total
+    D = ((fit.theta_hat.omega2 / fit.theta_hat.sigma2) @ stats.rr[random]).reshape(-1, 3, 3)
+    q, sizes = stats.point_q, stats.grid_sizes
+    s = np.sqrt(1.0 + np.einsum("pa,pab,pb->p", q, np.repeat(D, sizes, axis=0), q))
+    starts = np.cumsum(sizes) - sizes
+    ones, a = np.add.reduceat(q, starts), np.add.reduceat(q * s[:, None], starts)
+    perp = s - (q * np.repeat(a, sizes, axis=0)).sum(axis=1)
+    # L^-1 a by forward substitution, dividing as the one-point case needs
+    L = np.linalg.cholesky(D + np.eye(3))
+    x = np.empty_like(a)
+    for k in range(3):
+        x[:, k] = (a[:, k] - (L[:, k, :k] * x[:, :k]).sum(axis=1)) / L[:, k, k]
+    second = np.add.reduceat(perp * perp, starts) + (x * x).sum(axis=1)
+    return float(stats.counts @ ((sizes - (ones * ones).sum(axis=1)) + second))

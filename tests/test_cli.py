@@ -76,8 +76,12 @@ class TestFitCommand:
         assert code == 0
         search = json.loads(out)["search"]
         fit = fit_ml(CandidateModel.from_id("O4M4"), data)
-        assert search == {"evaluations": fit.evaluations, "restarted": fit.restarted}
-        assert search["evaluations"] > 1
+        assert search == {
+            "iterations": fit.iterations,
+            "evaluations": fit.evaluations,
+            "restarted": fit.restarted,
+        }
+        assert 1 <= search["iterations"] < search["evaluations"]
 
     def test_block_summaries_match_dense_per_subject(self, tmp_path, capsys):
         # shared grids interleaved with singleton grids of the same lengths:

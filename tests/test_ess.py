@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from lmmbic.candidates import CandidateModel, TrueParameters, generate_dataset
+from lmmbic.candidates import (
+    CandidateModel,
+    TrueParameters,
+    design_columns,
+    enumerate_candidates,
+    generate_dataset,
+)
 from lmmbic.data import Dataset, SubjectBlock
-from lmmbic.estimation import FittedModel, fit_ml
+from lmmbic.estimation import VARIANCE_FLOOR, FittedModel, dataset_statistics, fit_ml
 from lmmbic.ess import correlation_structure, effective_sample_size, magnitude
 from lmmbic.model import ParameterVector
 from lmmbic.simulation import SimulationDesign
@@ -193,3 +199,72 @@ class TestEffectiveSampleSize:
         weak = synthetic_fit(CandidateModel(m=1, o=1), data, omega2=[0.05], sigma2=1.0)
         strong = synthetic_fit(CandidateModel(m=1, o=1), data, omega2=[5.0], sigma2=1.0)
         assert effective_sample_size(strong) < effective_sample_size(weak)
+
+    @staticmethod
+    def grid_layouts():
+        """A shared grid, ragged grids, shared grids mixed with singleton
+        grids, and 2-point grids."""
+        rng = np.random.default_rng(66)
+        truth = TrueParameters(
+            mu=[1.0, 0.3, -0.02], alpha=[0.5, 0.0], omega2=[0.5, 0.1, 0.0], sigma2=1.0
+        )
+        shared = generate_dataset(SimulationDesign("t", 12, 6), truth, seed=67)
+
+        def subjects(grids):
+            return Dataset(subjects=tuple(
+                SubjectBlock(id=f"s{i}", x=x, c=rng.normal(), y=rng.normal(size=x.size))
+                for i, x in enumerate(grids)
+            ))
+
+        def grid(n_points):
+            return np.sort(rng.uniform(0.0, 10.0, size=n_points))
+
+        ragged = subjects([grid(int(rng.integers(1, 10))) for _ in range(12)])
+        a, b = grid(5), grid(3)
+        mixed = subjects([a, grid(4), a, b, grid(1), a, b, grid(2)])
+        pair = grid(2)
+        two_point = subjects([pair, grid(2), pair, grid(2), pair, grid(2)])
+        return shared, ragged, mixed, two_point
+
+    def test_matches_dense_reference(self):
+        # the capacitance form against the dense correlation blocks, at
+        # random variances, with sigma2 on the floor, and at fitted optima;
+        # theta_j s_j^2 up to 2 puts a random effect's share of the
+        # variance at up to twice the noise's, as the search scales it
+        rng = np.random.default_rng(68)
+        for data in self.grid_layouts():
+            z_scale2 = dataset_statistics(data).z_scale2
+            for cand in enumerate_candidates():
+                _, random = design_columns(cand)
+                theta = rng.uniform(0.0, 2.0, size=cand.n_variance) / z_scale2[random]
+                fits = [
+                    synthetic_fit(cand, data, omega2=theta * 0.7, sigma2=0.7),
+                    synthetic_fit(cand, data, omega2=theta * VARIANCE_FLOOR, sigma2=VARIANCE_FLOOR),
+                ]
+                try:
+                    fits.append(fit_ml(cand, data))
+                except ValueError:
+                    pass  # not identifiable on this layout
+                for fit in fits:
+                    np.testing.assert_allclose(
+                        effective_sample_size(fit), correlation_structure(fit).n_e,
+                        rtol=1e-10, err_msg=cand.id,
+                    )
+
+    def test_single_observation_subjects_count_exactly_at_random(self):
+        # R_i = [1] whatever the variances: one square root of each side
+        # of 1 + theta z'z rounded apart would miss N
+        rng = np.random.default_rng(69)
+        cands = enumerate_candidates()
+        for _ in range(300):
+            data = Dataset(subjects=tuple(
+                SubjectBlock(
+                    id=f"s{i}", x=rng.uniform(-10.0, 10.0, size=1), c=rng.normal(),
+                    y=rng.normal(size=1),
+                )
+                for i in range(int(rng.integers(1, 16)))
+            ))
+            cand = cands[int(rng.integers(16))]
+            omega2 = rng.uniform(0.0, 5.0, size=cand.n_variance) * 10.0 ** rng.integers(-6, 4)
+            fit = synthetic_fit(cand, data, omega2=omega2, sigma2=float(rng.uniform(0.1, 3.0)))
+            assert effective_sample_size(fit) == float(data.n_subjects)

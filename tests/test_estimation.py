@@ -22,8 +22,10 @@ from lmmbic.estimation import (
     UnidentifiableModelError,
     _covers,
     _minimize_box,
+    _profile,
     _profile_stack,
     _search,
+    _solve,
     dataset_statistics,
     fit_ml,
 )
@@ -204,6 +206,45 @@ class TestProfiledLikelihood:
                         fd[j] = (prof.profile(up)[0] - prof.profile(down)[0]) / (2 * h)
                     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7 * data.n_obs)
 
+    def test_profile_hessian_matches_differenced_gradient(self):
+        # the exact Hessian against central differences of the exact
+        # gradient, at interior theta and on faces with one theta_j = 0
+        x = np.linspace(0.0, 10.0, 4)
+        line = [SubjectBlock(id=f"s{i}", x=x, c=float(i), y=1.0 + 2.0 * x) for i in range(6)]
+        exact = Dataset(subjects=tuple(line))  # rss = 0: the mean fits exactly
+        # noise of 7e-7 about a line of slope 2e-6: rss > 0 and sigma2_hat on the floor,
+        # close enough to it that the free-sigma2 term would show
+        rng = np.random.default_rng(22)
+        on_floor = Dataset(subjects=tuple(
+            SubjectBlock(id=b.id, x=b.x, c=b.c, y=1e-6 * b.y + 7e-7 * rng.normal(size=b.x.size))
+            for b in line
+        ))
+        for data in TestFitMl.reference_layouts() + (on_floor, exact):
+            stats = dataset_statistics(data)
+            for cand in enumerate_candidates():
+                mean_columns, random_columns = design_columns(cand)
+                mean = np.isin(np.arange(5), mean_columns)[None]
+                theta = np.zeros((1, 3))
+                theta[0, random_columns] = rng.uniform(0.05, 2.0, size=random_columns.size)
+                theta /= stats.z_scale2
+                face = theta.copy()
+                face[0, random_columns[rng.integers(random_columns.size)]] = 0.0
+                for point in (theta, face):
+                    _, _, hess, sigma2, _ = _profile(stats, mean, point)
+                    for j in random_columns:
+                        # a step of 1e-6 in theta_j s_j^2, the unit of the search
+                        h = 1e-6 * max(point[0, j] * stats.z_scale2[j], 1.0) / stats.z_scale2[j]
+                        up, down = point.copy(), point.copy()
+                        up[0, j] += h
+                        down[0, j] -= h
+                        fd = (_profile(stats, mean, up)[1] - _profile(stats, mean, down)[1]) / (2 * h)
+                        row = hess[0, j, random_columns]
+                        scale = np.abs(row).max()
+                        np.testing.assert_allclose(row, fd[0, random_columns], rtol=0.0, atol=1e-4 * scale)
+                    if data is on_floor or data is exact:
+                        assert sigma2[0] == VARIANCE_FLOOR
+                        assert (_solve(stats, mean, point)[1][0] > 0.0) == (data is on_floor)
+
     def test_profile_is_evaluate_at_sigma2_hat(self):
         rng = np.random.default_rng(19)
         for data in self.gradient_layouts():
@@ -228,6 +269,7 @@ class TestProfiledLikelihood:
         with np.errstate(over="ignore", invalid="ignore"):
             stacked = _profile_stack(stats, mean, theta)
             assert stacked[0][2] == np.inf
+            assert not stacked[2][2].any()  # a zero Hessian at the priced-out row
             for i in (0, 1, 3):
                 alone = _profile_stack(stats, mean[i : i + 1], theta[i : i + 1])
                 for a, b in zip(alone, stacked):
@@ -332,14 +374,15 @@ class TestProfileBeta:
         assert best_offset == (0.0, 0.0, 0.0)
 
 
-class TestBoundedQuasiNewton:
+class TestBoundedNewton:
     # _minimize_box searches a stack of functions; these call it on
     # one-row stacks, except the test that compares a stack against them
 
     @staticmethod
     def bowl(target):
         def f(z, rows):
-            return ((z - target) ** 2).sum(axis=1), 2.0 * (z - target)
+            hess = np.tile(2.0 * np.eye(z.shape[1]), (len(z), 1, 1))
+            return ((z - target) ** 2).sum(axis=1), 2.0 * (z - target), hess
 
         return f
 
@@ -348,7 +391,11 @@ class TestBoundedQuasiNewton:
         a, b = z[:, 0], z[:, 1]
         value = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
         grad = np.stack([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)], axis=1)
-        return value, grad
+        hess = np.empty((len(z), 2, 2))
+        hess[:, 0, 0] = 2.0 - 400.0 * (b - 3.0 * a * a)
+        hess[:, 0, 1] = hess[:, 1, 0] = -400.0 * a
+        hess[:, 1, 1] = 200.0
+        return value, grad, hess
 
     def test_quadratic_bowl(self):
         target = np.array([1.5, -2.0, 0.5])
@@ -385,17 +432,19 @@ class TestBoundedQuasiNewton:
         bowl, boxed = self.bowl(np.array([1.5, -2.0, 0.5])), self.bowl(np.array([-3.0, 7.0, 0.5]))
 
         def rosenbrock(z, rows):
-            value, grad = self.rosenbrock(z, rows)
-            return value, np.column_stack([grad, np.zeros(len(z))])
+            value, grad, hess = self.rosenbrock(z, rows)
+            padded = np.zeros((len(z), 3, 3))
+            padded[:, :2, :2] = hess
+            return value, np.column_stack([grad, np.zeros(len(z))]), padded
 
         def infinite(z, rows):
-            return np.full(len(z), np.inf), np.zeros_like(z)
+            return np.full(len(z), np.inf), np.zeros_like(z), np.zeros((len(z), 3, 3))
 
         pieces = [bowl, boxed, rosenbrock, infinite]
 
         def stacked(z, rows):
             parts = [pieces[r](z[k : k + 1], rows[k : k + 1]) for k, r in enumerate(rows)]
-            return np.concatenate([f for f, _ in parts]), np.concatenate([g for _, g in parts])
+            return tuple(np.concatenate(column) for column in zip(*parts))
 
         starts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.2, 1.0, 0.0], [1.0, 1.0, 1.0]])
         lower = np.array([[-5.0], [-1.0], [-5.0], [-5.0]])
@@ -548,8 +597,10 @@ class TestFitMl:
                 start = np.where(random, lmmbic.estimation._START, 0.0)
                 if optimum.restarted:
                     start = min((stats.optima[c] for c in _covers(cand)), key=lambda o: o.f).theta
-                _, f, _, _ = _search(stats, mean, random, start.reshape(1, 3))
+                _, f, _, _, _ = _search(stats, mean, random, start.reshape(1, 3))
                 np.testing.assert_allclose(optimum.f, f[0], rtol=1e-12, atol=0.0, err_msg=cand.id)
+                # every Newton step costs at least one evaluation, the start one more
+                assert 0 < optimum.iterations < optimum.evaluations, cand.id
 
     def test_reaches_optimum_the_log_variance_simplex_missed(self):
         # the simplex stopped at -191.53 here, 1.73 short of the optimum
