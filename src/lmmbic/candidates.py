@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, SubjectBlock
-from .rng import substream
+from .rng import substream_keys
 
 X_RANGE = (0.0, 10.0)
 
@@ -267,22 +267,36 @@ def generate_dataset(design: SimulationDesign, truth: TrueParameters, seed: int)
     the result is reproducible and independent of generation order.
     Random-effect draws are always taken for all three components and
     scaled by the stored standard deviations, which keeps the stream
-    layout identical across generating structures.
+    layout identical across generating structures.  The 2N keys come
+    from one substream_keys pass and one generator is re-keyed per
+    substream, which draws exactly what substream(seed, i, j) would.
     """
     x = shared_x_grid(design.n_per_subject)
     xsq = x * x
     sd_eta = np.sqrt(truth.omega2)
     sd_eps = np.sqrt(truth.sigma2)
-    width = len(str(design.n_subjects))
-    subjects = []
-    for i in range(design.n_subjects):
-        draw = substream(seed, i, 0)
-        noise = substream(seed, i, 1)
-        c = draw.normal(0.0, 1.0)
-        eta = draw.normal(0.0, 1.0, size=3) * sd_eta
-        psi0 = truth.mu[0] + eta[0]
-        psi1 = truth.mu[1] + truth.alpha[0] * c + eta[1]
-        psi2 = truth.mu[2] + truth.alpha[1] * c + eta[2]
-        y = psi0 + psi1 * x + psi2 * xsq + sd_eps * noise.normal(0.0, 1.0, size=x.size)
-        subjects.append(SubjectBlock(id=f"s{i + 1:0{width}d}", x=x, c=c, y=y))
-    return Dataset(subjects=tuple(subjects))
+    N = design.n_subjects
+    paths = np.stack([np.repeat(np.arange(N), 2), np.tile([0, 1], N)], axis=1)
+    keys = substream_keys(seed, paths).reshape(N, 2, 2).tolist()
+    bits = np.random.Philox(key=0)
+    draw = np.random.Generator(bits)
+    state = bits.state  # a fresh generator's: counter 0, empty buffer
+    first, noise = np.empty((N, 4)), np.empty((N, x.size))
+    for i, (key_draw, key_noise) in enumerate(keys):
+        state["state"]["key"] = key_draw
+        bits.state = state
+        first[i] = draw.normal(0.0, 1.0, size=4)  # c, then the three eta
+        state["state"]["key"] = key_noise
+        bits.state = state
+        noise[i] = draw.normal(0.0, 1.0, size=x.size)
+    c = first[:, 0]
+    eta = first[:, 1:] * sd_eta
+    psi0 = truth.mu[0] + eta[:, 0]
+    psi1 = truth.mu[1] + truth.alpha[0] * c + eta[:, 1]
+    psi2 = truth.mu[2] + truth.alpha[1] * c + eta[:, 2]
+    y = psi0[:, None] + psi1[:, None] * x + psi2[:, None] * xsq + sd_eps * noise
+    width = len(str(N))
+    subjects = tuple(
+        SubjectBlock(id=f"s{i + 1:0{width}d}", x=x, c=c[i], y=y[i]) for i in range(N)
+    )
+    return Dataset(subjects=subjects)

@@ -47,7 +47,9 @@ fixed number of batched numpy calls whose arithmetic is linear in B G:
 with one shared grid the cost does not grow with the number of
 subjects, and on unbalanced data, where every subject may have its own
 grid, it does not pay a Python loop over the grids.  The sixteen
-searches run in lockstep on the first fit of a dataset (_search_family).
+searches run in lockstep on the first fit of a dataset (_search_family),
+which checks identifiability once per mean structure and calls the core
+on the whole stack: the fit path constructs no ProfiledLikelihood.
 """
 
 from __future__ import annotations
@@ -240,28 +242,24 @@ def dataset_statistics(data: Dataset) -> DatasetStatistics:
 class ProfiledLikelihood:
     """One candidate's likelihood with beta profiled out.
 
-    Construction checks that the candidate is identifiable on the data.
-    evaluate() and profile() are the one-row case of the stacked core
-    (_solve, _profile) on the dataset's statistics (dataset_statistics).
+    Construction checks that the candidate is identifiable on the data
+    (_identifiability).  evaluate() and profile() are the one-row case of
+    the stacked core (_solve, _profile) on the dataset's statistics
+    (dataset_statistics).  The fit path does not construct it: the
+    family search (_search_family) checks identifiability once per mean
+    structure and calls the core on the whole stack.
     """
 
     def __init__(self, candidate: CandidateModel, data: Dataset):
         stats = dataset_statistics(data)
-        if (candidate.alpha1_free or candidate.alpha2_free) and stats.constant_covariate:
-            raise UnidentifiableModelError(
-                f"candidate {candidate.id} has a covariate-by-x term but "
-                "the subject covariate takes a single value"
-            )
-        mean, random = design_columns(candidate)
-        if np.linalg.matrix_rank(stats.xtx[np.ix_(mean, mean)], hermitian=True) < mean.size:
-            raise UnidentifiableModelError(
-                f"mean design for candidate {candidate.id} is rank deficient"
-            )
+        problem = _identifiability(stats, candidate.m)
+        if problem is not None:
+            raise UnidentifiableModelError(problem.format(id=candidate.id))
         self.candidate = candidate
         self._stats = stats
-        self._mean = np.bincount(mean, minlength=5) > 0      # (5,): its columns of O4M4's X
-        self._random = np.bincount(random, minlength=3) > 0  # (3,): its columns of O4M4's Z
-        self.z_scale2 = stats.z_scale2[random]
+        self._mean = _MEAN[candidate.enumeration_index]
+        self._random = _PRESENT[candidate.enumeration_index]
+        self.z_scale2 = stats.z_scale2[self._random]
 
     def evaluate(self, omega2: np.ndarray, sigma2: float) -> tuple[float, np.ndarray]:
         """Profiled log-likelihood and the GLS beta at these variances.
@@ -416,31 +414,34 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
     eye = np.eye(d)
     z = np.clip(z0, lower, upper)
     f, g, h = fun(z, np.arange(B))
+    # a round's trial values; rows it does not evaluate keep old ones, which
+    # the masks ignore
+    f_new, g_new, h_new = f.copy(), g.copy(), h.copy()
     evaluations, iterations = np.ones(B, dtype=int), np.zeros(B, dtype=int)
     converged, running = np.zeros(B, dtype=bool), np.isfinite(f)
     direction, trial = np.zeros((B, d)), z.copy()
     t, tries = np.ones(B), np.zeros(B, dtype=int)
 
-    def kkt(rows: np.ndarray) -> np.ndarray:
-        projected = z[rows] - np.clip(z[rows] - g[rows], lower[rows], upper[rows])
-        return np.abs(projected).max(axis=1) <= rel_tol * (1.0 + np.abs(f[rows]))
-
-    def halve(rows: np.ndarray) -> np.ndarray:
+    def halve(rows: np.ndarray, kkt: np.ndarray) -> np.ndarray:
         # a row out of halvings stops where it is
-        t[rows] *= 0.5
-        tries[rows] += 1
-        out = rows[tries[rows] >= _LINE_SEARCH_STEPS]
-        converged[out], running[out] = kkt(out), False
-        iterations[out] += 1
-        return rows[tries[rows] < _LINE_SEARCH_STEPS]
+        np.multiply(t, 0.5, out=t, where=rows)
+        np.add(tries, rows, out=tries)
+        out = rows & (tries >= _LINE_SEARCH_STEPS)
+        np.copyto(converged, kkt, where=out)
+        np.copyto(running, False, where=out)
+        np.add(iterations, out, out=iterations)
+        return rows & ~out
 
-    starting, backtracking = np.flatnonzero(running), np.zeros(0, dtype=int)
+    starting, backtracking = running.copy(), np.zeros(B, dtype=bool)
     while True:
-        # an iteration begins with the KKT check and the cap
-        converged[starting] = kkt(starting)
-        stop = converged[starting] | (iterations[starting] >= max_iterations)
-        running[starting[stop]] = False
-        rows = starting[~stop]
+        # the KKT check of every row where it stands: an iteration begins
+        # with it, and a row that stops in its line search has not moved since
+        kkt = np.abs(z - np.clip(z - g, lower, upper)).max(axis=1) <= rel_tol * (1.0 + np.abs(f))
+        np.copyto(converged, kkt, where=starting)
+        stop = starting & (kkt | (iterations >= max_iterations))
+        running &= ~stop
+        starting &= ~stop
+        rows = np.flatnonzero(starting)
         zr, gr, lo, up = z[rows], g[rows], lower[rows], upper[rows]
         held = (lo >= up) | ((zr <= lo) & (gr > 0)) | ((zr >= up) & (gr < 0))
         g_free = np.where(held, 0.0, gr)
@@ -448,31 +449,33 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
         lam = np.maximum(np.abs(lam), 1e-10 * np.abs(lam).max(axis=1, keepdims=True))
         dr = np.where(held, 0.0, -(V @ ((g_free[:, None, :] @ V)[:, 0] / lam)[:, :, None])[:, :, 0])
         direction[rows] = dr * np.minimum(1.0, _MAX_STEP / np.abs(dr).max(axis=1))[:, None]
-        t[rows], tries[rows] = 1.0, 0
+        np.copyto(t, 1.0, where=starting)
+        np.copyto(tries, 0, where=starting)
         # each row halves its step until its projected path descends
-        pending = np.concatenate([rows, backtracking])
-        while pending.size:
-            zp, dp = z[pending], t[pending, None] * direction[pending]
-            trial[pending] = np.clip(zp + dp, lower[pending], upper[pending])
-            pending = halve(pending[~((g[pending] * (trial[pending] - zp)).sum(axis=1) < 0)])
+        pending = starting | backtracking
+        while pending.any():
+            step = np.clip(z + t[:, None] * direction, lower, upper)
+            np.copyto(trial, step, where=pending[:, None])
+            pending = halve(pending & ~((g * (trial - z)).sum(axis=1) < 0), kkt)
         rows = np.flatnonzero(running)
         if not rows.size:
             return z, f, g, converged, iterations, evaluations
-        f_new, g_new, h_new = fun(trial[rows], rows)
-        evaluations[rows] += 1
-        fr, s = f[rows], trial[rows] - z[rows]
-        slope = (g[rows] * s).sum(axis=1)
+        f_new[rows], g_new[rows], h_new[rows] = fun(trial[rows], rows)
+        evaluations += running
+        s = trial - z
+        slope = (g * s).sum(axis=1)
         # Armijo, or its exact form on a quadratic, which reads the
         # gradient where rounding has flattened f
-        accept = (f_new <= fr + 1e-4 * slope) | (
-            (f_new <= fr + _F_ROUNDING * (1.0 + np.abs(fr)))
-            & ((g_new * s).sum(axis=1) <= (2e-4 - 1.0) * slope)
+        flat = (f_new <= f + _F_ROUNDING * (1.0 + np.abs(f))) & (
+            (g_new * s).sum(axis=1) <= (2e-4 - 1.0) * slope
         )
-        backtracking = halve(rows[~accept])
-        starting = rows[accept]
-        z[starting], f[starting] = trial[starting], f_new[accept]
-        g[starting], h[starting] = g_new[accept], h_new[accept]
-        iterations[starting] += 1
+        starting = running & ((f_new <= f + 1e-4 * slope) | flat)
+        backtracking = halve(running & ~starting, kkt)
+        np.copyto(z, trial, where=starting[:, None])
+        np.copyto(f, f_new, where=starting)
+        np.copyto(g, g_new, where=starting[:, None])
+        np.copyto(h, h_new, where=starting[:, None, None])
+        iterations += starting
 
 
 def _covers(candidate: CandidateModel) -> list[CandidateModel]:
@@ -481,6 +484,35 @@ def _covers(candidate: CandidateModel) -> list[CandidateModel]:
     return [CandidateModel(m=m, o=candidate.o) for m in fewer[candidate.m]] + [
         CandidateModel(m=candidate.m, o=o) for o in fewer[candidate.o]
     ]
+
+
+# The candidate lattice, in enumeration order: each candidate's columns of
+# O4M4's X (16, 5) and Z (16, 3), its parameter count, and the enumeration
+# indices of its covers (_covers).
+_CANDIDATES = tuple(enumerate_candidates())
+_MEAN = np.array([np.bincount(design_columns(c)[0], minlength=5) > 0 for c in _CANDIDATES])
+_PRESENT = np.array([np.bincount(design_columns(c)[1], minlength=3) > 0 for c in _CANDIDATES])
+_MEAN.flags.writeable = _PRESENT.flags.writeable = False
+_N_PARAMETERS = tuple(c.n_parameters for c in _CANDIDATES)
+_COVERS = tuple(tuple(cover.enumeration_index for cover in _covers(c)) for c in _CANDIDATES)
+
+
+def _identifiability(stats: DatasetStatistics, m: int) -> str | None:
+    """Why the candidates of mean structure m (M1-M4) are unidentifiable on
+    the data, as a message with {id} for the candidate's id, or None.
+
+    A candidate's mean columns depend only on m, so the answer holds for
+    all four of its variance structures.
+    """
+    if m > 1 and stats.constant_covariate:
+        return (
+            "candidate {id} has a covariate-by-x term but "
+            "the subject covariate takes a single value"
+        )
+    mean = np.flatnonzero(_MEAN[m - 1])
+    if np.linalg.matrix_rank(stats.xtx[np.ix_(mean, mean)], hermitian=True) < mean.size:
+        return "mean design for candidate {id} is rank deficient"
+    return None
 
 
 def _search(stats: DatasetStatistics, mean: np.ndarray, present: np.ndarray, start: np.ndarray):
@@ -508,8 +540,8 @@ def _search(stats: DatasetStatistics, mean: np.ndarray, present: np.ndarray, sta
     return _relative_variances(w, scale2), f, converged, iterations, evaluations
 
 
-def _search_family(data: Dataset, optima: dict[CandidateModel, _Optimum | str]) -> None:
-    """Fit all sixteen candidates on the dataset into optima.
+def _search_family(stats: DatasetStatistics) -> None:
+    """Fit all sixteen candidates on the dataset into stats.optima.
 
     Every identifiable candidate searches from _START, all in one stack.
     A cover (_covers) is the candidate with a term held at zero, so its
@@ -521,25 +553,24 @@ def _search_family(data: Dataset, optima: dict[CandidateModel, _Optimum | str]) 
     own is better by more than _SAME_OPTIMUM.  An unidentifiable
     candidate gets its error's message.
     """
-    profs = []
-    for candidate in enumerate_candidates():
-        try:
-            profs.append(ProfiledLikelihood(candidate, data))
-        except UnidentifiableModelError as exc:
-            optima[candidate] = str(exc)
-    if not profs:
+    problems = {m: _identifiability(stats, m) for m in (1, 2, 3, 4)}
+    ids = []  # enumeration indices of the stack's rows
+    for k, candidate in enumerate(_CANDIDATES):
+        if problems[candidate.m] is None:
+            ids.append(k)
+        else:
+            stats.optima[candidate] = problems[candidate.m].format(id=candidate.id)
+    if not ids:
         return
-    stats = dataset_statistics(data)
-    index = {prof.candidate: i for i, prof in enumerate(profs)}
-    mean = np.array([prof._mean for prof in profs])
-    present = np.array([prof._random for prof in profs])
+    row = {k: i for i, k in enumerate(ids)}
+    mean, present = _MEAN[ids], _PRESENT[ids]
     start = np.where(present, _START, 0.0)
     theta, f, converged, iterations, evaluations = _search(stats, mean, present, start)
-    restarted = np.zeros(len(profs), dtype=bool)
+    restarted = np.zeros(len(ids), dtype=bool)
     for size in range(6, 10):  # a level of the lattice; its covers have a parameter fewer
         best = {
-            i: min((index[cover] for cover in _covers(candidate)), key=lambda j: f[j])
-            for candidate, i in index.items() if candidate.n_parameters == size
+            row[k]: min((row[j] for j in _COVERS[k]), key=lambda j: f[j])
+            for k in ids if _N_PARAMETERS[k] == size
         }
         # rounding relative to the cover's f, which is finite even where f is not
         rows = [i for i, j in best.items() if f[j] < f[i] - _F_ROUNDING * (1.0 + abs(f[j]))]
@@ -551,15 +582,16 @@ def _search_family(data: Dataset, optima: dict[CandidateModel, _Optimum | str]) 
             evaluations[rows] += spent
             restarted[rows] = True
     f, _, _, sigma2, beta = _profile_stack(stats, mean, theta)
-    for candidate, i in index.items():  # covers come first in this order
-        same = [index[cover] for cover in _covers(candidate) if cover.m == candidate.m]
+    for i, k in enumerate(ids):  # covers come first in this order
+        same = [row[j] for j in _COVERS[k] if _CANDIDATES[j].m == _CANDIDATES[k].m]
         j = min((j for j in same if not theta[i, ~present[j]].any()), key=lambda j: f[j], default=i)
         if f[j] <= f[i] + _SAME_OPTIMUM * (1.0 + abs(f[i])):
             theta[i], f[i], beta[i], sigma2[i] = theta[j], f[j], beta[j], sigma2[j]
     theta.flags.writeable = beta.flags.writeable = False
-    for candidate, i in index.items():
+    for i, k in enumerate(ids):
         fields = theta[i], f[i], converged[i], beta[i], sigma2[i], iterations[i], evaluations[i]
-        optima[candidate] = _Optimum(*fields, restarted[i]) if math.isfinite(f[i]) else (
+        candidate = _CANDIDATES[k]
+        stats.optima[candidate] = _Optimum(*fields, restarted[i]) if math.isfinite(f[i]) else (
             f"likelihood for candidate {candidate.id} could not be evaluated at any visited point"
         )
 
@@ -600,7 +632,7 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
             f"but the data has only {stats.n_obs} observations"
         )
     if not stats.optima:
-        _search_family(data, stats.optima)
+        _search_family(stats)
     optimum = stats.optima[candidate]
     if isinstance(optimum, str):
         raise UnidentifiableModelError(optimum)

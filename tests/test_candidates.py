@@ -10,6 +10,7 @@ from lmmbic.candidates import (
     shared_x_grid,
 )
 from lmmbic.data import SubjectBlock
+from lmmbic.rng import substream, substream_keys
 from lmmbic.simulation import SimulationDesign
 
 
@@ -191,3 +192,68 @@ class TestGenerateDataset:
         c = data.subject_covariates()
         assert abs(c.mean()) < 0.15
         assert abs(c.std() - 1.0) < 0.15
+
+
+def reference_dataset(design, truth, seed):
+    """generate_dataset as one generator per substream draws it."""
+    x = shared_x_grid(design.n_per_subject)
+    xsq = x * x
+    sd_eta, sd_eps = np.sqrt(truth.omega2), np.sqrt(truth.sigma2)
+    out = []
+    for i in range(design.n_subjects):
+        draw, noise = substream(seed, i, 0), substream(seed, i, 1)
+        c = draw.normal(0.0, 1.0)
+        eta = draw.normal(0.0, 1.0, size=3) * sd_eta
+        psi0 = truth.mu[0] + eta[0]
+        psi1 = truth.mu[1] + truth.alpha[0] * c + eta[1]
+        psi2 = truth.mu[2] + truth.alpha[1] * c + eta[2]
+        y = psi0 + psi1 * x + psi2 * xsq + sd_eps * noise.normal(0.0, 1.0, size=x.size)
+        out.append((c, y))
+    return out
+
+
+class TestSubstreamKeys:
+    SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**200 - 12345)
+
+    def test_keys_match_seed_sequence(self):
+        # the 200-bit seed has more words than the pool and runs the
+        # branch that mixes them in one by one
+        rng = np.random.default_rng(3)
+        for seed in self.SEEDS:
+            for length in (1, 2, 3):
+                paths = rng.integers(0, 2**32, size=(5, length))
+                paths[0], paths[1] = 0, 2**32 - 1
+                expected = [
+                    np.random.SeedSequence(seed, spawn_key=tuple(map(int, path)))
+                    .generate_state(2, np.uint64)
+                    for path in paths
+                ]
+                np.testing.assert_array_equal(substream_keys(seed, paths), expected)
+
+    def test_rejects_out_of_domain(self):
+        with pytest.raises(ValueError):
+            substream_keys(-1, [[0]])
+        with pytest.raises(ValueError):
+            substream_keys(5, [[2**32]])
+        with pytest.raises(ValueError):
+            substream_keys(5, [[0.5]])
+
+    @pytest.mark.parametrize("n_subjects", [1, 7, 100, 400])
+    def test_generate_dataset_matches_substreams(self, n_subjects):
+        truths = (
+            simple_truth(omega2=[0.0, 0.0, 0.0], sigma2=0.7),
+            simple_truth(alpha=[0.6, -0.2], omega2=[0.5, 0.02, 0.001], sigma2=1.3),
+        )
+        for n_per in (2, 5, 100):
+            design = SimulationDesign("t", n_subjects, n_per)
+            for truth in truths:
+                for seed in (0, 2**63 - 1, 2**70 + 5):
+                    data = generate_dataset(design, truth, seed)
+                    expected = reference_dataset(design, truth, seed)
+                    width = len(str(n_subjects))
+                    assert [s.id for s in data.subjects] == [
+                        f"s{i + 1:0{width}d}" for i in range(n_subjects)
+                    ]
+                    for block, (c, y) in zip(data.subjects, expected):
+                        assert block.c == c
+                        assert block.y.tobytes() == y.tobytes()

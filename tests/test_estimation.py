@@ -18,6 +18,7 @@ import lmmbic.estimation
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
     VARIANCE_FLOOR,
+    _LINE_SEARCH_STEPS,
     ProfiledLikelihood,
     UnidentifiableModelError,
     _covers,
@@ -428,7 +429,8 @@ class TestBoundedNewton:
 
     def test_stack_rows_search_as_if_alone(self):
         # a bowl, a bowl whose minimum lies outside its box, Rosenbrock on
-        # the first two coordinates and a row whose start is not finite
+        # the first two coordinates, a row whose start is not finite, and
+        # a liar whose gradient points uphill, so its line search runs out
         bowl, boxed = self.bowl(np.array([1.5, -2.0, 0.5])), self.bowl(np.array([-3.0, 7.0, 0.5]))
 
         def rosenbrock(z, rows):
@@ -440,18 +442,28 @@ class TestBoundedNewton:
         def infinite(z, rows):
             return np.full(len(z), np.inf), np.zeros_like(z), np.zeros((len(z), 3, 3))
 
-        pieces = [bowl, boxed, rosenbrock, infinite]
+        def liar(z, rows):
+            hess = np.tile(2.0 * np.eye(3), (len(z), 1, 1))
+            return -((z - 1.0) ** 2).sum(axis=1), 2.0 * (z - 1.0), hess
+
+        pieces = [bowl, boxed, rosenbrock, infinite, liar]
 
         def stacked(z, rows):
             parts = [pieces[r](z[k : k + 1], rows[k : k + 1]) for k, r in enumerate(rows)]
             return tuple(np.concatenate(column) for column in zip(*parts))
 
-        starts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.2, 1.0, 0.0], [1.0, 1.0, 1.0]])
-        lower = np.array([[-5.0], [-1.0], [-5.0], [-5.0]])
-        upper = np.array([[5.0], [2.0], [5.0], [5.0]])
+        starts = np.array(
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.2, 1.0, 0.0], [1.0, 1.0, 1.0], [0.3, -0.2, 0.1]]
+        )
+        lower = np.array([[-5.0], [-1.0], [-5.0], [-5.0], [-5.0]])
+        upper = np.array([[5.0], [2.0], [5.0], [5.0], [5.0]])
         together = _minimize_box(stacked, starts, lower, upper, 500, 1e-10)
-        assert list(together[3]) == [True, True, True, False]
+        assert list(together[3]) == [True, True, True, False, False]
         assert together[1][3] == np.inf and together[4][3] == 0
+        # the liar stays at its start after one iteration: its first
+        # evaluation and every one of the halvings after it
+        np.testing.assert_array_equal(together[0][4], starts[4])
+        assert together[4][4] == 1 and together[5][4] == 1 + _LINE_SEARCH_STEPS
         for r, piece in enumerate(pieces):
             alone = _minimize_box(piece, starts[r : r + 1], lower[r], upper[r], 500, 1e-10)
             for a, b in zip(alone, together):
@@ -671,10 +683,14 @@ class TestFitMl:
             SubjectBlock(id=f"s{i}", x=x, c=1.0, y=rng.normal(size=5)) for i in range(8)
         )
         data = Dataset(subjects=subjects)
-        with pytest.raises(UnidentifiableModelError, match="single value"):
-            fit_ml(CandidateModel(m=2, o=1), data)
-        # without an alpha term the same data is fine
-        fit_ml(CandidateModel(m=1, o=1), data)
+        for cand in enumerate_candidates():
+            if cand.m == 1:
+                # without an alpha term the same data is fine
+                fit_ml(cand, data)
+            else:
+                message = f"candidate {cand.id} .*single value"
+                with pytest.raises(UnidentifiableModelError, match=message):
+                    fit_ml(cand, data)
 
     def test_too_few_observations_rejected(self):
         x = np.array([0.0, 5.0])
@@ -695,5 +711,7 @@ class TestFitMl:
             for i in range(8)
         )
         data = Dataset(subjects=subjects)
-        with pytest.raises(UnidentifiableModelError):
-            fit_ml(CandidateModel(m=1, o=1), data)
+        for cand in enumerate_candidates():
+            message = f"candidate {cand.id} is rank deficient"
+            with pytest.raises(UnidentifiableModelError, match=message):
+                fit_ml(cand, data)
