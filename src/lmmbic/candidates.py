@@ -22,6 +22,7 @@ Expanding the coefficients gives the fixed-effect regressors
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -29,6 +30,14 @@ from .data import Dataset, SubjectBlock
 from .rng import substream_keys
 
 X_RANGE = (0.0, 10.0)
+
+# Which of an axis's two optional terms a candidate keeps, by its m or o:
+# 1 neither, 2 the first, 3 the second, 4 both.
+_OPTIONAL = {1: (False, False), 2: (True, False), 3: (False, True), 4: (True, True)}
+_MEAN_COLUMNS = {code: np.array((True, True, True) + pair) for code, pair in _OPTIONAL.items()}
+_RANDOM_COLUMNS = {code: np.array((True,) + pair) for code, pair in _OPTIONAL.items()}
+for _mask in (*_MEAN_COLUMNS.values(), *_RANDOM_COLUMNS.values()):
+    _mask.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,12 @@ class CandidateModel:
     m selects which alpha terms enter the mean: 1 neither, 2 only
     alpha1, 3 only alpha2, 4 both.  o selects which slope variances are
     free, with the same coding for omega1^2/omega2^2.
+
+    A candidate is O4M4 with some columns removed: the read-only masks
+    mean_columns (5,) over X's [1, x, x^2, c*x, c*x^2] and random_columns
+    (3,) over Z's [1, x, x^2] (see full_design) mark those it keeps, and
+    its labels, counts and designs follow them in O4M4's column order.
+    covers() lists the candidates with one optional column fewer.
     """
 
     m: int
@@ -64,43 +79,49 @@ class CandidateModel:
 
     @property
     def alpha1_free(self) -> bool:
-        return self.m in (2, 4)
+        return _OPTIONAL[self.m][0]
 
     @property
     def alpha2_free(self) -> bool:
-        return self.m in (3, 4)
+        return _OPTIONAL[self.m][1]
 
     @property
     def omega1_free(self) -> bool:
-        return self.o in (2, 4)
+        return _OPTIONAL[self.o][0]
 
     @property
     def omega2_free(self) -> bool:
-        return self.o in (3, 4)
+        return _OPTIONAL[self.o][1]
+
+    @property
+    def mean_columns(self) -> np.ndarray:
+        return _MEAN_COLUMNS[self.m]
+
+    @property
+    def random_columns(self) -> np.ndarray:
+        return _RANDOM_COLUMNS[self.o]
+
+    def covers(self) -> list[CandidateModel]:
+        """The candidates with one optional column fewer, mean covers
+        first; for O4M4: O4M2, O4M3, O2M4, O3M4."""
+        fewer = {1: (), 2: (1,), 3: (1,), 4: (2, 3)}
+        return [CandidateModel(m=m, o=self.o) for m in fewer[self.m]] + [
+            CandidateModel(m=self.m, o=o) for o in fewer[self.o]
+        ]
 
     def mean_labels(self) -> tuple[str, ...]:
-        labels = ["mu0", "mu1", "mu2"]
-        if self.alpha1_free:
-            labels.append("alpha1")
-        if self.alpha2_free:
-            labels.append("alpha2")
-        return tuple(labels)
+        return tuple(compress(("mu0", "mu1", "mu2", "alpha1", "alpha2"), self.mean_columns))
 
     def variance_labels(self) -> tuple[str, ...]:
-        labels = ["omega0"]
-        if self.omega1_free:
-            labels.append("omega1")
-        if self.omega2_free:
-            labels.append("omega2")
-        return tuple(labels)
+        return tuple(compress(("omega0", "omega1", "omega2"), self.random_columns))
 
     @property
     def n_mean(self) -> int:
-        return 3 + self.alpha1_free + self.alpha2_free
+        return int(np.count_nonzero(self.mean_columns))
 
     @property
     def n_variance(self) -> int:
-        return 1 + self.omega1_free + self.omega2_free
+        return int(np.count_nonzero(self.random_columns))
 
     @property
     def n_parameters(self) -> int:
@@ -129,26 +150,6 @@ class DesignBlocks:
         return self.X.shape[0]
 
 
-def design_columns(candidate: CandidateModel) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the candidate's X and Z columns among those of O4M4.
-
-    O4M4's X holds [1, x, x^2, c*x, c*x^2] and its Z [1, x, x^2] (see
-    full_design); every candidate's design is a subset of those columns
-    in the same order.
-    """
-    mean = [0, 1, 2]
-    if candidate.alpha1_free:
-        mean.append(3)
-    if candidate.alpha2_free:
-        mean.append(4)
-    random = [0]
-    if candidate.omega1_free:
-        random.append(1)
-    if candidate.omega2_free:
-        random.append(2)
-    return np.array(mean), np.array(random)
-
-
 def full_design(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """O4M4's design for subjects observed on one grid x.
 
@@ -173,9 +174,8 @@ def build_design(candidate: CandidateModel, block: SubjectBlock) -> DesignBlocks
     when omega1^2 is free, then x^2 when omega2^2 is.
     """
     X, Z = full_design(block.x, [block.c])
-    mean, random = design_columns(candidate)
-    X = np.ascontiguousarray(X[:, 0, mean])
-    Z = np.ascontiguousarray(Z[:, random])
+    X = np.ascontiguousarray(X[:, 0, candidate.mean_columns])
+    Z = np.ascontiguousarray(Z[:, candidate.random_columns])
     X.flags.writeable = False
     Z.flags.writeable = False
     return DesignBlocks(X=X, Z=Z)
@@ -221,17 +221,8 @@ class TrueParameters:
         compatible with the candidate (zeros where the candidate has no
         term).
         """
-        beta = list(self.mu)
-        if candidate.alpha1_free:
-            beta.append(self.alpha[0])
-        if candidate.alpha2_free:
-            beta.append(self.alpha[1])
-        omegas = [self.omega2[0]]
-        if candidate.omega1_free:
-            omegas.append(self.omega2[1])
-        if candidate.omega2_free:
-            omegas.append(self.omega2[2])
-        return np.array(beta), np.array(omegas), self.sigma2
+        beta = np.concatenate([self.mu, self.alpha])[candidate.mean_columns]
+        return beta, self.omega2[candidate.random_columns], self.sigma2
 
 
 def shared_x_grid(n_per_subject: int) -> np.ndarray:

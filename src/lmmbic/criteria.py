@@ -19,6 +19,7 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .candidates import CandidateModel
@@ -82,16 +83,11 @@ def partition_parameters(candidate: CandidateModel) -> ParameterPartition:
     omega_k^2 is in theta_R.  sigma2 and the remaining mean
     coefficients make up theta_F, sigma2 listed first.
     """
-    random_flags = {
-        "mu0": True,
-        "mu1": candidate.omega1_free,
-        "mu2": candidate.omega2_free,
-        "alpha1": candidate.alpha1_free and candidate.omega1_free,
-        "alpha2": candidate.alpha2_free and candidate.omega2_free,
-    }
+    # the random column on the direction of mu0, mu1, mu2, alpha1 and alpha2
+    subject_level = candidate.random_columns[[0, 1, 2, 1, 2]][candidate.mean_columns]
     mean = candidate.mean_labels()
-    random = tuple(lbl for lbl in mean if random_flags[lbl]) + candidate.variance_labels()
-    fixed = ("sigma2",) + tuple(lbl for lbl in mean if not random_flags[lbl])
+    random = tuple(compress(mean, subject_level)) + candidate.variance_labels()
+    fixed = ("sigma2",) + tuple(compress(mean, ~subject_level))
     return ParameterPartition(random=random, fixed=fixed)
 
 

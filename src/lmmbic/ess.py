@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import build_design, design_columns
+from .candidates import build_design
 from .estimation import FittedModel, dataset_statistics
 from .model import assemble_marginal_covariance, correlation_from_covariance
 
@@ -105,8 +105,8 @@ def effective_sample_size(fit: FittedModel) -> float:
     shared with the likelihood, in a few batched calls over all grids.
     """
     stats = dataset_statistics(fit.data)
-    _, random = design_columns(fit.candidate)
-    D = ((fit.theta_hat.omega2 / fit.theta_hat.sigma2) @ stats.rr[random]).reshape(-1, 3, 3)
+    theta = fit.theta_hat.omega2 / fit.theta_hat.sigma2
+    D = (theta @ stats.rr[fit.candidate.random_columns]).reshape(-1, 3, 3)
     q, sizes = stats.point_q, stats.grid_sizes
     s = np.sqrt(1.0 + np.einsum("pa,pab,pb->p", q, np.repeat(D, sizes, axis=0), q))
     starts = np.cumsum(sizes) - sizes

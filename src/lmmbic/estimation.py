@@ -47,9 +47,10 @@ fixed number of batched numpy calls whose arithmetic is linear in B G:
 with one shared grid the cost does not grow with the number of
 subjects, and on unbalanced data, where every subject may have its own
 grid, it does not pay a Python loop over the grids.  The sixteen
-searches run in lockstep on the first fit of a dataset (_search_family),
-which checks identifiability once per mean structure and calls the core
-on the whole stack: the fit path constructs no ProfiledLikelihood.
+searches run in lockstep the first time a dataset's optima are read
+(_search_family), which rejects candidates once per parameter count and
+mean structure and calls the core on the whole stack: the fit path
+constructs no ProfiledLikelihood.
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ import math
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .candidates import CandidateModel, design_columns, enumerate_candidates, full_design
+from .candidates import CandidateModel, enumerate_candidates, full_design
 from .data import Dataset, SubjectBlock
 from .model import LN_TWO_PI, ParameterVector
 
@@ -162,9 +164,9 @@ class DatasetStatistics:
     is O4M4's plain X'X and yty is y'y; z_scale2 is the mean square of
     each Z column.  point_q (P, 3) stacks the rows of every grid's Q,
     grid after grid in the order of R, and grid_sizes (G,) their number
-    of points.  optima holds, once the family has been searched (fit_ml),
-    each candidate's _Optimum, or the message of the error that makes it
-    unidentifiable; no entry refers to the data.
+    of points.  optima holds each candidate's _Optimum, or the message of
+    the error that rejects it, from one family search (_search_family)
+    on first read; no entry refers to the data.
     """
 
     def __init__(self, data: Dataset):
@@ -174,7 +176,6 @@ class DatasetStatistics:
 
         self.n_obs = data.n_obs
         self.n_subjects = data.n_subjects
-        self.optima: dict[CandidateModel, _Optimum | str] = {}
         self.constant_covariate = np.unique(data.subject_covariates()).size < 2
         self.xtx = np.zeros((5, 5))
         self.yty = 0.0
@@ -225,6 +226,10 @@ class DatasetStatistics:
         self.point_q = np.concatenate(qs)
         self.grid_sizes = np.array([len(q) for q in qs])
 
+    @cached_property
+    def optima(self) -> dict[CandidateModel, _Optimum | str]:
+        return _search_family(self)
+
 
 # A Dataset is frozen and its arrays are read-only, so its statistics
 # never go stale; they live exactly as long as the dataset does.
@@ -257,9 +262,7 @@ class ProfiledLikelihood:
             raise UnidentifiableModelError(problem.format(id=candidate.id))
         self.candidate = candidate
         self._stats = stats
-        self._mean = _MEAN[candidate.enumeration_index]
-        self._random = _PRESENT[candidate.enumeration_index]
-        self.z_scale2 = stats.z_scale2[self._random]
+        self.z_scale2 = stats.z_scale2[candidate.random_columns]
 
     def evaluate(self, omega2: np.ndarray, sigma2: float) -> tuple[float, np.ndarray]:
         """Profiled log-likelihood and the GLS beta at these variances.
@@ -270,19 +273,19 @@ class ProfiledLikelihood:
             UnidentifiableModelError: the GLS normal matrix is singular.
         """
         theta = np.zeros((1, 3))
-        theta[0, self._random] = np.asarray(omega2, dtype=float) / sigma2
-        logdet, rss, beta, _, _ = _solve(self._stats, self._mean[None], theta)
+        theta[0, self.candidate.random_columns] = np.asarray(omega2, dtype=float) / sigma2
+        logdet, rss, beta, _, _ = _solve(self._stats, self.candidate.mean_columns[None], theta)
         n = self._stats.n_obs
         loglik = -0.5 * (n * (LN_TWO_PI + math.log(sigma2)) + logdet[0] + rss[0] / sigma2)
-        return float(loglik), beta[0, self._mean]
+        return float(loglik), beta[0, self.candidate.mean_columns]
 
     def profile(self, theta: np.ndarray) -> tuple[float, np.ndarray, float]:
         """f = -loglik with beta and sigma2 profiled out, its gradient in
         theta, and sigma2_hat (see _profile); raises as evaluate() does."""
         padded = np.zeros((1, 3))
-        padded[0, self._random] = theta
-        f, g, _, sigma2, _ = _profile(self._stats, self._mean[None], padded)
-        return float(f[0]), g[0, self._random], float(sigma2[0])
+        padded[0, self.candidate.random_columns] = theta
+        f, g, _, sigma2, _ = _profile(self._stats, self.candidate.mean_columns[None], padded)
+        return float(f[0]), g[0, self.candidate.random_columns], float(sigma2[0])
 
 
 def _solve(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tuple:
@@ -478,23 +481,15 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
         iterations += starting
 
 
-def _covers(candidate: CandidateModel) -> list[CandidateModel]:
-    """The candidates with exactly one term fewer; for O4M4: O4M2, O4M3, O2M4, O3M4."""
-    fewer = {1: (), 2: (1,), 3: (1,), 4: (2, 3)}
-    return [CandidateModel(m=m, o=candidate.o) for m in fewer[candidate.m]] + [
-        CandidateModel(m=candidate.m, o=o) for o in fewer[candidate.o]
-    ]
-
-
 # The candidate lattice, in enumeration order: each candidate's columns of
 # O4M4's X (16, 5) and Z (16, 3), its parameter count, and the enumeration
-# indices of its covers (_covers).
+# indices of its covers (CandidateModel.covers).
 _CANDIDATES = tuple(enumerate_candidates())
-_MEAN = np.array([np.bincount(design_columns(c)[0], minlength=5) > 0 for c in _CANDIDATES])
-_PRESENT = np.array([np.bincount(design_columns(c)[1], minlength=3) > 0 for c in _CANDIDATES])
+_MEAN = np.array([c.mean_columns for c in _CANDIDATES])
+_PRESENT = np.array([c.random_columns for c in _CANDIDATES])
 _MEAN.flags.writeable = _PRESENT.flags.writeable = False
 _N_PARAMETERS = tuple(c.n_parameters for c in _CANDIDATES)
-_COVERS = tuple(tuple(cover.enumeration_index for cover in _covers(c)) for c in _CANDIDATES)
+_COVERS = tuple(tuple(cover.enumeration_index for cover in c.covers()) for c in _CANDIDATES)
 
 
 def _identifiability(stats: DatasetStatistics, m: int) -> str | None:
@@ -540,28 +535,36 @@ def _search(stats: DatasetStatistics, mean: np.ndarray, present: np.ndarray, sta
     return _relative_variances(w, scale2), f, converged, iterations, evaluations
 
 
-def _search_family(stats: DatasetStatistics) -> None:
-    """Fit all sixteen candidates on the dataset into stats.optima.
+def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, _Optimum | str]:
+    """Fit all sixteen candidates on the dataset: stats.optima.
 
-    Every identifiable candidate searches from _START, all in one stack.
-    A cover (_covers) is the candidate with a term held at zero, so its
-    optimum is a feasible point: level by level up the lattice, each
-    candidate whose best cover is lower by more than rounding searches
-    once more from there, each level's restarts in one stack.  One whose
-    variances beyond a cover with its mean columns end at exactly zero
-    is that cover's model and reports the cover's optimum, unless its
-    own is better by more than _SAME_OPTIMUM.  An unidentifiable
-    candidate gets its error's message.
+    A candidate with no fewer parameters than the data has observations,
+    or an unidentifiable mean structure, gets its error's message, in
+    that order of precedence.  Every other candidate searches from
+    _START, all in one stack.  A cover (CandidateModel.covers) is the
+    candidate with a term held at zero, so its optimum is a feasible
+    point: level by level up the lattice, each candidate whose best
+    cover is lower by more than rounding searches once more from there,
+    each level's restarts in one stack.  One whose variances beyond a
+    cover with its mean columns end at exactly zero is that cover's
+    model and reports the cover's optimum, unless its own is better by
+    more than _SAME_OPTIMUM.
     """
     problems = {m: _identifiability(stats, m) for m in (1, 2, 3, 4)}
+    optima: dict[CandidateModel, _Optimum | str] = {}
     ids = []  # enumeration indices of the stack's rows
     for k, candidate in enumerate(_CANDIDATES):
-        if problems[candidate.m] is None:
-            ids.append(k)
+        if stats.n_obs <= _N_PARAMETERS[k]:
+            optima[candidate] = (
+                f"candidate {candidate.id} has {_N_PARAMETERS[k]} parameters "
+                f"but the data has only {stats.n_obs} observations"
+            )
+        elif problems[candidate.m] is not None:
+            optima[candidate] = problems[candidate.m].format(id=candidate.id)
         else:
-            stats.optima[candidate] = problems[candidate.m].format(id=candidate.id)
+            ids.append(k)
     if not ids:
-        return
+        return optima
     row = {k: i for i, k in enumerate(ids)}
     mean, present = _MEAN[ids], _PRESENT[ids]
     start = np.where(present, _START, 0.0)
@@ -591,9 +594,10 @@ def _search_family(stats: DatasetStatistics) -> None:
     for i, k in enumerate(ids):
         fields = theta[i], f[i], converged[i], beta[i], sigma2[i], iterations[i], evaluations[i]
         candidate = _CANDIDATES[k]
-        stats.optima[candidate] = _Optimum(*fields, restarted[i]) if math.isfinite(f[i]) else (
+        optima[candidate] = _Optimum(*fields, restarted[i]) if math.isfinite(f[i]) else (
             f"likelihood for candidate {candidate.id} could not be evaluated at any visited point"
         )
+    return optima
 
 
 def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
@@ -626,17 +630,10 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
             evaluated anywhere the search went.
     """
     stats = dataset_statistics(data)
-    if stats.n_obs <= candidate.n_parameters:
-        raise UnidentifiableModelError(
-            f"candidate {candidate.id} has {candidate.n_parameters} parameters "
-            f"but the data has only {stats.n_obs} observations"
-        )
-    if not stats.optima:
-        _search_family(stats)
     optimum = stats.optima[candidate]
     if isinstance(optimum, str):
         raise UnidentifiableModelError(optimum)
-    mean, random = design_columns(candidate)
+    mean, random = candidate.mean_columns, candidate.random_columns
     omega2 = optimum.theta[random] * optimum.sigma2
     boundary = tuple(label for label, v in zip(candidate.variance_labels(), omega2) if v == 0.0)
     if optimum.sigma2 <= VARIANCE_FLOOR:

@@ -221,9 +221,9 @@ def _replicate_task(args: tuple[str, int, int, StudyConfig]) -> ReplicateResult:
 def run_study(config: StudyConfig, n_workers: int | None = None) -> FrequencyTable:
     """Run the full study grid and tally correct selections.
 
-    n_workers > 1 spreads replicates over a process pool; results are
-    aggregated in task order, so the table is identical for any worker
-    count.
+    n_workers > 1 spreads replicates over a process pool of at most one
+    worker per replicate; results are aggregated in task order, so the
+    table is identical for any worker count.
     """
     truths = enumerate_candidates()
     tasks = [
@@ -232,8 +232,8 @@ def run_study(config: StudyConfig, n_workers: int | None = None) -> FrequencyTab
         for truth in truths
         for rep in range(config.replicates)
     ]
-    workers = 1 if n_workers is None else max(1, n_workers)
-    if workers == 1 or len(tasks) == 1:
+    workers = 1 if n_workers is None else min(n_workers, len(tasks))
+    if workers <= 1:
         results = [_replicate_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -43,6 +43,37 @@ class TestCandidateModel:
         assert c.n_variance == 2
         assert c.n_parameters == 7
 
+    def test_masks_agree_with_flags_labels_and_counts(self):
+        for c in enumerate_candidates():
+            assert c.mean_columns.tolist() == [True, True, True, c.alpha1_free, c.alpha2_free]
+            assert c.random_columns.tolist() == [True, c.omega1_free, c.omega2_free]
+            alphas = ("alpha1",) * c.alpha1_free + ("alpha2",) * c.alpha2_free
+            omegas = ("omega1",) * c.omega1_free + ("omega2",) * c.omega2_free
+            assert c.mean_labels() == ("mu0", "mu1", "mu2") + alphas, c.id
+            assert c.variance_labels() == ("omega0",) + omegas, c.id
+            assert c.n_parameters == c.mean_columns.sum() + c.random_columns.sum() + 1
+            # one read-only table entry, not a new array per read
+            assert c.mean_columns is c.mean_columns and c.random_columns is c.random_columns
+            assert not c.mean_columns.flags.writeable and not c.random_columns.flags.writeable
+
+    def test_covers_have_one_optional_column_fewer(self):
+        cands = enumerate_candidates()
+        masks = {c: np.concatenate([c.mean_columns, c.random_columns]) for c in cands}
+        for cand in cands:
+            expected = []
+            # alpha2, alpha1, then omega2, omega1: mean covers first, each
+            # axis's in the order of its codes
+            for column in (4, 3, 7, 6):
+                if masks[cand][column]:
+                    cleared = masks[cand].copy()
+                    cleared[column] = False
+                    (cover,) = [c for c in cands if np.array_equal(masks[c], cleared)]
+                    expected.append(cover)
+            assert cand.covers() == expected, cand.id
+        assert CandidateModel(m=1, o=1).covers() == []
+        ids = [c.id for c in CandidateModel(m=4, o=4).covers()]
+        assert ids == ["O4M2", "O4M3", "O2M4", "O3M4"]
+
     def test_parameter_count_range(self):
         counts = sorted(c.n_parameters for c in enumerate_candidates())
         assert counts[0] == 5 and counts[-1] == 9

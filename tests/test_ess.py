@@ -4,7 +4,6 @@ import pytest
 from lmmbic.candidates import (
     CandidateModel,
     TrueParameters,
-    design_columns,
     enumerate_candidates,
     generate_dataset,
 )
@@ -235,8 +234,7 @@ class TestEffectiveSampleSize:
         for data in self.grid_layouts():
             z_scale2 = dataset_statistics(data).z_scale2
             for cand in enumerate_candidates():
-                _, random = design_columns(cand)
-                theta = rng.uniform(0.0, 2.0, size=cand.n_variance) / z_scale2[random]
+                theta = rng.uniform(0.0, 2.0, size=cand.n_variance) / z_scale2[cand.random_columns]
                 fits = [
                     synthetic_fit(cand, data, omega2=theta * 0.7, sigma2=0.7),
                     synthetic_fit(cand, data, omega2=theta * VARIANCE_FLOOR, sigma2=VARIANCE_FLOOR),

@@ -10,7 +10,6 @@ from lmmbic.candidates import (
     CandidateModel,
     TrueParameters,
     build_design,
-    design_columns,
     enumerate_candidates,
     generate_dataset,
 )
@@ -21,7 +20,6 @@ from lmmbic.estimation import (
     _LINE_SEARCH_STEPS,
     ProfiledLikelihood,
     UnidentifiableModelError,
-    _covers,
     _minimize_box,
     _profile,
     _profile_stack,
@@ -223,8 +221,8 @@ class TestProfiledLikelihood:
         for data in TestFitMl.reference_layouts() + (on_floor, exact):
             stats = dataset_statistics(data)
             for cand in enumerate_candidates():
-                mean_columns, random_columns = design_columns(cand)
-                mean = np.isin(np.arange(5), mean_columns)[None]
+                random_columns = np.flatnonzero(cand.random_columns)
+                mean = cand.mean_columns[None]
                 theta = np.zeros((1, 3))
                 theta[0, random_columns] = rng.uniform(0.05, 2.0, size=random_columns.size)
                 theta /= stats.z_scale2
@@ -568,7 +566,7 @@ class TestFitMl:
                 # a candidate whose search ends with the variance it adds over
                 # a cover at exactly zero is that cover's model, bit for bit
                 for large in cands:
-                    if small in _covers(large) and small.m == large.m:
+                    if small in large.covers() and small.m == large.m:
                         labels = large.variance_labels()
                         (extra,) = set(labels) - set(small.variance_labels())
                         if fits[large].theta_hat.omega2[labels.index(extra)] == 0.0:
@@ -603,12 +601,10 @@ class TestFitMl:
             stats = dataset_statistics(data)
             for cand in enumerate_candidates():
                 optimum = stats.optima[cand]
-                mean_columns, random_columns = design_columns(cand)
-                mean = np.isin(np.arange(5), mean_columns)[None]
-                random = np.isin(np.arange(3), random_columns)[None]
+                mean, random = cand.mean_columns[None], cand.random_columns[None]
                 start = np.where(random, lmmbic.estimation._START, 0.0)
                 if optimum.restarted:
-                    start = min((stats.optima[c] for c in _covers(cand)), key=lambda o: o.f).theta
+                    start = min((stats.optima[c] for c in cand.covers()), key=lambda o: o.f).theta
                 _, f, _, _, _ = _search(stats, mean, random, start.reshape(1, 3))
                 np.testing.assert_allclose(optimum.f, f[0], rtol=1e-12, atol=0.0, err_msg=cand.id)
                 # every Newton step costs at least one evaluation, the start one more

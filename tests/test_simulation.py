@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lmmbic.simulation
 from lmmbic.candidates import CandidateModel, enumerate_candidates
 from lmmbic.criteria import CRITERIA
 from lmmbic.rng import substream
@@ -199,3 +200,28 @@ class TestRunStudy:
         assert parallel.rows == table.rows
         assert parallel.failed_fits == table.failed_fits
         assert parallel.invalid_replicates == table.invalid_replicates
+
+    def test_pool_capped_at_the_replicates(self, small_study, monkeypatch):
+        # a process pool may start all its workers at the first submit,
+        # so it must not be asked for more than there are replicates;
+        # the recording pool runs the replicates in this process
+        config, table = small_study
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(lmmbic.simulation, "ProcessPoolExecutor", InProcessPool)
+        capped = run_study(config, n_workers=64)
+        assert asked == [16]
+        assert capped.rows == table.rows
