@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from numbers import Integral
 
 import numpy as np
 
@@ -59,8 +60,10 @@ class CandidateModel:
     o: int
 
     def __post_init__(self) -> None:
-        if self.m not in (1, 2, 3, 4) or self.o not in (1, 2, 3, 4):
-            raise ValueError(f"candidate indices must be in 1..4, got m={self.m}, o={self.o}")
+        # True or 2.0 would compare equal to a code and print into the id
+        for code in (self.m, self.o):
+            if isinstance(code, bool) or not isinstance(code, Integral) or code not in (1, 2, 3, 4):
+                raise ValueError(f"candidate indices must be in 1..4, got m={self.m}, o={self.o}")
 
     @property
     def id(self) -> str:

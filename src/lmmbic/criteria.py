@@ -19,10 +19,11 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .candidates import CandidateModel
+from .candidates import CandidateModel, enumerate_candidates
 from .ess import effective_sample_size
 from .estimation import FittedModel
 
@@ -42,6 +43,10 @@ _JEFFREYS_LABELS = (
 # the fitted log-likelihood is good to about 1e-11 relative, so a nested
 # pair whose extra variance sits at zero differs only in rounding there.
 _TIE_RTOL = 1e-9
+
+# A report's candidate id to its enumeration index, the second key of the
+# parsimony order.
+_ENUMERATION_INDEX = {c.id: c.enumeration_index for c in enumerate_candidates()}
 
 _DELTA_BREAKS = (2.0, 6.0, 10.0)
 _DELTA_LABELS = (
@@ -75,13 +80,15 @@ class ParameterPartition:
         return len(self.fixed)
 
 
+@cache
 def partition_parameters(candidate: CandidateModel) -> ParameterPartition:
     """Split a candidate's free parameters into theta_R and theta_F.
 
     mu_k belongs to theta_R when omega_k^2 is free; alpha_k belongs to
     theta_R when both alpha_k and omega_k^2 are free; every free
     omega_k^2 is in theta_R.  sigma2 and the remaining mean
-    coefficients make up theta_F, sigma2 listed first.
+    coefficients make up theta_F, sigma2 listed first.  The split
+    depends on the candidate alone, so it is made once per candidate.
     """
     # the random column on the direction of mu0, mu1, mu2, alpha1 and alpha2
     subject_level = candidate.random_columns[[0, 1, 2, 1, 2]][candidate.mean_columns]
@@ -149,7 +156,7 @@ class BicReport:
 
 
 def build_report(fit: FittedModel) -> BicReport:
-    """Evaluate every criterion for one fit (computes n_e on the way)."""
+    """Evaluate every criterion for one fit (n_e is the fit's n_effective)."""
     part = partition_parameters(fit.candidate)
     p = fit.candidate.n_parameters
     n_e = effective_sample_size(fit)
@@ -185,7 +192,7 @@ def _ranked(reports: Sequence[BicReport], criterion: str) -> list[BicReport]:
     _TIE_RTOL) by (p, enumeration index), then the rest by value."""
 
     def parsimony(r: BicReport) -> tuple[int, int]:
-        return r.p, CandidateModel.from_id(r.candidate_id).enumeration_index
+        return r.p, _ENUMERATION_INDEX[r.candidate_id]
 
     by_value = sorted(reports, key=lambda r: (criterion_value(r, criterion), *parsimony(r)))
     best = criterion_value(by_value[0], criterion)

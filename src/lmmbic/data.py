@@ -9,6 +9,7 @@ by block and the full n x n covariance matrix is never assembled.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,9 +56,9 @@ class SubjectBlock:
             )
         if self.x.size == 0:
             raise ValueError(f"subject {self.id!r} has no observations")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError(f"subject {self.id!r} contains non-finite values")
-        if not np.isfinite(self.c):
+        if not math.isfinite(self.c):
             raise ValueError(f"subject {self.id!r} has a non-finite covariate")
 
     @property
@@ -127,7 +128,8 @@ def read_dataset(path: str | Path) -> Dataset:
             rows, each reported with the line it is first found on.
     """
     path = Path(path)
-    with path.open(newline="") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports write
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         first = handle.readline()
         if not first.strip():
             raise DataFormatError(f"{path}: file is empty")

@@ -7,23 +7,11 @@ n / (1 + (n - 1) rho), so strong positive correlation shrinks the
 count toward 1 and independence leaves it at n.
 
 Grouped data has block-diagonal correlation, so the dataset total is
-the sum of per-subject magnitudes.  Neither the full matrix nor a
-subject's R_i is formed: with a grid's basis Q and capacitance
-Ct = I + D = L L', D = R Theta R' (see estimation), s the square roots
-of Vt's diagonal 1 + diag(Q D Q') and a = Q's, R_i^-1 =
-diag(s) Vt^-1 diag(s) and the Woodbury identity give
-
-    1' R_i^-1 1 = ||s - Q a||^2 + a' Ct^-1 a
-                = (n_i - ||Q'1||^2) + (||s - Q a||^2 + ||L^-1 a||^2).
-
-The first term is zero in exact arithmetic (the intercept puts 1 in
-Q's span); it makes two cases exact by construction.  Without random
-effects D = 0, so s = 1, a = Q'1, L = I, and ||s - Q a||^2 is below
-half an ulp of ||Q'1||^2, which is within a factor 2 of n_i:
-n_i - ||Q'1||^2 is exact and adding ||Q'1||^2 back gives n_i.  On a
-one-point grid Q = [1, 0, 0], s = Q a and s^2 = 1 + D_00 = Ct_00, so
-L^-1 a = s / sqrt(Ct_00) = 1: the sum is 1.  The second term adds two
-non-negative parts, so nothing cancels as the variances grow.
+the sum of per-subject magnitudes.  A fit carries that total for its own
+variances (FittedModel.n_effective), read off the capacitances the
+likelihood uses, for a family's sixteen optima in one call (see
+estimation); magnitude and correlation_structure are the dense
+reference, one subject's R_i at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import build_design
-from .estimation import FittedModel, dataset_statistics
+from .estimation import FittedModel
 from .model import assemble_marginal_covariance, correlation_from_covariance
 
 
@@ -100,22 +88,8 @@ def correlation_structure(fit: FittedModel) -> CorrelationStructure:
 def effective_sample_size(fit: FittedModel) -> float:
     """Total magnitude of the fit's implied correlation structure.
 
-    Equals sum_i 1' R_i^-1 1 over subjects, read off the capacitance of
-    each distinct grid of the dataset's statistics (dataset_statistics),
-    shared with the likelihood, in a few batched calls over all grids.
+    Equals sum_i 1' R_i^-1 1 over subjects: the fit's n_effective, read
+    off the capacitance of each distinct grid of the dataset's
+    statistics, shared with the likelihood (estimation._effective_sizes).
     """
-    stats = dataset_statistics(fit.data)
-    theta = fit.theta_hat.omega2 / fit.theta_hat.sigma2
-    D = (theta @ stats.rr[fit.candidate.random_columns]).reshape(-1, 3, 3)
-    q, sizes = stats.point_q, stats.grid_sizes
-    s = np.sqrt(1.0 + np.einsum("pa,pab,pb->p", q, np.repeat(D, sizes, axis=0), q))
-    starts = np.cumsum(sizes) - sizes
-    ones, a = np.add.reduceat(q, starts), np.add.reduceat(q * s[:, None], starts)
-    perp = s - (q * np.repeat(a, sizes, axis=0)).sum(axis=1)
-    # L^-1 a by forward substitution, dividing as the one-point case needs
-    L = np.linalg.cholesky(D + np.eye(3))
-    x = np.empty_like(a)
-    for k in range(3):
-        x[:, k] = (a[:, k] - (L[:, k, :k] * x[:, :k]).sum(axis=1)) / L[:, k, k]
-    second = np.add.reduceat(perp * perp, starts) + (x * x).sum(axis=1)
-    return float(stats.counts @ ((sizes - (ones * ones).sum(axis=1)) + second))
+    return fit.n_effective

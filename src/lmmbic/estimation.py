@@ -51,6 +51,27 @@ searches run in lockstep the first time a dataset's optima are read
 (_search_family), which rejects candidates once per parameter count and
 mean structure and calls the core on the whole stack: the fit path
 constructs no ProfiledLikelihood.
+
+The same capacitances give the effective sample size n_e = sum_i
+1' R_i^-1 1 of every optimum (Faes, Molenberghs, Aerts, Verbeke &
+Kenward 2009, Am. Stat. 63(4)), which the family search computes for all
+sixteen in one call (_effective_sizes).  Neither the full matrix nor a
+subject's correlation matrix R_i is formed: with a grid's basis Q and
+capacitance Ct = I + D = L L', D = R Theta R', s the square roots of
+Vt's diagonal 1 + diag(Q D Q') and a = Q's, R_i^-1 = diag(s) Vt^-1
+diag(s) and the Woodbury identity give
+
+    1' R_i^-1 1 = ||s - Q a||^2 + a' Ct^-1 a
+                = (n_i - ||Q'1||^2) + (||s - Q a||^2 + ||L^-1 a||^2).
+
+The first term is zero in exact arithmetic (the intercept puts 1 in
+Q's span); it makes two cases exact by construction.  Without random
+effects D = 0, so s = 1, a = Q'1, L = I, and ||s - Q a||^2 is below
+half an ulp of ||Q'1||^2, which is within a factor 2 of n_i:
+n_i - ||Q'1||^2 is exact and adding ||Q'1||^2 back gives n_i.  On a
+one-point grid Q = [1, 0, 0], s = Q a and s^2 = 1 + D_00 = Ct_00, so
+L^-1 a = s / sqrt(Ct_00) = 1: the sum is 1.  The second term adds two
+non-negative parts, so nothing cancels as the variances grow.
 """
 
 from __future__ import annotations
@@ -58,7 +79,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -123,6 +144,12 @@ class FittedModel:
     evaluations the likelihood evaluations of the candidate's searches,
     and restarted says whether its optimum came from the restart at the
     optimum of a candidate it nests.
+
+    n_effective is the effective sample size sum_i 1' R_i^-1 1 at
+    theta_hat's variances (_effective_sizes).  fit_ml passes it in as
+    n_e, from the one call that serves its whole family; any other
+    construction, dataclasses.replace included, leaves n_e out and gets
+    the n_e of its own theta_hat.
     """
 
     candidate: CandidateModel
@@ -136,11 +163,22 @@ class FittedModel:
     iterations: int = 0
     evaluations: int = 0
     restarted: bool = False
+    n_e: InitVar[float | None] = None
+    n_effective: float = field(init=False)
+
+    def __post_init__(self, n_e: float | None) -> None:
+        if n_e is None:
+            theta = np.zeros((1, 3))
+            theta[0, self.candidate.random_columns] = self.theta_hat.omega2 / self.theta_hat.sigma2
+            n_e = float(_effective_sizes(dataset_statistics(self.data), theta)[0])
+        object.__setattr__(self, "n_effective", n_e)
 
 
 # A candidate's maximum as DatasetStatistics.optima keeps it, with theta
 # and beta over O4M4's terms.
-_Optimum = namedtuple("_Optimum", "theta f converged beta sigma2 iterations evaluations restarted")
+_Optimum = namedtuple(
+    "_Optimum", "theta f converged beta sigma2 iterations evaluations restarted n_e"
+)
 
 
 class DatasetStatistics:
@@ -315,6 +353,26 @@ def _solve(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tup
     rss = stats.perp_yy + kernel @ stats.cross_yy - (b * beta).sum(axis=1)
     rss[rss <= stats.rss_rounding] = 0.0
     return logdet, rss, beta, K, A
+
+
+def _effective_sizes(stats: DatasetStatistics, theta: np.ndarray) -> np.ndarray:
+    """n_e = sum_i 1' R_i^-1 1 (B,) at B candidates' relative variances
+    theta (B, 3), zero where a candidate has no random effect, read off
+    each grid's capacitance as the module docstring derives it."""
+    B = theta.shape[0]
+    D = (theta @ stats.rr).reshape(B, -1, 3, 3)
+    q, sizes = stats.point_q, stats.grid_sizes
+    s = np.sqrt(1.0 + np.einsum("pi,bpij,pj->bp", q, np.repeat(D, sizes, axis=1), q))
+    starts = np.cumsum(sizes) - sizes
+    ones, a = np.add.reduceat(q, starts), np.add.reduceat(q * s[:, :, None], starts, axis=1)
+    perp = s - (q * np.repeat(a, sizes, axis=1)).sum(axis=2)
+    # L^-1 a by forward substitution, dividing as the one-point case needs
+    L = np.linalg.cholesky(D + _EYE3)
+    x = np.empty_like(a)
+    for k in range(3):
+        x[..., k] = (a[..., k] - (L[..., k, :k] * x[..., :k]).sum(axis=2)) / L[..., k, k]
+    second = np.add.reduceat(perp * perp, starts, axis=1) + (x * x).sum(axis=2)
+    return ((sizes - (ones * ones).sum(axis=1)) + second) @ stats.counts
 
 
 def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tuple:
@@ -590,11 +648,16 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, _Optimum | 
         j = min((j for j in same if not theta[i, ~present[j]].any()), key=lambda j: f[j], default=i)
         if f[j] <= f[i] + _SAME_OPTIMUM * (1.0 + abs(f[i])):
             theta[i], f[i], beta[i], sigma2[i] = theta[j], f[j], beta[j], sigma2[j]
+    # n_e at the variances each FittedModel will hold, omega2 / sigma2
+    n_e, finite = np.full(len(ids), math.nan), np.isfinite(f)
+    if finite.any():
+        scale = sigma2[finite, None]
+        n_e[finite] = _effective_sizes(stats, theta[finite] * scale / scale)
     theta.flags.writeable = beta.flags.writeable = False
     for i, k in enumerate(ids):
         fields = theta[i], f[i], converged[i], beta[i], sigma2[i], iterations[i], evaluations[i]
         candidate = _CANDIDATES[k]
-        optima[candidate] = _Optimum(*fields, restarted[i]) if math.isfinite(f[i]) else (
+        optima[candidate] = _Optimum(*fields, restarted[i], n_e[i]) if math.isfinite(f[i]) else (
             f"likelihood for candidate {candidate.id} could not be evaluated at any visited point"
         )
     return optima
@@ -650,4 +713,5 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
         iterations=int(optimum.iterations),
         evaluations=int(optimum.evaluations),
         restarted=bool(optimum.restarted),
+        n_e=float(optimum.n_e),
     )

@@ -94,6 +94,15 @@ class TestCandidateModel:
         with pytest.raises(ValueError):
             CandidateModel(m=1, o=5)
 
+    def test_non_integer_codes_rejected(self):
+        # True == 1 and 2.0 == 2, so membership alone would accept them
+        # and they would print into the id as O1MTrue or O1M2.0
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match="candidate indices"):
+                CandidateModel(m=bad, o=1)
+            with pytest.raises(ValueError, match="candidate indices"):
+                CandidateModel(m=1, o=bad)
+
 
 class TestBuildDesign:
     def test_full_candidate_columns(self):

@@ -76,6 +76,19 @@ class TestReadDataset:
         assert data.subjects[0].c == 1.5
         assert data.subjects[1].c == -0.5
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF
+        text = "subject,x,c,y\ns1,0,1.5,2\ns1,1,1.5,3\ns2,0,-0.5,1\n"
+        plain = self.write(tmp_path, text)
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want, got = read_dataset(plain), read_dataset(marked)
+        assert [b.id for b in got.subjects] == [b.id for b in want.subjects]
+        for a, b in zip(got.subjects, want.subjects):
+            np.testing.assert_array_equal(a.x, b.x)
+            np.testing.assert_array_equal(a.y, b.y)
+            assert a.c == b.c
+
     def test_tab_delimiter(self, tmp_path):
         path = self.write(tmp_path, "subject\tx\tc\ty\ns1\t0\t1\t2\ns1\t1\t1\t3\n")
         data = read_dataset(path)

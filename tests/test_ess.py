@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,95 @@ class TestEffectiveSampleSize:
             omega2 = rng.uniform(0.0, 5.0, size=cand.n_variance) * 10.0 ** rng.integers(-6, 4)
             fit = synthetic_fit(cand, data, omega2=omega2, sigma2=float(rng.uniform(0.1, 3.0)))
             assert effective_sample_size(fit) == float(data.n_subjects)
+
+
+class TestFamilyBatch:
+    """fit_ml's n_effective comes from one call for the whole family."""
+
+    @staticmethod
+    def layouts():
+        """A shared grid, ragged grids of 2-8 points, and one-point grids."""
+        rng = np.random.default_rng(70)
+        truth = TrueParameters(
+            mu=[1.0, 0.3, -0.02], alpha=[0.5, -0.1], omega2=[0.6, 0.05, 0.001], sigma2=1.0
+        )
+        shared = generate_dataset(SimulationDesign("t", 15, 6), truth, seed=71)
+        subjects = []
+        for i in range(20):
+            x = np.sort(rng.uniform(0.0, 10.0, size=int(rng.integers(2, 9))))
+            c, b0 = rng.normal(size=2)
+            y = 1.0 + b0 + (0.3 + c) * x + rng.normal(size=x.size)
+            subjects.append(SubjectBlock(id=f"s{i}", x=x, c=c, y=y))
+        ragged = Dataset(subjects=tuple(subjects))
+        # x kept away from zero, as acceptance 04 explains
+        single = Dataset(subjects=tuple(
+            SubjectBlock(
+                id=f"s{i}", x=np.array([float(i % 5) + 0.5 * (i % 3) + 0.5]),
+                c=float(rng.normal()), y=rng.normal(size=1),
+            )
+            for i in range(12)
+        ))
+        return shared, ragged, single
+
+    @staticmethod
+    def fits(data):
+        out = []
+        for cand in enumerate_candidates():
+            try:
+                out.append(fit_ml(cand, data))
+            except ValueError:
+                pass  # not identifiable on this layout
+        return out
+
+    def test_batch_matches_one_row_and_dense_reference(self):
+        for data in self.layouts():
+            fits = self.fits(data)
+            assert len(fits) >= 8
+            for fit in fits:
+                theta = fit.theta_hat
+                alone = synthetic_fit(fit.candidate, data, theta.omega2, theta.sigma2)
+                np.testing.assert_allclose(
+                    fit.n_effective, alone.n_effective, rtol=1e-11, err_msg=fit.candidate.id
+                )
+                np.testing.assert_allclose(
+                    fit.n_effective, correlation_structure(fit).n_e, rtol=1e-10,
+                    err_msg=fit.candidate.id,
+                )
+                assert effective_sample_size(fit) == fit.n_effective
+
+    def test_one_point_grids_count_subjects_exactly(self):
+        data = self.layouts()[2]
+        fits = self.fits(data)
+        assert len(fits) == 16
+        for fit in fits:
+            assert fit.n_effective == float(data.n_subjects), fit.candidate.id
+
+    def test_zero_variance_optima_count_observations_exactly(self):
+        # with no random effect in the truth, many optima put every
+        # variance at zero; they share the batch with optima that do not
+        truth = TrueParameters(
+            mu=[1.0, 0.3, -0.02], alpha=[0.4, 0.0], omega2=[0.0, 0.0, 0.0], sigma2=1.0
+        )
+        at_zero = 0
+        for seed in (74, 75):
+            data = generate_dataset(SimulationDesign("t", 10, 6), truth, seed=seed)
+            for fit in self.fits(data):
+                if not fit.theta_hat.omega2.any():
+                    at_zero += 1
+                    assert fit.n_effective == float(data.n_obs), fit.candidate.id
+        assert at_zero >= 10
+
+    def test_replace_recomputes_for_new_variances(self):
+        data = self.layouts()[0]
+        fit = fit_ml(CandidateModel(m=2, o=2), data)
+        omega2 = fit.theta_hat.omega2 * 4.0
+        moved = dataclasses.replace(
+            fit, theta_hat=ParameterVector(beta=fit.theta_hat.beta, omega2=omega2, sigma2=0.5)
+        )
+        want = synthetic_fit(fit.candidate, data, omega2, 0.5).n_effective
+        assert moved.n_effective == want
+        assert moved.n_effective < fit.n_effective
+        none = dataclasses.replace(
+            fit, theta_hat=ParameterVector(beta=fit.theta_hat.beta, omega2=omega2 * 0.0, sigma2=0.5)
+        )
+        assert none.n_effective == float(data.n_obs)
