@@ -3,22 +3,21 @@
 Run from the repository root:
 
     python tools/bench_pairs.py --parent REV --label NAME --seed S \
-        [--change REV] [--pairs 10] [--seconds 25] \
-        [--workloads study-shared,select-shared,select-ragged] \
-        [--claim study-shared:latency_p50_s]
+        [--pairs 10] [--claim study-shared:latency_p50_s]
 
-Both revisions (--change defaults to HEAD) are exported with git archive
-into a temporary directory, and each run is
+REV and HEAD are exported with git archive into a temporary directory,
+and for each workload of BENCHMARK.json each run is
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
 
-from the root of one checkout, with PYTHONDONTWRITEBYTECODE=1 so that
-neither side gains a bytecode cache the other lacks.  Pair k runs the
-parent first when k is even and the change first when k is odd.  The
-record holds, per workload and per end-to-end metric of BENCHMARK.json,
-each side's median and quartiles, and in how many pairs the change did
-better (change_wins) or worse (change_losses); the layout is that of
-BENCH_replicate_fixed_costs.json's end_to_end.  With --claim it also
+with N its run_seconds, from the root of one checkout, with
+PYTHONDONTWRITEBYTECODE=1 so that neither side gains a bytecode cache
+the other lacks.  Pair k runs the parent first when k is even and HEAD
+first when k is odd.  The record holds, per workload and per end-to-end
+metric of BENCHMARK.json, each side's median and quartiles, and in how
+many pairs the change did better (change_wins) or worse
+(change_losses); the layout is that of BENCH_replicate_fixed_costs.json's
+end_to_end.  With --claim it also
 states the claimed metric's medians, its relative change, the pairs
 won and the parent's interquartile spread.  Runs whose checks failed are
 counted per workload and side under incorrect_runs and still summarised.
@@ -38,7 +37,6 @@ from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("study-shared", "select-shared", "select-ragged")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -121,28 +119,26 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[di
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
-    parser.add_argument("--change", default="HEAD")
     parser.add_argument("--label", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--claim", help="WORKLOAD:METRIC of the claimed gain")
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    workloads = [w["name"] for w in contract["workloads"]]
+    seconds = contract["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         revisions = {side: export(rev, sides[side])
-                     for side, rev in (("parent", args.parent), ("change", args.change))}
+                     for side, rev in (("parent", args.parent), ("change", "HEAD"))}
         runs = {w: {"parent": [], "change": []} for w in workloads}
         incorrect = {w: {"parent": 0, "change": 0} for w in workloads}
         for k in range(args.pairs):
             for workload in workloads:
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    metrics, correct = run_once(sides[side], workload, args.seed, args.seconds)
+                    metrics, correct = run_once(sides[side], workload, args.seed, seconds)
                     runs[workload][side].append(metrics)
                     incorrect[workload][side] += not correct
                     print(f"pair {k + 1}/{args.pairs} {workload} {side}: "
@@ -154,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         "label": args.label,
         "parent": revisions["parent"],
         "change": revisions["change"],
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "pairs": f"{args.pairs} per workload, parent and change alternating which runs first, "
                  "each from its own checkout made by git archive, with PYTHONDONTWRITEBYTECODE=1",
         "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, "
