@@ -13,8 +13,8 @@ lmmbic.simulation, and its report files in lmmbic.report.
 from .candidates import CandidateModel, TrueParameters, enumerate_candidates, generate_dataset
 from .criteria import CRITERIA, build_report, criterion_value, selection_summary
 from .data import read_dataset
-from .ess import effective_sample_size, magnitude
-from .estimation import fit_ml
+from .estimation import effective_sample_size, fit_ml
+from .model import magnitude
 
 __version__ = "0.1.0"
 

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .candidates import DESIGNS, CandidateModel, build_design, enumerate_candidates
+from .candidates import DESIGNS, CandidateModel, enumerate_candidates
 from .criteria import CRITERIA, build_report, selection_summary
 from .data import read_dataset
-from .ess import effective_sample_size
-from .estimation import UnidentifiableModelError, fit_ml
-from .model import assemble_marginal_covariance, correlation_from_covariance
+from .estimation import UnidentifiableModelError, effective_sample_size, fit_ml
+from .model import correlation_from_covariance, implied_covariance
 
 logger = logging.getLogger("lmmbic")
 
@@ -38,7 +37,7 @@ def _candidate_id(text: str) -> CandidateModel:
 def _criteria_list(text: str) -> list[str]:
     keys = [k.strip() for k in text.split(",") if k.strip()]
     unknown = [k for k in keys if k not in CRITERIA]
-    if unknown or not keys:
+    if unknown or not keys or len(set(keys)) != len(keys):
         raise argparse.ArgumentTypeError(
             f"criteria must be a comma-separated subset of {','.join(CRITERIA)}"
         )
@@ -135,8 +134,7 @@ def _block_summaries(fit) -> list[dict]:
     for block in fit.data.subjects:
         key = block.x.tobytes()
         if key not in by_grid:
-            Z = build_design(fit.candidate, block).Z
-            V = assemble_marginal_covariance(Z, fit.theta_hat.omega2, fit.theta_hat.sigma2)
+            V = implied_covariance(fit.candidate, fit.theta_hat, block)
             R = correlation_from_covariance(V)
             off = R[~np.eye(R.shape[0], dtype=bool)]
             by_grid[key] = {

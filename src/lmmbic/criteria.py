@@ -24,8 +24,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .candidates import CandidateModel, enumerate_candidates
-from .ess import effective_sample_size
-from .estimation import FittedModel
+from .estimation import FittedModel, effective_sample_size
 
 CRITERIA = ("N", "n", "ne", "h")
 
@@ -239,13 +238,16 @@ def selection_summary(
     For each criterion the two best candidates are compared by
     criterion difference and the matching approximate Bayes factor,
     each with its evidence grade; a runner-up tied with the winner (see
-    select_model) has difference 0.
+    select_model) has difference 0.  Raises ValueError on an unknown or
+    repeated criterion name.
     """
     if not reports:
         raise ValueError("no reports to summarize")
     criteria = list(criteria)
     for crit in criteria:
         criterion_value(reports[0], crit)  # validate names early
+    if len(set(criteria)) != len(criteria):
+        raise ValueError("criteria must not repeat")
     winners: dict[str, str] = {}
     evidence: dict[str, dict] = {}
     for crit in criteria:

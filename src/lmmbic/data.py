@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -117,8 +118,9 @@ def _floats(path: Path, column: str, values: list[str], lines: list[int]) -> np.
 def read_dataset(path: str | Path) -> Dataset:
     """Read a delimited text file with columns subject, x, c and y.
 
-    The delimiter (comma, semicolon or tab) is inferred from the header
-    row.  Rows are grouped by subject in order of first appearance and
+    The header is the first non-blank line, and the delimiter (comma,
+    semicolon or tab) is inferred from it; empty data lines are skipped.
+    Rows are grouped by subject in order of first appearance and
     the within-subject row order is preserved.  The subject-level
     covariate must be constant within each subject.
 
@@ -130,12 +132,14 @@ def read_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        first = handle.readline()
-        if not first.strip():
+        blank = 0
+        while (first := handle.readline()).isspace():
+            blank += 1
+        if not first:
             raise DataFormatError(f"{path}: file is empty")
         handle.seek(0)
         reader = csv.reader(handle, delimiter=_infer_delimiter(first))
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(islice(reader, blank, None))]
         for column in REQUIRED_COLUMNS:
             if column not in header:
                 raise DataFormatError(f"{path}: missing column {column!r}")

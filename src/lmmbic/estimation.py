@@ -174,6 +174,15 @@ class FittedModel:
         object.__setattr__(self, "n_effective", n_e)
 
 
+def effective_sample_size(fit: FittedModel) -> float:
+    """sum_i 1' R_i^-1 1 over the fit's subjects: its n_effective.
+
+    model.correlation_structure is the dense reference, one subject's
+    R_i at a time.
+    """
+    return fit.n_effective
+
+
 # A candidate's maximum as DatasetStatistics.optima keeps it, with theta
 # and beta over O4M4's terms.
 _Optimum = namedtuple(
@@ -286,11 +295,11 @@ class ProfiledLikelihood:
     """One candidate's likelihood with beta profiled out.
 
     Construction checks that the candidate is identifiable on the data
-    (_identifiability).  evaluate() and profile() are the one-row case of
-    the stacked core (_solve, _profile) on the dataset's statistics
-    (dataset_statistics).  The fit path does not construct it: the
-    family search (_search_family) checks identifiability once per mean
-    structure and calls the core on the whole stack.
+    (_identifiability).  evaluate() is the one-row case of the stacked
+    core (_solve) on the dataset's statistics (dataset_statistics).  The
+    fit path does not construct it: the family search (_search_family)
+    checks identifiability once per mean structure and calls the core on
+    the whole stack.
     """
 
     def __init__(self, candidate: CandidateModel, data: Dataset):
@@ -300,7 +309,6 @@ class ProfiledLikelihood:
             raise UnidentifiableModelError(problem.format(id=candidate.id))
         self.candidate = candidate
         self._stats = stats
-        self.z_scale2 = stats.z_scale2[candidate.random_columns]
 
     def evaluate(self, omega2: np.ndarray, sigma2: float) -> tuple[float, np.ndarray]:
         """Profiled log-likelihood and the GLS beta at these variances.
@@ -316,14 +324,6 @@ class ProfiledLikelihood:
         n = self._stats.n_obs
         loglik = -0.5 * (n * (LN_TWO_PI + math.log(sigma2)) + logdet[0] + rss[0] / sigma2)
         return float(loglik), beta[0, self.candidate.mean_columns]
-
-    def profile(self, theta: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """f = -loglik with beta and sigma2 profiled out, its gradient in
-        theta, and sigma2_hat (see _profile); raises as evaluate() does."""
-        padded = np.zeros((1, 3))
-        padded[0, self.candidate.random_columns] = theta
-        f, g, _, sigma2, _ = _profile(self._stats, self.candidate.mean_columns[None], padded)
-        return float(f[0]), g[0, self.candidate.random_columns], float(sigma2[0])
 
 
 def _solve(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tuple:
@@ -479,27 +479,26 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
     # the masks ignore
     f_new, g_new, h_new = f.copy(), g.copy(), h.copy()
     evaluations, iterations = np.ones(B, dtype=int), np.zeros(B, dtype=int)
-    converged, running = np.zeros(B, dtype=bool), np.isfinite(f)
+    started = np.isfinite(f)
+    running = started.copy()
     direction, trial = np.zeros((B, d)), z.copy()
     t, tries = np.ones(B), np.zeros(B, dtype=int)
 
-    def halve(rows: np.ndarray, kkt: np.ndarray) -> np.ndarray:
+    def kkt() -> np.ndarray:
+        return np.abs(z - np.clip(z - g, lower, upper)).max(axis=1) <= rel_tol * (1.0 + np.abs(f))
+
+    def halve(rows: np.ndarray) -> np.ndarray:
         # a row out of halvings stops where it is
         np.multiply(t, 0.5, out=t, where=rows)
         np.add(tries, rows, out=tries)
         out = rows & (tries >= _LINE_SEARCH_STEPS)
-        np.copyto(converged, kkt, where=out)
         np.copyto(running, False, where=out)
         np.add(iterations, out, out=iterations)
         return rows & ~out
 
     starting, backtracking = running.copy(), np.zeros(B, dtype=bool)
     while True:
-        # the KKT check of every row where it stands: an iteration begins
-        # with it, and a row that stops in its line search has not moved since
-        kkt = np.abs(z - np.clip(z - g, lower, upper)).max(axis=1) <= rel_tol * (1.0 + np.abs(f))
-        np.copyto(converged, kkt, where=starting)
-        stop = starting & (kkt | (iterations >= max_iterations))
+        stop = starting & (kkt() | (iterations >= max_iterations))
         running &= ~stop
         starting &= ~stop
         rows = np.flatnonzero(starting)
@@ -517,10 +516,12 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
         while pending.any():
             step = np.clip(z + t[:, None] * direction, lower, upper)
             np.copyto(trial, step, where=pending[:, None])
-            pending = halve(pending & ~((g * (trial - z)).sum(axis=1) < 0), kkt)
+            pending = halve(pending & ~((g * (trial - z)).sum(axis=1) < 0))
         rows = np.flatnonzero(running)
         if not rows.size:
-            return z, f, g, converged, iterations, evaluations
+            # a row stopped by its halvings or the iteration cap has not
+            # moved since its last check, so one check here covers all
+            return z, f, g, started & kkt(), iterations, evaluations
         f_new[rows], g_new[rows], h_new[rows] = fun(trial[rows], rows)
         evaluations += running
         s = trial - z
@@ -531,7 +532,7 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
             (g_new * s).sum(axis=1) <= (2e-4 - 1.0) * slope
         )
         starting = running & ((f_new <= f + 1e-4 * slope) | flat)
-        backtracking = halve(running & ~starting, kkt)
+        backtracking = halve(running & ~starting)
         np.copyto(z, trial, where=starting[:, None])
         np.copyto(f, f_new, where=starting)
         np.copyto(g, g_new, where=starting[:, None])

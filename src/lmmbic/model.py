@@ -1,4 +1,4 @@
-"""Exact Gaussian marginal likelihood for block-structured mixed models.
+"""Dense reference for the likelihood and the effective sample size.
 
 Integrating the random effects out of the subject model leaves
 independent multivariate-normal blocks
@@ -8,16 +8,33 @@ independent multivariate-normal blocks
 and the log-likelihood is the sum of the per-block log-densities.  Each
 block is evaluated through a Cholesky factorization of V_i; an explicit
 inverse is never formed.
+
+n observations with correlation matrix R carry the information of
+1' R^-1 1 independent ones; that scalar is the magnitude of R.  For an
+exchangeable n x n block with correlation rho it reduces to
+n / (1 + (n - 1) rho), so strong positive correlation shrinks the
+count toward 1 and independence leaves it at n.  Grouped data has
+block-diagonal correlation, so the dataset total n_e is the sum of
+per-subject magnitudes.
+
+Both are computed here one subject's dense n_i x n_i block at a time, as
+the reference the fast path in estimation is checked against; a fit
+carries its own n_e (FittedModel.n_effective), read off the
+capacitances the likelihood uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .candidates import CandidateModel, build_design
-from .data import Dataset
+from .data import Dataset, SubjectBlock
+
+if TYPE_CHECKING:
+    from .estimation import FittedModel
 
 LN_TWO_PI = float(np.log(2.0 * np.pi))
 
@@ -76,15 +93,32 @@ def assemble_marginal_covariance(Z: np.ndarray, omega2: np.ndarray, sigma2: floa
     return V
 
 
-def _block_log_density(resid: np.ndarray, V: np.ndarray) -> float:
-    # the reference path alone needs scipy, so importing lmmbic does not
-    from scipy.linalg import solve_triangular
+def implied_covariance(
+    candidate: CandidateModel, params: ParameterVector, block: SubjectBlock
+) -> np.ndarray:
+    """One subject's V_i under the candidate at params."""
+    Z = build_design(candidate, block).Z
+    return assemble_marginal_covariance(Z, params.omega2, params.sigma2)
 
-    # np.linalg.cholesky raises LinAlgError when V is not numerically PD
-    L = np.linalg.cholesky(V)
-    half = solve_triangular(L, resid, lower=True, check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diagonal(L))))
-    return -0.5 * (resid.size * LN_TWO_PI + logdet + float(half @ half))
+
+def _whiten(V: np.ndarray, b: np.ndarray | float) -> tuple[np.ndarray, float]:
+    """L^-1 b and log det V for V = L L', from one Cholesky factorization.
+
+    w = L^-1 b is the last row of the Cholesky factor of the bordered
+    matrix [[V, b], [b', c]], whose top-left block is L, for any c that
+    keeps its last pivot c - w'w positive; c = the largest float does for
+    every V that factorizes (w'w overflows only when V is numerically
+    singular, and then the factorization raises).  Raises
+    numpy.linalg.LinAlgError when it does.
+    """
+    n = V.shape[0]
+    bordered = np.empty((n + 1, n + 1))
+    bordered[:n, :n] = V
+    bordered[:n, n] = b
+    bordered[n, :n] = b
+    bordered[n, n] = np.finfo(float).max
+    L = np.linalg.cholesky(bordered)
+    return L[n, :n], 2.0 * float(np.sum(np.log(np.diagonal(L)[:n])))
 
 
 def log_likelihood(params: ParameterVector, candidate: CandidateModel, data: Dataset) -> float:
@@ -105,7 +139,8 @@ def log_likelihood(params: ParameterVector, candidate: CandidateModel, data: Dat
                 f"{candidate.id} has {d.X.shape[1]} mean columns"
             )
         V = assemble_marginal_covariance(d.Z, params.omega2, params.sigma2)
-        total += _block_log_density(block.y - d.X @ params.beta, V)
+        half, logdet = _whiten(V, block.y - d.X @ params.beta)
+        total -= 0.5 * (block.n_obs * LN_TWO_PI + logdet + float(half @ half))
     return total
 
 
@@ -124,3 +159,36 @@ def correlation_from_covariance(V: np.ndarray) -> np.ndarray:
     diagonal = np.arange(V.shape[-1])
     R[..., diagonal, diagonal] = 1.0
     return R
+
+
+def magnitude(R: np.ndarray) -> float:
+    """Sum of the entries of R^-1, 1' R^-1 1, from one Cholesky factorization.
+
+    Expects a symmetric positive-definite matrix (a correlation matrix
+    in this package's usage).  Raises numpy.linalg.LinAlgError when the
+    factorization fails.
+    """
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+        raise ValueError("R must be square")
+    w, _ = _whiten(R, 1.0)
+    return float((w * w).sum())
+
+
+@dataclass(frozen=True, eq=False)
+class CorrelationStructure:
+    """Model-implied correlation blocks and their magnitude weights."""
+
+    blocks: tuple[np.ndarray, ...]
+    weights: tuple[float, ...]
+    n_e: float
+
+
+def correlation_structure(fit: FittedModel) -> CorrelationStructure:
+    """Per-subject implied correlation matrices and magnitudes for a fit."""
+    blocks = tuple(
+        correlation_from_covariance(implied_covariance(fit.candidate, fit.theta_hat, block))
+        for block in fit.data.subjects
+    )
+    weights = tuple(magnitude(R) for R in blocks)
+    return CorrelationStructure(blocks=blocks, weights=weights, n_e=float(sum(weights)))

@@ -47,9 +47,8 @@ from lmmbic.criteria import (
     partition_parameters,
 )
 from lmmbic.data import Dataset, SubjectBlock
-from lmmbic.ess import effective_sample_size, magnitude
-from lmmbic.estimation import ProfiledLikelihood, fit_ml
-from lmmbic.model import ParameterVector, log_likelihood
+from lmmbic.estimation import ProfiledLikelihood, effective_sample_size, fit_ml
+from lmmbic.model import ParameterVector, log_likelihood, magnitude
 from lmmbic.rng import substream
 from lmmbic.simulation import DESIGNS, SimulationDesign, StudyConfig, sample_true_parameters, run_study
 

@@ -186,6 +186,13 @@ class TestSelectCommand:
             main(["select", str(path), "--criteria", "N,aic"])
         assert excinfo.value.code == 2
 
+    def test_repeated_criteria_is_usage_error(self, data_file, capsys):
+        path, _ = data_file
+        with pytest.raises(SystemExit) as excinfo:
+            main(["select", str(path), "--criteria", "N,N,ne"])
+        assert excinfo.value.code == 2
+        assert "comma-separated subset" in capsys.readouterr().err
+
 
 class TestEssCommand:
     def test_payload_between_bounds(self, data_file, capsys):

@@ -311,6 +311,11 @@ class TestSelectionSummary:
         assert list(payload["winners"]) == ["ne"]
         assert list(payload["evidence"]) == ["ne"]
 
+    def test_repeated_criteria_rejected(self):
+        reports = [report_for("O1M1", -60.0), report_for("O2M1", -40.0)]
+        with pytest.raises(ValueError, match="repeat"):
+            selection_summary(reports, criteria=["N", "N", "ne"])
+
     def test_single_report_has_no_evidence(self):
         payload = selection_summary([report_for("O1M1", -60.0)])
         assert payload["evidence"] == {}

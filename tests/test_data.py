@@ -132,6 +132,16 @@ class TestReadDataset:
         with pytest.raises(DataFormatError, match="empty"):
             read_dataset(path)
 
+    def test_blank_line_before_header(self, tmp_path):
+        text = "subject;x;c;y\ns1;0.0;1.5;2.25\ns1;1.0;1.5;3.5\ns2;0.0;-0.5;0.75\n"
+        plain = read_dataset(self.write(tmp_path, text, name="plain.csv"))
+        padded = read_dataset(self.write(tmp_path, "\n" + text, name="padded.csv"))
+        assert [s.id for s in padded.subjects] == [s.id for s in plain.subjects]
+        for a, b in zip(padded.subjects, plain.subjects):
+            np.testing.assert_array_equal(a.x, b.x)
+            np.testing.assert_array_equal(a.y, b.y)
+            assert a.c == b.c
+
     def test_header_only(self, tmp_path):
         path = self.write(tmp_path, "subject,x,c,y\n")
         with pytest.raises(DataFormatError, match="no data rows"):

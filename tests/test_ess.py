@@ -10,9 +10,14 @@ from lmmbic.candidates import (
     generate_dataset,
 )
 from lmmbic.data import Dataset, SubjectBlock
-from lmmbic.estimation import VARIANCE_FLOOR, FittedModel, dataset_statistics, fit_ml
-from lmmbic.ess import correlation_structure, effective_sample_size, magnitude
-from lmmbic.model import ParameterVector
+from lmmbic.estimation import (
+    VARIANCE_FLOOR,
+    FittedModel,
+    dataset_statistics,
+    effective_sample_size,
+    fit_ml,
+)
+from lmmbic.model import ParameterVector, correlation_structure, magnitude
 from lmmbic.simulation import SimulationDesign
 
 

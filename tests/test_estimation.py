@@ -184,25 +184,37 @@ class TestProfiledLikelihood:
         mixed = mixed_grid_dataset([(4, 3), (1, 1), (5, 2), (2, 1)], [True, False] * 4, seed=17)
         return shared, ragged, mixed
 
+    @staticmethod
+    def profile_at(stats, cand, theta):
+        """_profile at one candidate's relative variances theta: f, the
+        gradient over its random effects and sigma2_hat."""
+        padded = np.zeros((1, 3))
+        padded[0, cand.random_columns] = theta
+        f, g, _, sigma2, _ = _profile(stats, cand.mean_columns[None], padded)
+        return float(f[0]), g[0, cand.random_columns], float(sigma2[0])
+
     def test_profile_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(18)
         for data in self.gradient_layouts():
+            stats = dataset_statistics(data)
             for cand in enumerate_candidates():
-                prof = ProfiledLikelihood(cand, data)
+                scales2 = stats.z_scale2[cand.random_columns]
                 theta = rng.uniform(0.05, 2.0, size=cand.n_variance)
                 # the same point with some relative variances at zero
                 zeroed = theta * (rng.uniform(size=theta.size) < 0.5)
                 for point in (theta, zeroed):
-                    _, grad, _ = prof.profile(point)
+                    _, grad, _ = self.profile_at(stats, cand, point)
                     fd = np.empty_like(point)
                     for j in range(point.size):
                         # a step of 1e-6 in theta_j s_j^2, the unit of the search
-                        scale2 = prof.z_scale2[j]
+                        scale2 = scales2[j]
                         h = 1e-6 * max(point[j] * scale2, 1.0) / scale2
                         up, down = point.copy(), point.copy()
                         up[j] += h
                         down[j] -= h
-                        fd[j] = (prof.profile(up)[0] - prof.profile(down)[0]) / (2 * h)
+                        fd[j] = (
+                            self.profile_at(stats, cand, up)[0] - self.profile_at(stats, cand, down)[0]
+                        ) / (2 * h)
                     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7 * data.n_obs)
 
     def test_profile_hessian_matches_differenced_gradient(self):
@@ -250,7 +262,7 @@ class TestProfiledLikelihood:
             for cand in enumerate_candidates():
                 prof = ProfiledLikelihood(cand, data)
                 theta = rng.uniform(0.0, 2.0, size=cand.n_variance)
-                value, _, sigma2 = prof.profile(theta)
+                value, _, sigma2 = self.profile_at(dataset_statistics(data), cand, theta)
                 loglik, _ = prof.evaluate(theta * sigma2, sigma2)
                 np.testing.assert_allclose(value, -loglik, rtol=1e-12, atol=0.0)
                 # sigma2_hat maximizes over sigma2 at fixed theta

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,3 +165,41 @@ class TestCorrelationFromCovariance:
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(ValueError):
             correlation_from_covariance(np.array([[0.0, 0.0], [0.0, 1.0]]))
+
+
+# A subprocess in which importing scipy fails: the dense likelihood, the
+# magnitude and the correlation structure must run on numpy alone.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from lmmbic.candidates import CandidateModel
+from lmmbic.data import Dataset, SubjectBlock
+from lmmbic.estimation import fit_ml
+from lmmbic.model import ParameterVector, correlation_structure, log_likelihood, magnitude
+
+rng = np.random.default_rng(3)
+x = np.linspace(0.0, 10.0, 4)
+data = Dataset(subjects=tuple(
+    SubjectBlock(id=f"s{i}", x=x, c=rng.normal(), y=1.0 + 0.5 * x + rng.normal(size=4))
+    for i in range(6)
+))
+cand = CandidateModel(m=1, o=1)
+params = ParameterVector(beta=[1.0, 0.5, 0.0], omega2=[0.5], sigma2=1.0)
+structure = correlation_structure(fit_ml(cand, data))
+print(log_likelihood(params, cand, data), magnitude(np.eye(3)), structure.n_e)
+"""
+
+
+def test_dense_reference_runs_without_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    loglik, ones, n_e = map(float, result.stdout.split())
+    assert np.isfinite(loglik)
+    assert ones == 3.0
+    assert 6.0 <= n_e <= 24.0

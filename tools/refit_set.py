@@ -29,8 +29,7 @@ import numpy as np  # noqa: E402
 import lmmbic.simulation  # noqa: E402
 from inputs import datasets  # noqa: E402
 from lmmbic.candidates import DESIGNS, enumerate_candidates  # noqa: E402
-from lmmbic.ess import effective_sample_size  # noqa: E402
-from lmmbic.estimation import UnidentifiableModelError, fit_ml  # noqa: E402
+from lmmbic.estimation import UnidentifiableModelError, effective_sample_size, fit_ml  # noqa: E402
 from lmmbic.simulation import StudyConfig, run_replicate  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
