@@ -51,7 +51,7 @@ class CandidateModel:
 
     A candidate is O4M4 with some columns removed: the read-only masks
     mean_columns (5,) over X's [1, x, x^2, c*x, c*x^2] and random_columns
-    (3,) over Z's [1, x, x^2] (see full_design) mark those it keeps, and
+    (3,) over Z's [1, x, x^2] (see build_design) mark those it keeps, and
     its labels, counts and designs follow them in O4M4's column order.
     covers() lists the candidates with one optional column fewer.
     """
@@ -153,31 +153,18 @@ class DesignBlocks:
         return self.X.shape[0]
 
 
-def full_design(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """O4M4's design for subjects observed on one grid x.
-
-    c holds the m subjects' covariates.  Returns X of shape (n, m, 5),
-    subject j's X_j in X[:, j], and the shared Z of shape (n, 3).
-    """
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    Z = np.column_stack([np.ones_like(x), x, x * x])
-    X = np.concatenate(
-        [np.broadcast_to(Z[:, None, :], (x.size, c.size, 3)), c[None, :, None] * Z[:, None, 1:]],
-        axis=2,
-    )
-    return X, Z
-
-
 def build_design(candidate: CandidateModel, block: SubjectBlock) -> DesignBlocks:
     """Assemble X_i and Z_i for one subject under one candidate.
 
     Column order is fixed: X_i holds [1, x, x^2], then c*x when alpha1
     is in the mean, then c*x^2 when alpha2 is; Z_i holds [1], then x
-    when omega1^2 is free, then x^2 when omega2^2 is.
+    when omega1^2 is free, then x^2 when omega2^2 is.  These are O4M4's
+    X_i = [1, x, x^2, c*x, c*x^2] and Z_i = [1, x, x^2] without the
+    columns the candidate lacks.
     """
-    X, Z = full_design(block.x, [block.c])
-    X = np.ascontiguousarray(X[:, 0, candidate.mean_columns])
+    x = block.x
+    Z = np.column_stack([np.ones_like(x), x, x * x])
+    X = np.ascontiguousarray(np.column_stack([Z, block.c * Z[:, 1:]])[:, candidate.mean_columns])
     Z = np.ascontiguousarray(Z[:, candidate.random_columns])
     X.flags.writeable = False
     Z.flags.writeable = False

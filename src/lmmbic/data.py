@@ -119,7 +119,8 @@ def read_dataset(path: str | Path) -> Dataset:
     """Read a delimited text file with columns subject, x, c and y.
 
     The header is the first non-blank line, and the delimiter (comma,
-    semicolon or tab) is inferred from it; empty data lines are skipped.
+    semicolon or tab) is inferred from it; data rows whose fields are all
+    blank are skipped.
     Rows are grouped by subject in order of first appearance and
     the within-subject row order is preserved.  The subject-level
     covariate must be constant within each subject.
@@ -148,7 +149,9 @@ def read_dataset(path: str | Path) -> Dataset:
         rows: list[list[str]] = []
         lines: list[int] = []
         for row in reader:
-            if row:
+            # a row whose fields are all blank is skipped, as the header
+            # search skips a blank line
+            if "".join(row).strip():
                 rows.append(row)
                 lines.append(reader.line_num)
 

@@ -28,11 +28,13 @@ columns), so that any candidate's Z is Q R with R k x q, and
     log det Vt_i = log det Ct,
 
 so the evaluation needs only the k x k capacitance matrix Ct and
-cross-products of the rotated data: Q'X_i and Q'y_i along Z, and the
-components orthogonal to Z, which enter as plain sums.  Both parts of
-X' Vt^-1 X are positive semi-definite, so nothing cancels as the
-relative variances grow.  Subjects that share a grid share Q and R, so
-their cross-products collapse into one group tensor per distinct grid.
+cross-products of the rotated data.  Every mean column of O4M4, 1, x,
+x^2, c x and c x^2, lies in the span of Z, so X has no component
+orthogonal to Z: Q'X_i = [R, c_i R[:, 1:]] follows from the grid's R and
+the subject's covariate alone, and only y's orthogonal component enters,
+as a plain sum of squares.  Subjects that share a grid share Q and R, so
+their cross-products collapse into one group tensor per distinct grid,
+built from R, the subjects' Q'y_i and their covariate moments.
 
 All sixteen candidates are O4M4 with some terms removed, so these
 statistics are built once per dataset (dataset_statistics), for O4M4's
@@ -84,7 +86,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .candidates import CandidateModel, enumerate_candidates, full_design
+from .candidates import CandidateModel, enumerate_candidates
 from .data import Dataset, SubjectBlock
 from .model import LN_TWO_PI, ParameterVector
 
@@ -127,6 +129,9 @@ _SAME_OPTIMUM = 5e-12
 _RSS_ROUNDING = 8.0 * float(np.finfo(float).eps)
 _EYE3 = np.eye(3)
 _EYE5 = np.eye(5)
+# O4M4's mean columns 1, x, x^2, c x, c x^2 carry w_i = (1, 1, 1, c_i, c_i):
+# the index of each column's factor in (1, c_i)
+_W = np.array([0, 0, 0, 1, 1])
 
 
 class UnidentifiableModelError(ValueError):
@@ -195,25 +200,27 @@ class DatasetStatistics:
 
     The subjects are grouped by observation grid once.  Per distinct
     grid g, with O4M4's Z = [1, x, x^2] = Q R (Q and R zero-padded to 3
-    axes when the grid has fewer than 3 points) and the sums running
-    over the grid's subjects:
+    axes when the grid has fewer than 3 points), X has no component
+    orthogonal to Z: subject i's Q'X_i = E diag(w_i), with E = [R, R[:, 1:]]
+    (3, 5) and w_i = (1, 1, 1, c_i, c_i).  So, with the sums running over
+    the grid's subjects and capacitance axes first,
 
-        R[g]                                          (G, 3, 3)
-        cross_xx[g] = sum Q'X_i (x) Q'X_i, capacitance axes first,
-                                                      (G, 3, 3, 5, 5),
-        cross_xy[g], cross_yy[g] likewise             (G, 3, 3, 5), (G, 3, 3),
-        counts[g], the grid's number of subjects      (G,)
+        R[g]                                                  (G, 3, 3)
+        cross_xx[g][a, b, p, q] = E[a, p] E[b, q] sum w_ip w_iq (G, 3, 3, 5, 5)
+        cross_xy[g][a, b, p] = E[a, p] sum w_ip (Q'y_i)[b]    (G, 3, 3, 5)
+        cross_yy[g] = sum Q'y_i (Q'y_i)'                      (G, 3, 3)
+        counts[g], the grid's number of subjects              (G,)
 
     with the cross tensors kept flat, (G*9, 25), (G*9, 5) and (G*9,), and
     rr (3, G*9) the outer products of R's columns: Ct = I + theta @ rr.
-    Also the sums over all subjects of the components orthogonal to Z:
-    perp_xx, perp_xy and perp_yy.  X has O4M4's five mean columns.  xtx
-    is O4M4's plain X'X and yty is y'y; z_scale2 is the mean square of
-    each Z column.  point_q (P, 3) stacks the rows of every grid's Q,
-    grid after grid in the order of R, and grid_sizes (G,) their number
-    of points.  optima holds each candidate's _Optimum, or the message of
-    the error that rejects it, from one family search (_search_family)
-    on first read; no entry refers to the data.
+    Only y has a component orthogonal to Z; perp_yy is its sum of squares
+    over all subjects.  xtx = sum_g sum_a cross_xx[g][a, a] is O4M4's
+    plain X'X and yty is y'y; z_scale2 is the mean square of each Z
+    column.  point_q (P, 3) stacks the rows of every grid's Q, grid after
+    grid in the order of R, and grid_sizes (G,) their number of points.
+    optima holds each candidate's _Optimum, or the message of the error
+    that rejects it, from one family search (_search_family) on first
+    read; no entry refers to the data.
     """
 
     def __init__(self, data: Dataset):
@@ -221,52 +228,47 @@ class DatasetStatistics:
         for block in data.subjects:
             by_grid.setdefault(block.x.tobytes(), []).append(block)
 
+        covariates = [block.c for block in data.subjects]
         self.n_obs = data.n_obs
         self.n_subjects = data.n_subjects
-        self.constant_covariate = np.unique(data.subject_covariates()).size < 2
-        self.xtx = np.zeros((5, 5))
+        self.constant_covariate = min(covariates) == max(covariates)
         self.yty = 0.0
-        self.perp_xx = np.zeros((5, 5))
-        self.perp_xy = np.zeros(5)
         self.perp_yy = 0.0
-        rs, qs, cross_xx, cross_xy, cross_yy = [], [], [], [], []
+        rs, qs, moments, cross_ty, cross_yy = [], [], [], [], []
         for subjects in by_grid.values():
-            Xs, Z = full_design(subjects[0].x, [b.c for b in subjects])  # (n, m, 5), (n, 3)
-            Ys = np.stack([b.y for b in subjects], axis=1)                # (n, m)
-            X = Xs.reshape(-1, 5)
-            self.xtx += X.T @ X
+            x = subjects[0].x
+            Ys = np.array([b.y for b in subjects]).T                     # (n, m)
             self.yty += float((Ys * Ys).sum())
-            n, m = Ys.shape
-            flat_x = Xs.reshape(n, m * 5)
+            n = x.size
             # a grid with n < 3 points has k = n; zero-padding Q and R to 3
             # axes leaves Ct = 1 on the padded axes, which adds nothing
-            Q_thin, R_thin = np.linalg.qr(Z)                             # (n, k), (k, 3)
+            Q_thin, R_thin = np.linalg.qr(np.column_stack([np.ones(n), x, x * x]))
             k = R_thin.shape[0]
             Q = np.zeros((n, 3))
             Q[:, :k] = Q_thin
             R = np.zeros((3, 3))
             R[:k] = R_thin
-            QtX = Q.T @ flat_x                                           # (3, m*5)
             Qty = Q.T @ Ys                                               # (3, m)
-            perp_x = (flat_x - Q @ QtX).reshape(n * m, 5)
-            perp_y = (Ys - Q @ Qty).reshape(n * m)
-            self.perp_xx += perp_x.T @ perp_x
-            self.perp_xy += perp_x.T @ perp_y
-            self.perp_yy += float(perp_y @ perp_y)
+            perp_y = Ys - Q @ Qty
+            self.perp_yy += float((perp_y * perp_y).sum())
             rs.append(R)
             qs.append(Q)
-            # sums over the group's subjects of Q'X_i (x) Q'X_i etc., with
-            # the two capacitance axes in front
-            along = QtX.reshape(3, m, 5).transpose(1, 0, 2).reshape(m, 15)
-            cross_xx.append((along.T @ along).reshape(3, 5, 3, 5).transpose(0, 2, 1, 3))
-            cross_xy.append((along.T @ Qty.T).reshape(3, 5, 3).transpose(0, 2, 1))
+            # w_i repeats 1 and c_i (see _W), so the grid's sums need only those
+            one_c = np.stack([np.ones(len(subjects)), [b.c for b in subjects]])
+            moments.append(one_c @ one_c.T)
+            cross_ty.append(one_c @ Qty.T)
             cross_yy.append(Qty @ Qty.T)
         self.counts = np.array([len(subjects) for subjects in by_grid.values()], dtype=float)
         self.R = np.stack(rs)
-        self.rr = (self.R[:, :, None, :] * self.R[:, None, :, :]).reshape(-1, 3).T.copy()
-        self.cross_xx = np.stack(cross_xx).reshape(-1, 25)
-        self.cross_xy = np.stack(cross_xy).reshape(-1, 5)
+        E = np.concatenate([self.R, self.R[:, :, 1:]], axis=2)          # (G, 3, 5)
+        w2 = np.stack(moments)[:, _W][:, :, _W]                          # sum w_i w_i'
+        wy = np.stack(cross_ty)[:, _W]                                   # sum w_i (Q'y_i)'
+        cross_xx = E[:, :, None, :, None] * E[:, None, :, None, :] * w2[:, None, None]
+        self.xtx = np.einsum("gaapq->pq", cross_xx)
+        self.cross_xx = cross_xx.reshape(-1, 25)
+        self.cross_xy = (E[:, :, None, :] * wy.transpose(0, 2, 1)[:, None]).reshape(-1, 5)
         self.cross_yy = np.stack(cross_yy).reshape(-1)
+        self.rr = (self.R[:, :, None, :] * self.R[:, None, :, :]).reshape(-1, 3).T.copy()
         self.rss_rounding = _RSS_ROUNDING * math.sqrt(self.n_obs) * self.yty
         # sum_g m_g R_g'R_g over all observations
         self.z_scale2 = self.counts @ (self.R ** 2).sum(axis=1) / self.n_obs
@@ -342,9 +344,9 @@ def _solve(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tup
     logdet = 2.0 * (np.log(np.diagonal(L, axis1=2, axis2=3)).sum(axis=2) @ stats.counts)
     K = np.linalg.inv(C)
     kernel = K.reshape(B, -1)
-    A = stats.perp_xx + (kernel @ stats.cross_xx).reshape(B, 5, 5)
+    A = (kernel @ stats.cross_xx).reshape(B, 5, 5)
     A = np.where(mean[:, :, None] & mean[:, None, :], A, _EYE5)
-    b = np.where(mean, stats.perp_xy + kernel @ stats.cross_xy, 0.0)
+    b = np.where(mean, kernel @ stats.cross_xy, 0.0)
     try:
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -457,9 +459,10 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
 
     z0 (B, d) holds the starts; lower and upper broadcast to its shape.
     fun(z, rows) returns the values (k,), gradients (k, d) and Hessians
-    (k, d, d) of stack rows `rows` at z (k, d); each round calls it once,
-    on the next point of every row still searching.  Each row is a search
-    of its own: an iteration takes a Newton step on the coordinates
+    (k, d, d) of stack rows `rows` at z (k, d), and any further per-row
+    outputs (k, ...) it has there; each round calls it once, on the next
+    point of every row still searching.  Each row is a search of its
+    own: an iteration takes a Newton step on the coordinates
     neither held at a bound nor boxed to a point, along -V |L|^-1 V'g
     for the eigenpairs (L, V) of their Hessian, with |L| floored at 1e-10
     of the row's largest, so every step descends; it caps the step at
@@ -467,17 +470,18 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
     the Armijo condition holds.  converged is the KKT check at the
     returned point: the projected gradient is at most rel_tol * (1 + |f|)
     in max-norm.  Returns per row (z, f, gradient, converged, iterations,
-    calls of fun); a row whose start is not finite stops there,
-    unconverged, after 0 iterations.
+    calls of fun), then fun's further outputs at z; a row whose start is
+    not finite stops there, unconverged, after 0 iterations.
     """
     B, d = z0.shape
     lower, upper = np.broadcast_to(lower, z0.shape), np.broadcast_to(upper, z0.shape)
     eye = np.eye(d)
     z = np.clip(z0, lower, upper)
-    f, g, h = fun(z, np.arange(B))
+    f, g, h, *extra = fun(z, np.arange(B))
     # a round's trial values; rows it does not evaluate keep old ones, which
     # the masks ignore
     f_new, g_new, h_new = f.copy(), g.copy(), h.copy()
+    extra_new = [e.copy() for e in extra]
     evaluations, iterations = np.ones(B, dtype=int), np.zeros(B, dtype=int)
     started = np.isfinite(f)
     running = started.copy()
@@ -521,8 +525,10 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
         if not rows.size:
             # a row stopped by its halvings or the iteration cap has not
             # moved since its last check, so one check here covers all
-            return z, f, g, started & kkt(), iterations, evaluations
-        f_new[rows], g_new[rows], h_new[rows] = fun(trial[rows], rows)
+            return z, f, g, started & kkt(), iterations, evaluations, *extra
+        f_new[rows], g_new[rows], h_new[rows], *values = fun(trial[rows], rows)
+        for e, v in zip(extra_new, values):
+            e[rows] = v
         evaluations += running
         s = trial - z
         slope = (g * s).sum(axis=1)
@@ -537,6 +543,8 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
         np.copyto(f, f_new, where=starting)
         np.copyto(g, g_new, where=starting[:, None])
         np.copyto(h, h_new, where=starting[:, None, None])
+        for e, e_new in zip(extra, extra_new):
+            np.copyto(e, e_new, where=starting.reshape((B,) + (1,) * (e.ndim - 1)))
         iterations += starting
 
 
@@ -572,26 +580,26 @@ def _identifiability(stats: DatasetStatistics, m: int) -> str | None:
 def _search(stats: DatasetStatistics, mean: np.ndarray, present: np.ndarray, start: np.ndarray):
     """Search B candidates' maxima from start (B, 3) in one stack; mean
     (B, 5) and present (B, 3) mark their columns of O4M4's X and Z.
-    Returns per candidate theta, f, the KKT flag, the iterations and the
-    evaluations."""
+    Returns per candidate theta, f, the KKT flag, the iterations, the
+    evaluations, and sigma2_hat and beta_hat at theta."""
     scale2 = stats.z_scale2
 
     def objective(w: np.ndarray, rows: np.ndarray) -> tuple:
         # rank deficiency is rejected before the search, so a breakdown
         # means the variances are numerically extreme: price them out
-        f, g, h, _, _ = _profile_stack(stats, mean[rows], _relative_variances(w, scale2))
+        f, g, h, sigma2, beta = _profile_stack(stats, mean[rows], _relative_variances(w, scale2))
         # the chain rule through theta_j = (e^w_j - _ZERO_SHIFT) / s_j^2,
         # whose first and second derivatives are both e^w_j / s_j^2
         jac = np.where(present[rows], np.exp(w) / scale2, 0.0)
         hess = jac[:, :, None] * h * jac[:, None, :] + _EYE3 * (g * jac)[:, None, :]
-        return f, g * jac, hess
+        return f, g * jac, hess, sigma2, beta
 
     w0 = np.log(start * scale2 + _ZERO_SHIFT)
     upper = np.where(present, _LOG_CEILING, _LOWER)
-    w, f, _, converged, iterations, evaluations = _minimize_box(
+    w, f, _, converged, iterations, evaluations, sigma2, beta = _minimize_box(
         objective, w0, _LOWER, upper, _MAX_ITERATIONS, _KKT_TOLERANCE
     )
-    return _relative_variances(w, scale2), f, converged, iterations, evaluations
+    return _relative_variances(w, scale2), f, converged, iterations, evaluations, sigma2, beta
 
 
 def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, _Optimum | str]:
@@ -607,9 +615,18 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, _Optimum | 
     each level's restarts in one stack.  One whose variances beyond a
     cover with its mean columns end at exactly zero is that cover's
     model and reports the cover's optimum, unless its own is better by
-    more than _SAME_OPTIMUM.
+    more than _SAME_OPTIMUM.  sigma2_hat and beta_hat are those the
+    searches evaluated at each optimum.
+
+    Identifiability is checked on O4M4's mean first.  When that passes,
+    so do M1-M3: their X'X are principal submatrices of its positive-
+    definite X'X, so by Cauchy interlacing their smallest eigenvalue is
+    at least its own, while the rank tolerance, largest singular value
+    times size times eps, is no larger.
     """
-    problems = {m: _identifiability(stats, m) for m in (1, 2, 3, 4)}
+    top = _identifiability(stats, 4)
+    problems = {m: None if top is None else _identifiability(stats, m) for m in (1, 2, 3)}
+    problems[4] = top
     optima: dict[CandidateModel, _Optimum | str] = {}
     ids = []  # enumeration indices of the stack's rows
     for k, candidate in enumerate(_CANDIDATES):
@@ -627,7 +644,8 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, _Optimum | 
     row = {k: i for i, k in enumerate(ids)}
     mean, present = _MEAN[ids], _PRESENT[ids]
     start = np.where(present, _START, 0.0)
-    theta, f, converged, iterations, evaluations = _search(stats, mean, present, start)
+    found = _search(stats, mean, present, start)
+    theta, f, converged, iterations, evaluations, sigma2, beta = found
     restarted = np.zeros(len(ids), dtype=bool)
     for size in range(6, 10):  # a level of the lattice; its covers have a parameter fewer
         best = {
@@ -637,13 +655,11 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, _Optimum | 
         # rounding relative to the cover's f, which is finite even where f is not
         rows = [i for i, j in best.items() if f[j] < f[i] - _F_ROUNDING * (1.0 + abs(f[j]))]
         if rows:
-            theta[rows], f[rows], converged[rows], steps, spent = _search(
-                stats, mean[rows], present[rows], theta[[best[i] for i in rows]]
-            )
+            found = _search(stats, mean[rows], present[rows], theta[[best[i] for i in rows]])
+            theta[rows], f[rows], converged[rows], steps, spent, sigma2[rows], beta[rows] = found
             iterations[rows] += steps
             evaluations[rows] += spent
             restarted[rows] = True
-    f, _, _, sigma2, beta = _profile_stack(stats, mean, theta)
     for i, k in enumerate(ids):  # covers come first in this order
         same = [row[j] for j in _COVERS[k] if _CANDIDATES[j].m == _CANDIDATES[k].m]
         j = min((j for j in same if not theta[i, ~present[j]].any()), key=lambda j: f[j], default=i)

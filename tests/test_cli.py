@@ -277,3 +277,22 @@ def test_import_leaves_scipy_unloaded():
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]", module
+
+
+def test_select_leaves_numpy_ma_unloaded(data_file):
+    # numpy.ma loads lazily, from np.unique among others, and would add
+    # about 10 ms to the start-up of every select process
+    path, _ = data_file
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys; from lmmbic.cli import main; "
+        f"code = main(['select', {str(path)!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path_var),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"

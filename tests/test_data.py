@@ -142,6 +142,15 @@ class TestReadDataset:
             np.testing.assert_array_equal(a.y, b.y)
             assert a.c == b.c
 
+    def test_blank_data_lines_skipped(self, tmp_path):
+        # a line of spaces, or of blank fields, is skipped as an empty one is
+        text = "subject,x,c,y\ns1,0.0,1.5,2.25\ns1,1.0,1.5,3.5\n"
+        plain = read_dataset(self.write(tmp_path, text, name="plain.csv"))
+        for k, tail in enumerate(["   ", "   \n", " , ,\t, \n"]):
+            data = read_dataset(self.write(tmp_path, text + tail, name=f"tail{k}.csv"))
+            assert [s.id for s in data.subjects] == ["s1"]
+            np.testing.assert_array_equal(data.subjects[0].y, plain.subjects[0].y)
+
     def test_header_only(self, tmp_path):
         path = self.write(tmp_path, "subject,x,c,y\n")
         with pytest.raises(DataFormatError, match="no data rows"):

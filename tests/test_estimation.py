@@ -347,6 +347,58 @@ class TestDatasetStatistics:
             assert a.theta_hat.sigma2 == b.theta_hat.sigma2
             assert (a.converged, a.boundary) == (b.converged, b.boundary)
 
+    @staticmethod
+    def tiny_layouts():
+        """Ragged data with 1-, 2- and 5-point grids, a grid two subjects
+        share and a subject with a repeated x, and the same layout with a
+        constant covariate."""
+        grids = [[2.0], [1.0, 4.0], [0.5, 3.0, 7.0, 9.0], [0.5, 3.0, 7.0, 9.0], [2.0, 2.0, 6.0],
+                 [1.0, 3.0, 5.0, 8.0, 9.5]]
+        rng = np.random.default_rng(25)
+        covariates = rng.normal(size=len(grids))
+        ys = [rng.normal(size=len(x)) + np.asarray(x) for x in grids]
+
+        def layout(cs):
+            return Dataset(subjects=tuple(
+                SubjectBlock(id=f"s{i}", x=x, c=c, y=y)
+                for i, (x, c, y) in enumerate(zip(grids, cs, ys))
+            ))
+
+        return layout(covariates), layout(np.full(len(grids), 0.7))
+
+    def test_statistics_equal_their_definition(self):
+        # the normal equations and the GLS rss that _solve reads off the
+        # statistics equal the sums over subjects of the dense matrices
+        def assert_close(fast, dense):
+            assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
+
+        full = CandidateModel(m=4, o=4)
+        thetas = ([0.0, 0.0, 0.0], [0.5, 0.1, 0.01], [3.0, 0.0, 0.2], [100.0, 10.0, 1.0])
+        varying, constant = self.tiny_layouts()
+        for data, m in ((varying, 4), (constant, 1)):
+            stats = dataset_statistics(data)
+            mean = CandidateModel(m=m, o=1).mean_columns
+            xtx, A_dense, b_dense = np.zeros((5, 5)), np.zeros((5, 5)), np.zeros(5)
+            for theta in thetas:
+                A_dense[:], b_dense[:], blocks = 0.0, 0.0, []
+                for block in data.subjects:
+                    d = build_design(full, block)
+                    Vt_inv = np.linalg.inv(np.eye(block.n_obs) + d.Z @ np.diag(theta) @ d.Z.T)
+                    A_dense += d.X.T @ Vt_inv @ d.X
+                    b_dense += d.X.T @ Vt_inv @ block.y
+                    blocks.append((d.X[:, mean], Vt_inv, block.y))
+                beta = np.linalg.solve(A_dense[np.ix_(mean, mean)], b_dense[mean])
+                rss = sum((y - X @ beta) @ Vt_inv @ (y - X @ beta) for X, Vt_inv, y in blocks)
+                _, rss_fast, _, K, A = _solve(stats, mean[None], np.array([theta]))
+                b = K.reshape(1, -1) @ stats.cross_xy
+                assert_close(A[0][np.ix_(mean, mean)], A_dense[np.ix_(mean, mean)])
+                assert_close(b[0, mean], b_dense[mean])
+                assert_close(rss_fast[0], rss)
+            for block in data.subjects:
+                X = build_design(full, block).X
+                xtx += X.T @ X
+            assert_close(stats.xtx, xtx)
+
     def test_memo_does_not_keep_dataset_alive(self):
         data = random_dataset(np.random.default_rng(24), n_subjects=10)
         fit_ml(CandidateModel(m=4, o=4), data)
@@ -428,6 +480,26 @@ class TestBoundedNewton:
         assert converged[0]
         np.testing.assert_allclose(z[0], [-1.0, 2.0, 0.5], atol=1e-8)
         assert g[0, 0] > 0 and g[0, 1] < 0
+
+    def test_further_outputs_are_those_at_the_returned_point(self):
+        def with_point(fun):
+            return lambda z, rows: (*fun(z, rows), z.copy(), rows.astype(float))
+
+        # Rosenbrock from (-1.2, 1) rejects some trial points on its way
+        starts, fun = np.array([[-1.2, 1.0], [0.5, 0.5]]), with_point(self.rosenbrock)
+        for cap in (3, 500):
+            z, *_, point, row = _minimize_box(fun, starts, -5.0, 5.0, cap, 1e-10)
+            np.testing.assert_array_equal(point, z)
+            np.testing.assert_array_equal(row, [0.0, 1.0])
+
+        # a gradient of the wrong sign: every trial is rejected until the
+        # halvings run out, and the start is returned with its own outputs
+        def uphill(z, rows):
+            return -(z * z).sum(axis=1), 2.0 * z, np.tile(2.0 * np.eye(2), (len(z), 1, 1))
+
+        z, *_, point, _ = _minimize_box(with_point(uphill), np.ones((1, 2)), -5.0, 5.0, 500, 1e-10)
+        np.testing.assert_array_equal(z, np.ones((1, 2)))
+        np.testing.assert_array_equal(point, z)
 
     def test_iteration_cap_reports_nonconvergence(self):
         start = np.array([[-1.2, 1.0]])
@@ -617,7 +689,7 @@ class TestFitMl:
                 start = np.where(random, lmmbic.estimation._START, 0.0)
                 if optimum.restarted:
                     start = min((stats.optima[c] for c in cand.covers()), key=lambda o: o.f).theta
-                _, f, _, _, _ = _search(stats, mean, random, start.reshape(1, 3))
+                _, f, *_ = _search(stats, mean, random, start.reshape(1, 3))
                 np.testing.assert_allclose(optimum.f, f[0], rtol=1e-12, atol=0.0, err_msg=cand.id)
                 # every Newton step costs at least one evaluation, the start one more
                 assert 0 < optimum.iterations < optimum.evaluations, cand.id

@@ -1,10 +1,9 @@
-import ast
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from lmmbic.candidates import CandidateModel
+from lmmbic.candidates import CandidateModel, enumerate_candidates
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import fit_ml
 
@@ -12,18 +11,6 @@ _PATH = Path(__file__).resolve().parent.parent / "tools" / "refit_set.py"
 _SPEC = importlib.util.spec_from_file_location("refit_set", _PATH)
 refit_set = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(refit_set)
-
-
-def fields(line):
-    """The reprs of a fit line, split on the spaces outside brackets."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(line):
-        depth += (ch in "([") - (ch in ")]")
-        if ch == " " and depth == 0:
-            parts.append(line[start:i])
-            start = i + 1
-    parts.append(line[start:])
-    return [ast.literal_eval(part) for part in parts]
 
 
 def small_dataset(covariate):
@@ -38,7 +25,7 @@ def small_dataset(covariate):
 def test_fit_line_prints_ten_fields():
     data = small_dataset(float)
     cand = CandidateModel(m=2, o=1)
-    values = fields(refit_set.fit_line(cand, data))
+    values = refit_set.parse_fields(refit_set.fit_line(cand, data))
     assert len(values) == 10
     fit = fit_ml(cand, data)
     assert values[0] == fit.loglik
@@ -49,3 +36,68 @@ def test_fit_line_reports_an_unidentifiable_candidate():
     data = small_dataset(lambda i: 1.0)  # a constant covariate leaves M2 unidentifiable
     line = refit_set.fit_line(CandidateModel(m=2, o=1), data)
     assert line.startswith("error candidate O1M2 ")
+
+
+def refit_lines():
+    """A small refit set: all sixteen fits on one dataset, and an error line."""
+    data = small_dataset(float)
+    lines = [f"small {c.id}: {refit_set.fit_line(c, data)}" for c in enumerate_candidates()]
+    line = refit_set.fit_line(CandidateModel(m=2, o=1), small_dataset(lambda i: 1.0))
+    return lines + [f"constant O1M2: {line}"]
+
+
+def with_field(line, name, value):
+    """line with one field's value replaced."""
+    label, _, text = line.partition(": ")
+    values = refit_set.parse_fields(text)
+    values[refit_set.FIELDS.index(name)] = value
+    return f"{label}: " + " ".join(repr(v) for v in values)
+
+
+def test_compare_accepts_the_same_set():
+    lines = refit_lines()
+    report, ok = refit_set.compare(lines, lines)
+    assert ok
+    assert "loglik: max relative difference 0, median 0" in report
+    assert "converged changed: 0" in report and "error changed: 0" in report
+
+
+def test_compare_tolerates_rounding_and_counts_changes():
+    old = refit_lines()
+    new = list(old)
+    fit = refit_set.parse(old[:1])["small O1M1"]
+    new[0] = with_field(old[0], "loglik", fit["loglik"] * (1.0 + 1e-12))
+    new[0] = with_field(new[0], "iterations", fit["iterations"] + 1)
+    new[1] = with_field(old[1], "restarted", True)
+    report, ok = refit_set.compare(old, new)
+    assert ok
+    assert "iterations changed: 1" in report and "restarted changed: 1" in report
+
+
+def test_compare_fails_on_a_gated_change():
+    old = refit_lines()
+    fit = refit_set.parse(old[:1])["small O1M1"]
+    changes = [
+        with_field(old[0], "loglik", fit["loglik"] * (1.0 + 1e-9)),
+        with_field(old[0], "converged", not fit["converged"]),
+        with_field(old[0], "boundary", ("sigma2",)),
+        "small O1M1: error the GLS normal matrix is singular",
+    ]
+    for changed in changes:
+        _, ok = refit_set.compare(old, [changed] + old[1:])
+        assert not ok, changed
+    _, ok = refit_set.compare(old, old[:-1])
+    assert not ok
+
+
+def test_main_compares_against_a_saved_set(tmp_path, monkeypatch, capsys):
+    lines = refit_lines()
+    monkeypatch.setattr(refit_set, "refit_lines", lambda: lines)
+    saved = tmp_path / "old.txt"
+    saved.write_text("\n".join(lines) + "\n")
+    assert refit_set.main(["--against", str(saved)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "within tolerance"
+    saved.write_text("\n".join([with_field(lines[0], "converged", "x")] + lines[1:]) + "\n")
+    assert refit_set.main(["--against", str(saved)]) == 1
+    assert refit_set.main([]) == 0
+    assert capsys.readouterr().out.splitlines()[-len(lines):] == lines
