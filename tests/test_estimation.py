@@ -782,6 +782,22 @@ class TestFitMl:
         with pytest.raises(UnidentifiableModelError, match="observations"):
             fit_ml(CandidateModel(m=1, o=1), data)
 
+    def test_rank_checked_per_mean_structure(self):
+        # c x equals c x^2 on every row: c = 1 only on the grid {0, 1},
+        # where x^2 = x, so only M4, which has both columns, loses rank
+        rng = np.random.default_rng(35)
+        subjects = []
+        for i in range(10):
+            x = np.array([0.0, 1.0] if i % 2 else [0.0, 1.0, 2.0])
+            subjects.append(SubjectBlock(id=f"s{i}", x=x, c=float(i % 2), y=rng.normal(size=x.size)))
+        data = Dataset(subjects=tuple(subjects))
+        for cand in enumerate_candidates():
+            if cand.m == 4:
+                with pytest.raises(UnidentifiableModelError, match=f"candidate {cand.id} is rank"):
+                    fit_ml(cand, data)
+            else:
+                fit_ml(cand, data)
+
     def test_collinear_design_rejected(self):
         # x in {0, 1} makes the linear and quadratic columns identical
         rng = np.random.default_rng(33)
