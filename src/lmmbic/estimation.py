@@ -106,19 +106,16 @@ _START = 0.5
 # the mean square of Z's column j: theta_j s_j^2 = 1 puts a random effect's
 # share of the variance on a par with the noise, and the shift makes the
 # scale linear below about _ZERO_SHIFT and puts theta_j = 0 at a finite
-# bound.  Where f rises about linearly in theta_j, it is exponential in
-# w_j above the shift, and a Newton step there moves w_j by about one
-# unit: a variance whose maximum is at zero takes about
-# log(theta_j s_j^2 / _ZERO_SHIFT) steps to reach its bound.  The shift
-# keeps the scale logarithmic down to a tenth of the noise variance and
-# no further.  _LOG_CEILING is the overflow guard above.
+# bound.  Where f rises about linearly in theta_j, a Newton step above
+# the shift moves w_j by about one unit, so a variance whose maximum is
+# zero needs about log(theta_j s_j^2 / _ZERO_SHIFT) steps to reach its
+# bound.  _LOG_CEILING is the overflow guard above.
 _ZERO_SHIFT = 0.1
 _LOWER = math.log(_ZERO_SHIFT)
 _LOG_CEILING = 50.0
 # Max-norm cap on one Newton step in w: an uncapped step from where the
-# objective is far from quadratic can land far out where it is flat.  On
-# the study designs the start lies about 9.5 units above the bound of the
-# x^2 variance, three capped steps.
+# objective is far from quadratic can land far out where it is flat.  The
+# study designs' start is 9.5 units above the x^2 variance's bound.
 _MAX_STEP = 4.0
 # Backtracking halvings before the line search gives up.
 _LINE_SEARCH_STEPS = 30
@@ -520,8 +517,7 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
         held = (lo >= up) | ((zr <= lo) & (gr > 0)) | ((zr >= up) & (gr < 0))
         g_free = np.where(held, 0.0, gr)
         lam, V = np.linalg.eigh(np.where(held[:, :, None] | held[:, None, :], eye, h[rows]))
-        lam = np.abs(lam)
-        lam = np.maximum(lam, 1e-10 * lam.max(axis=1, keepdims=True))
+        lam = np.maximum(np.abs(lam), 1e-10 * np.abs(lam).max(axis=1, keepdims=True))
         dr = np.where(held, 0.0, -(V @ ((g_free[:, None, :] @ V)[:, 0] / lam)[:, :, None])[:, :, 0])
         direction[rows] = dr * np.minimum(1.0, _MAX_STEP / np.abs(dr).max(axis=1))[:, None]
         np.copyto(t, 1.0, where=starting)
@@ -569,7 +565,9 @@ _MEAN.flags.writeable = _PRESENT.flags.writeable = False
 _N_PARAMETERS = tuple(c.n_parameters for c in _CANDIDATES)
 _COVERS = tuple(tuple(cover.enumeration_index for cover in c.covers()) for c in _CANDIDATES)
 # per candidate, its covers with its mean columns, and the Z columns it lacks
-_SAME_COVERS = tuple(tuple(j for j in _COVERS[k] if _CANDIDATES[j].m == c.m) for k, c in enumerate(_CANDIDATES))
+_SAME_COVERS = tuple(
+    tuple(j for j in covers if _CANDIDATES[j].m == c.m) for c, covers in zip(_CANDIDATES, _COVERS)
+)
 _ABSENT = tuple(tuple(np.flatnonzero(~present).tolist()) for present in _PRESENT)
 
 
@@ -585,11 +583,10 @@ def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
     """
     masks = _MEAN[:4]
     sizes = masks.sum(axis=1)
-    gram = np.where(masks[:, :, None] & masks[:, None, :], stats.xtx, 0.0)
-    s = np.abs(np.linalg.eigvalsh(gram))
+    s = np.abs(np.linalg.eigvalsh(np.where(masks[:, :, None] & masks[:, None, :], stats.xtx, 0.0)))
     rank = (s > s.max(axis=1, keepdims=True) * sizes[:, None] * np.finfo(float).eps).sum(axis=1)
-    problems: dict[int, str | None] = {}
-    for m in (1, 2, 3, 4):
+    problems: dict[int, str | None] = dict.fromkeys((1, 2, 3, 4))
+    for m in problems:
         if m > 1 and stats.constant_covariate:
             problems[m] = (
                 "candidate {id} has a covariate-by-x term but "
@@ -597,8 +594,6 @@ def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
             )
         elif rank[m - 1] < sizes[m - 1]:
             problems[m] = "mean design for candidate {id} is rank deficient"
-        else:
-            problems[m] = None
     return problems
 
 
