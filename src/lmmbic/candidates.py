@@ -277,7 +277,5 @@ def generate_dataset(design: SimulationDesign, truth: TrueParameters, seed: int)
     psi2 = truth.mu[2] + truth.alpha[1] * c + eta[:, 2]
     y = psi0[:, None] + psi1[:, None] * x + psi2[:, None] * xsq + sd_eps * noise
     width = len(str(N))
-    subjects = tuple(
-        SubjectBlock(id=f"s{i + 1:0{width}d}", x=x, c=c[i], y=y[i]) for i in range(N)
-    )
-    return Dataset(subjects=subjects)
+    ids = [f"s{i + 1:0{width}d}" for i in range(N)]
+    return Dataset.from_columns(ids, np.full(N, x.size), c, np.tile(x, N), y.ravel())

@@ -1,16 +1,21 @@
-"""Containers for grouped longitudinal data and delimited-file ingestion.
+"""Grouped longitudinal data as read-only columns, and delimited-file ingestion.
 
-A dataset is a collection of subject blocks.  Rows within a block share
-one subject id and one subject-level covariate value, and responses from
-different subjects are independent, so everything downstream works block
-by block and the full n x n covariance matrix is never assembled.
+A dataset holds its observations subject after subject in two columns, x
+and y; subject i's rows are bounds[i]:bounds[i+1], and its id and
+subject-level covariate are ids[i] and c[i].  Responses from different
+subjects are independent, so the likelihood is a sum over subjects, and
+over observation grids where subjects share one; the full n x n
+covariance matrix is never assembled.  Only this module knows the
+layout: Dataset.subjects gives one SubjectBlock view per subject.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -23,15 +28,15 @@ class DataFormatError(ValueError):
     """An input file cannot be parsed into a dataset."""
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _readonly(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class SubjectBlock:
-    """All observations for one subject.
+    """All observations for one subject, as a plain record; Dataset checks it.
 
     Attributes:
         id: subject identifier, unique within a dataset.
@@ -45,52 +50,112 @@ class SubjectBlock:
     c: float
     y: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _readonly(self.x))
-        object.__setattr__(self, "y", _readonly(self.y))
-        object.__setattr__(self, "c", float(self.c))
-        if self.x.ndim != 1 or self.y.ndim != 1:
-            raise ValueError(f"subject {self.id!r}: x and y must be one-dimensional")
-        if self.x.shape != self.y.shape:
-            raise ValueError(
-                f"subject {self.id!r}: x has {self.x.size} rows but y has {self.y.size}"
-            )
-        if self.x.size == 0:
-            raise ValueError(f"subject {self.id!r} has no observations")
-        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
-            raise ValueError(f"subject {self.id!r} contains non-finite values")
-        if not math.isfinite(self.c):
-            raise ValueError(f"subject {self.id!r} has a non-finite covariate")
-
     @property
     def n_obs(self) -> int:
         return self.x.size
 
 
-@dataclass(frozen=True, eq=False)
+def _problem(ids, c, x, y, x_sizes, y_sizes, flat) -> str | None:
+    """What is wrong with a dataset's columns, or None.
+
+    x and y hold the subjects' values one after another, x_sizes and
+    y_sizes how many each subject has, and flat whether its x and y were
+    one-dimensional.  Of the subjects that fail a check, the first is
+    named, with the first check it fails in the order below.
+    """
+    if not ids:
+        return "a dataset needs at least one subject"
+    if len(set(ids)) != len(ids):
+        return "subject ids must be unique"
+    nonfinite = np.zeros(len(ids), dtype=bool)
+    # offsets into x and y agree up to the first subject whose sizes differ,
+    # and that subject fails before its values are looked at
+    for values, sizes in ((x, x_sizes), (y, y_sizes)):
+        nonfinite[np.repeat(np.arange(len(ids)), sizes)[~np.isfinite(values)]] = True
+    fails = np.stack([~flat, x_sizes != y_sizes, x_sizes == 0, nonfinite, ~np.isfinite(c)])
+    bad = np.flatnonzero(fails.any(axis=0))
+    if not bad.size:
+        return None
+    i = bad[0]
+    return (
+        f"subject {ids[i]!r}: x and y must be one-dimensional",
+        f"subject {ids[i]!r}: x has {x_sizes[i]} rows but y has {y_sizes[i]}",
+        f"subject {ids[i]!r} has no observations",
+        f"subject {ids[i]!r} contains non-finite values",
+        f"subject {ids[i]!r} has a non-finite covariate",
+    )[np.argmax(fails[:, i])]
+
+
 class Dataset:
-    """An ordered collection of subject blocks with unique ids."""
+    """The observations of N subjects with unique ids, as read-only columns.
 
-    subjects: tuple[SubjectBlock, ...]
+    Attributes:
+        ids: the subject ids, a tuple in subject order.
+        c: (N,) subject-level covariates.
+        x, y: (n,) within-subject covariate and response, subject after
+            subject, within-subject order preserved.
+        bounds: (N+1,) row offsets: subject i's rows are bounds[i]:bounds[i+1].
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        if not self.subjects:
-            raise ValueError("a dataset needs at least one subject")
-        ids = [s.id for s in self.subjects]
-        if len(set(ids)) != len(ids):
-            raise ValueError("subject ids must be unique")
+    Dataset(subjects=blocks) copies SubjectBlocks into columns and
+    Dataset.from_columns takes columns; both check the data the same way.
+    Attributes cannot be assigned and every array is read-only, so
+    anything computed from a dataset never goes stale.
+    """
+
+    def __init__(self, subjects: Iterable[SubjectBlock]):
+        blocks = tuple(subjects)
+        xs = [np.asarray(b.x, dtype=float) for b in blocks]
+        ys = [np.asarray(b.y, dtype=float) for b in blocks]
+        self._fill(
+            [b.id for b in blocks],
+            [b.c for b in blocks],
+            np.concatenate([np.empty(0), *(a.ravel() for a in xs)]),
+            np.concatenate([np.empty(0), *(a.ravel() for a in ys)]),
+            [a.size for a in xs],
+            [a.size for a in ys],
+            [a.ndim == b.ndim == 1 for a, b in zip(xs, ys)],
+        )
+
+    @classmethod
+    def from_columns(cls, ids, sizes, c, x, y) -> Dataset:
+        """Subject i with id ids[i], covariate c[i] and the next sizes[i]
+        values of the (n,) columns x and y."""
+        data = cls.__new__(cls)
+        flat = [np.ndim(x) == np.ndim(y) == 1] * len(sizes)
+        data._fill(ids, c, np.ravel(x), np.ravel(y), sizes, sizes, flat)
+        return data
+
+    def _fill(self, ids, c, x, y, x_sizes, y_sizes, flat) -> None:
+        ids, c, x, y = tuple(ids), _readonly(c), _readonly(x), _readonly(y)
+        x_sizes, y_sizes = np.asarray(x_sizes, dtype=int), np.asarray(y_sizes, dtype=int)
+        problem = _problem(ids, c, x, y, x_sizes, y_sizes, np.asarray(flat, dtype=bool))
+        if problem is not None:
+            raise ValueError(problem)
+        bounds = _readonly(np.concatenate([[0], np.cumsum(x_sizes)]), dtype=int)
+        self.__dict__.update(ids=ids, c=c, x=x, y=y, bounds=bounds)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def subjects(self) -> tuple[SubjectBlock, ...]:
+        """One SubjectBlock per subject, its x and y views of the columns."""
+        b = self.bounds.tolist()
+        return tuple(
+            SubjectBlock(id=sid, x=self.x[lo:hi], c=ci, y=self.y[lo:hi])
+            for sid, ci, lo, hi in zip(self.ids, self.c.tolist(), b, b[1:])
+        )
 
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
+        return len(self.ids)
 
     @property
     def n_obs(self) -> int:
-        return sum(s.n_obs for s in self.subjects)
-
-    def subject_covariates(self) -> np.ndarray:
-        return np.array([s.c for s in self.subjects])
+        return self.x.size
 
 
 def _infer_delimiter(header_line: str) -> str:
@@ -101,18 +166,23 @@ def _infer_delimiter(header_line: str) -> str:
 
 
 def _floats(path: Path, column: str, values: list[str], lines: list[int]) -> np.ndarray:
-    """One column's values as floats; a failure names its first bad line."""
+    """One column's values as finite floats; a failure names its first bad line."""
     try:
-        return np.array(list(map(float, values)))
+        arr = np.array(list(map(float, values)))
+        if np.isfinite(arr).all():
+            return arr
     except ValueError:
-        for raw, line in zip(values, lines):
-            try:
-                float(raw)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{line}: column {column!r} has non-numeric value {raw.strip()!r}"
-                ) from None
-        raise
+        pass
+    for raw, line in zip(values, lines):
+        try:
+            finite = math.isfinite(float(raw))
+        except ValueError:
+            finite = None
+        if not finite:
+            kind = "non-numeric" if finite is None else "non-finite"
+            raise DataFormatError(
+                f"{path}:{line}: column {column!r} has {kind} value {raw.strip()!r}"
+            )
 
 
 def read_dataset(path: str | Path) -> Dataset:
@@ -127,8 +197,9 @@ def read_dataset(path: str | Path) -> Dataset:
 
     Raises:
         DataFormatError: on a missing column, an empty subject id, an
-            unparsable number or a subject whose c value changes between
-            rows, each reported with the line it is first found on.
+            unparsable or non-finite number or a subject whose c value
+            changes between rows, each reported with the line it is first
+            found on.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
@@ -168,11 +239,10 @@ def read_dataset(path: str | Path) -> Dataset:
         _floats(path, column, columns[i], lines)
         for column, i in zip(REQUIRED_COLUMNS[1:], index[1:])
     )
-    # head[k] is the row on which row k's subject first appears; that row
-    # is compared with nothing, so a nan c there fails as non-finite
+    # head[k] is the row on which row k's subject first appears
     first_row: dict[str, int] = {}
     head = np.array([first_row.setdefault(s, k) for k, s in enumerate(subjects)])
-    changed = np.flatnonzero((c != c[head]) & (head != np.arange(head.size)))
+    changed = np.flatnonzero(c != c[head])
     if changed.size:
         k = changed[0]
         raise DataFormatError(
@@ -181,9 +251,5 @@ def read_dataset(path: str | Path) -> Dataset:
         )
     # rows ordered by subject in order of first appearance, then by row
     order = np.argsort(head, kind="stable")
-    cuts = np.flatnonzero(np.diff(head[order])) + 1
-    blocks = tuple(
-        SubjectBlock(id=subjects[k], x=xs, c=c[k], y=ys)
-        for k, xs, ys in zip(first_row.values(), np.split(x[order], cuts), np.split(y[order], cuts))
-    )
-    return Dataset(subjects=blocks)
+    firsts = list(first_row.values())
+    return Dataset.from_columns(first_row, np.bincount(head)[firsts], c[firsts], x[order], y[order])

@@ -87,7 +87,7 @@ from functools import cached_property
 import numpy as np
 
 from .candidates import CandidateModel, enumerate_candidates
-from .data import Dataset, SubjectBlock
+from .data import Dataset
 from .model import LN_TWO_PI, ParameterVector
 
 # The lower bound of the profiled sigma2: on data the mean fits exactly
@@ -202,8 +202,10 @@ _Optimum = namedtuple(
 class DatasetStatistics:
     """Everything the fits of all sixteen candidates need from one dataset.
 
-    The subjects are grouped by observation grid once.  Per distinct
-    grid g, with O4M4's Z = [1, x, x^2] = Q R (Q and R zero-padded to 3
+    Subjects are grouped by observation grid straight from the dataset's
+    columns, grids in order of first appearance and subjects in dataset
+    order, and a grid's responses are read from y as one (m, n) array.  Per
+    distinct grid g, with O4M4's Z = [1, x, x^2] = Q R (Q and R zero-padded to 3
     axes when the grid has fewer than 3 points), X has no component
     orthogonal to Z: subject i's Q'X_i = E diag(w_i), with E = [R, R[:, 1:]]
     (3, 5) and w_i = (1, 1, 1, c_i, c_i).  So, with the sums running over
@@ -228,23 +230,23 @@ class DatasetStatistics:
     """
 
     def __init__(self, data: Dataset):
-        by_grid: dict[bytes, list[SubjectBlock]] = {}
-        for block in data.subjects:
-            by_grid.setdefault(block.x.tobytes(), []).append(block)
+        # subjects by observation grid: 8 bytes per float64 value of x
+        raw, bounds = data.x.tobytes(), data.bounds.tolist()
+        by_grid: dict[bytes, list[int]] = {}
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            by_grid.setdefault(raw[8 * lo:8 * hi], []).append(i)
 
-        covariates = [block.c for block in data.subjects]
-        self.n_obs = 0
+        self.n_obs = data.n_obs
         self.n_subjects = data.n_subjects
-        self.constant_covariate = min(covariates) == max(covariates)
+        self.constant_covariate = bool(data.c.min() == data.c.max())
         self.yty = 0.0
         self.perp_yy = 0.0
         rs, qs, moments, cross_ty, cross_yy = [], [], [], [], []
-        for subjects in by_grid.values():
-            x = subjects[0].x
-            Ys = np.array([b.y for b in subjects]).T                     # (n, m)
-            self.n_obs += Ys.size
+        for members in by_grid.values():
+            lo, hi = bounds[members[0]], bounds[members[0] + 1]
+            x, n = data.x[lo:hi], hi - lo
+            Ys = data.y[data.bounds[members][:, None] + np.arange(n)].T  # (n, m)
             self.yty += float((Ys * Ys).sum())
-            n = x.size
             # a grid with n < 3 points has k = n; zero-padding Q and R to 3
             # axes leaves Ct = 1 on the padded axes, which adds nothing
             Q_thin, R_thin = np.linalg.qr(np.column_stack([np.ones(n), x, x * x]))
@@ -259,11 +261,11 @@ class DatasetStatistics:
             rs.append(R)
             qs.append(Q)
             # w_i repeats 1 and c_i (see _W), so the grid's sums need only those
-            one_c = np.stack([np.ones(len(subjects)), [b.c for b in subjects]])
+            one_c = np.stack([np.ones(len(members)), data.c[members]])
             moments.append(one_c @ one_c.T)
             cross_ty.append(one_c @ Qty.T)
             cross_yy.append(Qty @ Qty.T)
-        self.counts = np.array([len(subjects) for subjects in by_grid.values()], dtype=float)
+        self.counts = np.array([len(members) for members in by_grid.values()], dtype=float)
         self.R = np.stack(rs)
         E = np.concatenate([self.R, self.R[:, :, 1:]], axis=2)          # (G, 3, 5)
         w2 = np.stack(moments)[:, _W][:, :, _W]                          # sum w_i w_i'

@@ -229,7 +229,7 @@ class TestGenerateDataset:
     def test_covariate_distribution(self):
         design = SimulationDesign("t", 400, 2)
         data = generate_dataset(design, simple_truth(), seed=17)
-        c = data.subject_covariates()
+        c = data.c
         assert abs(c.mean()) < 0.15
         assert abs(c.std() - 1.0) < 0.15
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
+from lmmbic.candidates import (
+    SimulationDesign,
+    TrueParameters,
+    enumerate_candidates,
+    generate_dataset,
+)
 from lmmbic.data import DataFormatError, Dataset, SubjectBlock, read_dataset
+from lmmbic.estimation import UnidentifiableModelError, fit_ml
 
 
 def make_block(sid="s1", n=4, c=0.5):
@@ -15,31 +22,19 @@ class TestSubjectBlock:
         assert block.n_obs == 5
         assert block.c == 0.5
 
-    def test_arrays_are_readonly(self):
-        block = make_block()
-        with pytest.raises(ValueError):
-            block.x[0] = 99.0
-        with pytest.raises(ValueError):
-            block.y[0] = 99.0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="rows"):
-            SubjectBlock(id="s1", x=np.arange(3.0), c=0.0, y=np.arange(4.0))
-
-    def test_empty_block_rejected(self):
-        with pytest.raises(ValueError, match="no observations"):
-            SubjectBlock(id="s1", x=np.array([]), c=0.0, y=np.array([]))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            SubjectBlock(id="s1", x=np.array([0.0, np.nan]), c=0.0, y=np.array([1.0, 2.0]))
-
 
 class TestDataset:
     def test_counts(self):
         data = Dataset(subjects=(make_block("a", 3), make_block("b", 5)))
         assert data.n_subjects == 2
         assert data.n_obs == 8
+
+    def test_columns(self):
+        data = Dataset(subjects=(make_block("a", 3, c=1.0), make_block("b", 2, c=2.0)))
+        assert data.ids == ("a", "b")
+        np.testing.assert_array_equal(data.bounds, [0, 3, 5])
+        np.testing.assert_array_equal(data.x, [0.0, 1.0, 2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(data.y[3:], make_block("b", 2).y)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -51,7 +46,122 @@ class TestDataset:
 
     def test_subject_covariates(self):
         data = Dataset(subjects=(make_block("a", c=1.5), make_block("b", c=-2.0)))
-        np.testing.assert_array_equal(data.subject_covariates(), [1.5, -2.0])
+        np.testing.assert_array_equal(data.c, [1.5, -2.0])
+
+    def test_length_mismatch_rejected(self):
+        block = SubjectBlock(id="s1", x=np.arange(3.0), c=0.0, y=np.arange(4.0))
+        with pytest.raises(ValueError, match="rows"):
+            Dataset(subjects=(block,))
+
+    def test_empty_block_rejected(self):
+        block = SubjectBlock(id="s1", x=np.array([]), c=0.0, y=np.array([]))
+        with pytest.raises(ValueError, match="no observations"):
+            Dataset(subjects=(make_block("s0"), block))
+
+    def test_non_finite_rejected(self):
+        block = SubjectBlock(id="s1", x=np.array([0.0, np.nan]), c=0.0, y=np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            Dataset(subjects=(block,))
+
+    def test_each_check_names_its_subject(self):
+        cases = [
+            (dict(x=np.zeros((2, 2)), y=np.zeros(4)), "'bad': x and y must be one-dimensional"),
+            (dict(y=np.zeros(3)), "'bad': x has 4 rows but y has 3"),
+            (dict(y=np.array([0.0, 1.0, np.inf, 2.0])), "'bad' contains non-finite values"),
+            (dict(c=np.nan), "'bad' has a non-finite covariate"),
+        ]
+        for fields, message in cases:
+            bad = SubjectBlock(**{**make_block("bad").__dict__, **fields})
+            with pytest.raises(ValueError, match=message):
+                Dataset(subjects=(make_block("a"), bad, make_block("b")))
+        with pytest.raises(ValueError, match="'s1' has a non-finite covariate"):
+            Dataset.from_columns(["s0", "s1"], [1, 1], [0.0, np.inf], [0.0, 1.0], [1.0, 2.0])
+
+    def test_earlier_subject_reported_first(self):
+        # s2 fails the first check and s1 only the last: s1 is named
+        late = SubjectBlock(id="s1", x=np.arange(2.0), c=np.nan, y=np.zeros(2))
+        early = SubjectBlock(id="s2", x=np.zeros((1, 2)), c=0.0, y=np.zeros(2))
+        with pytest.raises(ValueError, match="'s1' has a non-finite covariate"):
+            Dataset(subjects=(make_block("s0"), late, early))
+        with pytest.raises(ValueError, match="'s2': x and y must be one-dimensional"):
+            Dataset(subjects=(make_block("s0"), early, late))
+
+    def test_arrays_are_readonly(self):
+        block = Dataset(subjects=(make_block(),)).subjects[0]
+        with pytest.raises(ValueError):
+            block.x[0] = 99.0
+        with pytest.raises(ValueError):
+            block.y[0] = 99.0
+
+    def test_immutable(self):
+        data = Dataset(subjects=(make_block("a"), make_block("b")))
+        for name in ("x", "y", "c", "bounds", "ids", "subjects"):
+            with pytest.raises(AttributeError):
+                setattr(data, name, None)
+        with pytest.raises(AttributeError):
+            del data.x
+        for column in (data.x, data.y, data.c, data.bounds):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        for block in data.subjects:
+            with pytest.raises(ValueError):
+                block.y[0] = 99.0
+        # the columns are copies: writing into what they were built from
+        # changes nothing
+        x, y = np.arange(3.0), np.ones(3)
+        data = Dataset(subjects=(SubjectBlock(id="a", x=x, c=0.0, y=y),))
+        x[0] = y[0] = 99.0
+        assert data.x[0] == 0.0 and data.y[0] == 1.0
+
+
+def fit_fields(data):
+    """Every field of the sixteen fits on `data`, or their error messages."""
+    out = []
+    for cand in enumerate_candidates():
+        try:
+            fit = fit_ml(cand, data)
+        except UnidentifiableModelError as exc:
+            out.append(str(exc))
+            continue
+        t = fit.theta_hat
+        out.append((fit.loglik, t.beta.tobytes(), t.omega2.tobytes(), t.sigma2, fit.converged,
+                    fit.boundary, fit.iterations, fit.evaluations, fit.restarted, fit.n_effective))
+    return out
+
+
+class TestConstructorsAgree:
+    """Dataset(subjects=...) rebuilds from the views exactly what
+    from_columns built, and the fits on both are the same bit for bit."""
+
+    def check(self, data):
+        rebuilt = Dataset(subjects=data.subjects)
+        assert rebuilt.ids == data.ids
+        for name in ("bounds", "c", "x", "y"):
+            assert getattr(rebuilt, name).tobytes() == getattr(data, name).tobytes()
+        for a, b in zip(rebuilt.subjects, data.subjects, strict=True):
+            assert (a.id, a.c) == (b.id, b.c)
+            assert (a.x.tobytes(), a.y.tobytes()) == (b.x.tobytes(), b.y.tobytes())
+        assert fit_fields(rebuilt) == fit_fields(data)
+
+    def test_generated_shared_grid(self):
+        truth = TrueParameters(mu=[1.0, 0.5, -0.05], alpha=[0.3, 0.0],
+                               omega2=[1.0, 0.1, 0.0], sigma2=0.5)
+        self.check(generate_dataset(SimulationDesign("t", 12, 5), truth, seed=4093))
+
+    def test_read_ragged(self, tmp_path):
+        # grids of 1 to 6 points, the 4-point grid shared by three subjects
+        rng = np.random.default_rng(4093)
+        grids = [[2.0], [1.0, 7.0], [0.5], [3.0, 4.0], [0.0, 3.0, 6.0, 9.0],
+                 [0.0, 3.0, 6.0, 9.0], np.sort(rng.uniform(0, 10, 6)).tolist(),
+                 [0.0, 3.0, 6.0, 9.0], [1.0, 2.0, 5.0, 8.0, 9.5]]
+        lines = ["subject,x,c,y"]
+        for i, grid in enumerate(grids):
+            c, intercept = rng.normal(), 1.0 + 2.0 * rng.normal()
+            for x in grid:
+                lines.append(f"s{i},{x!r},{c!r},{intercept + x + 0.1 * c * x + rng.normal()!r}")
+        path = tmp_path / "ragged.csv"
+        path.write_text("\n".join(lines) + "\n")
+        self.check(read_dataset(path))
 
 
 class TestReadDataset:
@@ -126,6 +236,20 @@ class TestReadDataset:
         )
         with pytest.raises(DataFormatError, match="inconsistent c"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("s1,0.0,1.0,2.0\ns1,1.0,1.0,nan\n", "data.csv:3: column 'y' has non-finite value 'nan'"),
+        # a one-row subject's c is compared with no other row
+        ("s1,0.0,1.0,2.0\ns2,1.0,inf,3.0\n", "data.csv:3: column 'c' has non-finite value 'inf'"),
+        # not reported as a c that changes from nan to nan
+        ("s1,0.0, nan,2.0\ns1,1.0,nan,3.0\n", "data.csv:2: column 'c' has non-finite value 'nan'"),
+        # x is checked before c and y, and its first bad line is named
+        ("s1,0.0,1.0,oops\ns1,inf,1.0,3.0\n", "data.csv:3: column 'x' has non-finite value 'inf'"),
+        ("s1,0.0,1.0,2.0\ns1,nan,1.0,3.0\ns1,x,1.0,3.0\n", "data.csv:3: column 'x' has non-finite"),
+    ])
+    def test_non_finite_reports_line(self, tmp_path, rows, message):
+        with pytest.raises(DataFormatError, match=message):
+            read_dataset(self.write(tmp_path, "subject,x,c,y\n" + rows))
 
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, "")

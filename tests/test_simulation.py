@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import lmmbic.simulation
 from lmmbic.candidates import CandidateModel, enumerate_candidates
 from lmmbic.criteria import CRITERIA
+from lmmbic.report import emit_report
 from lmmbic.rng import substream
 from lmmbic.simulation import (
     DESIGNS,
@@ -225,3 +228,22 @@ class TestRunStudy:
         capped = run_study(config, n_workers=64)
         assert asked == [16]
         assert capped.rows == table.rows
+
+
+# sha256 of the report of designs a-d at one replicate per cell and seed 1.
+# Any change to the draws, the fits, the criteria or the report moves
+# them; a change that means to must say why and record the new digests.
+STUDY_DIGESTS = {
+    "results.csv": "69746e8516159346a244745731d232a57db3cdb05e2edf9f9ac40427012a707a",
+    "summary.csv": "ed9d5a9a59738a7df6fe7ff6154ce9540ab34f12698a9b189d9b88372b6d0532",
+    "figure.svg": "ab1d528cf19cb29c0fd682c52844bf0ff295bc65084aa62e7a5769b5e9ad67f9",
+}
+
+
+def test_study_report_is_pinned(tmp_path):
+    table = run_study(StudyConfig(designs=("a", "b", "c", "d"), replicates=1, seed=1), n_workers=1)
+    emit_report(table, tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in STUDY_DIGESTS
+    }
+    assert digests == STUDY_DIGESTS
