@@ -129,20 +129,19 @@ def _block_summaries(fit) -> list[dict]:
     Subjects on one observation grid share V_i, so each grid's summary is
     computed once.
     """
-    by_grid: dict[bytes, dict] = {}
-    summaries = []
-    for block in fit.data.subjects:
-        key = block.x.tobytes()
-        if key not in by_grid:
-            V = implied_covariance(fit.candidate, fit.theta_hat, block)
-            R = correlation_from_covariance(V)
-            off = R[~np.eye(R.shape[0], dtype=bool)]
-            by_grid[key] = {
-                "n_obs": int(V.shape[0]),
-                "variance_mean": float(np.diagonal(V).mean()),
-                "correlation_mean": float(off.mean()) if off.size else 0.0,
-            }
-        summaries.append(by_grid[key])
+    subjects = fit.data.subjects
+    summaries = [None] * len(subjects)
+    for _, members in fit.data.grids:
+        V = implied_covariance(fit.candidate, fit.theta_hat, subjects[members[0]])
+        R = correlation_from_covariance(V)
+        off = R[~np.eye(R.shape[0], dtype=bool)]
+        summary = {
+            "n_obs": int(V.shape[0]),
+            "variance_mean": float(np.diagonal(V).mean()),
+            "correlation_mean": float(off.mean()) if off.size else 0.0,
+        }
+        for i in members.tolist():
+            summaries[i] = summary
     return summaries
 
 

@@ -6,7 +6,8 @@ subject-level covariate are ids[i] and c[i].  Responses from different
 subjects are independent, so the likelihood is a sum over subjects, and
 over observation grids where subjects share one; the full n x n
 covariance matrix is never assembled.  Only this module knows the
-layout: Dataset.subjects gives one SubjectBlock view per subject.
+layout: Dataset.subjects gives one SubjectBlock view per subject, and
+Dataset.grids says which subjects share an observation grid.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class Dataset:
         bounds: (N+1,) row offsets: subject i's rows are bounds[i]:bounds[i+1].
 
     Dataset(subjects=blocks) copies SubjectBlocks into columns and
-    Dataset.from_columns takes columns; both check the data the same way.
+    Dataset.from_columns takes columns; both check the data the same way,
+    and so do pickle and copy, which rebuild a copy from its columns.
     Attributes cannot be assigned and every array is read-only, so
     anything computed from a dataset never goes stale.
     """
@@ -134,6 +136,9 @@ class Dataset:
         bounds = _readonly(np.concatenate([[0], np.cumsum(x_sizes)]), dtype=int)
         self.__dict__.update(ids=ids, c=c, x=x, y=y, bounds=bounds)
 
+    def __reduce__(self):
+        return type(self).from_columns, (self.ids, np.diff(self.bounds), self.c, self.x, self.y)
+
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -147,6 +152,19 @@ class Dataset:
         return tuple(
             SubjectBlock(id=sid, x=self.x[lo:hi], c=ci, y=self.y[lo:hi])
             for sid, ci, lo, hi in zip(self.ids, self.c.tolist(), b, b[1:])
+        )
+
+    @cached_property
+    def grids(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(x, members) per distinct observation grid, in order of first
+        appearance: the grid's x values and the read-only indices, in
+        dataset order, of the subjects whose x equals them byte for byte."""
+        raw, width, b = self.x.tobytes(), self.x.itemsize, self.bounds.tolist()
+        by_grid: dict[bytes, list[int]] = {}
+        for i, (lo, hi) in enumerate(zip(b, b[1:])):
+            by_grid.setdefault(raw[width * lo:width * hi], []).append(i)
+        return tuple(
+            (self.x[b[m[0]]:b[m[0] + 1]], _readonly(m, dtype=int)) for m in by_grid.values()
         )
 
     @property

@@ -202,8 +202,8 @@ _Optimum = namedtuple(
 class DatasetStatistics:
     """Everything the fits of all sixteen candidates need from one dataset.
 
-    Subjects are grouped by observation grid straight from the dataset's
-    columns, grids in order of first appearance and subjects in dataset
+    Subjects are grouped by observation grid as the dataset's grids give
+    them, grids in order of first appearance and subjects in dataset
     order, and a grid's responses are read from y as one (m, n) array.  Per
     distinct grid g, with O4M4's Z = [1, x, x^2] = Q R (Q and R zero-padded to 3
     axes when the grid has fewer than 3 points), X has no component
@@ -230,21 +230,14 @@ class DatasetStatistics:
     """
 
     def __init__(self, data: Dataset):
-        # subjects by observation grid: 8 bytes per float64 value of x
-        raw, bounds = data.x.tobytes(), data.bounds.tolist()
-        by_grid: dict[bytes, list[int]] = {}
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            by_grid.setdefault(raw[8 * lo:8 * hi], []).append(i)
-
         self.n_obs = data.n_obs
         self.n_subjects = data.n_subjects
         self.constant_covariate = bool(data.c.min() == data.c.max())
         self.yty = 0.0
         self.perp_yy = 0.0
         rs, qs, moments, cross_ty, cross_yy = [], [], [], [], []
-        for members in by_grid.values():
-            lo, hi = bounds[members[0]], bounds[members[0] + 1]
-            x, n = data.x[lo:hi], hi - lo
+        for x, members in data.grids:
+            n = x.size
             Ys = data.y[data.bounds[members][:, None] + np.arange(n)].T  # (n, m)
             self.yty += float((Ys * Ys).sum())
             # a grid with n < 3 points has k = n; zero-padding Q and R to 3
@@ -265,7 +258,7 @@ class DatasetStatistics:
             moments.append(one_c @ one_c.T)
             cross_ty.append(one_c @ Qty.T)
             cross_yy.append(Qty @ Qty.T)
-        self.counts = np.array([len(members) for members in by_grid.values()], dtype=float)
+        self.counts = np.array([len(members) for _, members in data.grids], dtype=float)
         self.R = np.stack(rs)
         E = np.concatenate([self.R, self.R[:, :, 1:]], axis=2)          # (G, 3, 5)
         w2 = np.stack(moments)[:, _W][:, :, _W]                          # sum w_i w_i'

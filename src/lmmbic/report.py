@@ -70,13 +70,10 @@ def emit_report(table: FrequencyTable, out_dir: str | Path) -> list[Path]:
 
 
 def _render_figure(aggregates: list[tuple[str, str, float]]) -> str:
-    designs = []
     by_design: dict[str, dict[str, float]] = {}
     for design, criterion, frequency in aggregates:
-        if design not in by_design:
-            designs.append(design)
-            by_design[design] = {}
-        by_design[design][criterion] = frequency
+        by_design.setdefault(design, {})[criterion] = frequency
+    designs = list(by_design)
 
     n_panels = len(designs)
     width = _MARGIN_LEFT + n_panels * _PANEL_WIDTH + (n_panels - 1) * _PANEL_GAP + 20

@@ -16,6 +16,8 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
+from numbers import Integral
 
 import numpy as np
 
@@ -45,6 +47,11 @@ class StudyConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "designs", tuple(self.designs))
+        # True or 2.0 would pass the range checks and fail, or run, later
+        for name in ("replicates", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
         unknown = [d for d in self.designs if d not in DESIGNS]
@@ -197,19 +204,14 @@ class FrequencyTable:
     def aggregates(self) -> list[tuple[str, str, float]]:
         """(design, criterion, pooled frequency) in row order."""
         totals: dict[tuple[str, str], list[int]] = {}
-        order = []
         for row in self.rows:
-            key = (row.design, row.criterion)
-            if key not in totals:
-                totals[key] = [0, 0]
-                order.append(key)
-            totals[key][0] += row.correct
-            totals[key][1] += row.replicates
-        out = []
-        for key in order:
-            correct, count = totals[key]
-            out.append((key[0], key[1], correct / count if count else 0.0))
-        return out
+            total = totals.setdefault((row.design, row.criterion), [0, 0])
+            total[0] += row.correct
+            total[1] += row.replicates
+        return [
+            (design, crit, correct / count if count else 0.0)
+            for (design, crit), (correct, count) in totals.items()
+        ]
 
 
 def _replicate_task(args: tuple[str, int, int, StudyConfig]) -> ReplicateResult:
@@ -239,42 +241,20 @@ def run_study(config: StudyConfig, n_workers: int | None = None) -> FrequencyTab
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_task, tasks, chunksize=4))
 
-    counts: dict[tuple[str, str, str], list[int]] = {}
-    invalid = 0
-    total_fits = 0
-    failed_fits = 0
-    for res in results:
-        total_fits += res.n_fits
-        failed_fits += res.n_failed
-        if res.selections is None:
-            invalid += 1
-            continue
-        for crit in CRITERIA:
-            key = (res.design_label, res.truth_id, crit)
-            cell = counts.setdefault(key, [0, 0])
-            cell[0] += int(res.selections[crit] == res.truth_id)
-            cell[1] += 1
-
     rows = []
-    for design_label in config.designs:
-        for truth in truths:
-            for crit in CRITERIA:
-                key = (design_label, truth.id, crit)
-                correct, count = counts.get(key, [0, 0])
-                rows.append(
-                    SelectionCell(
-                        design=design_label,
-                        truth=truth.id,
-                        criterion=crit,
-                        correct=correct,
-                        replicates=count,
-                    )
-                )
+    # tasks run design by design, then truth by truth, so a cell's replicates are adjacent
+    cells = groupby(results, lambda res: (res.design_label, res.truth_id))
+    for (design_label, truth_id), cell in cells:
+        valid = [res.selections for res in cell if res.selections is not None]
+        for crit in CRITERIA:
+            correct = sum(sel[crit] == truth_id for sel in valid)
+            rows.append(SelectionCell(design_label, truth_id, crit, correct, len(valid)))
+    invalid = sum(res.selections is None for res in results)
     table = FrequencyTable(
         rows=tuple(rows),
         invalid_replicates=invalid,
-        total_fits=total_fits,
-        failed_fits=failed_fits,
+        total_fits=sum(res.n_fits for res in results),
+        failed_fits=sum(res.n_failed for res in results),
     )
     logger.info(
         "study finished: %d replicates dropped, non-convergence rate %.4f",

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,87 @@ class TestDataset:
         data = Dataset(subjects=(SubjectBlock(id="a", x=x, c=0.0, y=y),))
         x[0] = y[0] = 99.0
         assert data.x[0] == 0.0 and data.y[0] == 1.0
+
+
+class TestGrids:
+    def grids(self, data):
+        return [(x.tolist(), members.tolist()) for x, members in data.grids]
+
+    def test_first_appearance_order(self):
+        xs = [[0.0, 1.0], [2.0], [0.0, 1.0], [3.0, 4.0, 5.0], [2.0]]
+        data = Dataset(subjects=[
+            SubjectBlock(id=f"s{i}", x=np.array(x), c=0.0, y=np.zeros(len(x)))
+            for i, x in enumerate(xs)
+        ])
+        assert self.grids(data) == [
+            ([0.0, 1.0], [0, 2]), ([2.0], [1, 4]), ([3.0, 4.0, 5.0], [3]),
+        ]
+
+    def test_read_only(self):
+        data = Dataset(subjects=(make_block("a"), make_block("b")))
+        (x, members), = data.grids
+        for arr in (x, members):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert data.grids is data.grids
+
+    def test_one_value_apart_does_not_share(self):
+        grid = np.arange(4.0)
+        apart = grid.copy()
+        apart[2] = np.nextafter(2.0, 3.0)
+        data = Dataset(subjects=[
+            SubjectBlock(id=sid, x=x, c=0.0, y=np.zeros(4))
+            for sid, x in (("a", grid), ("b", apart), ("c", grid.copy()))
+        ])
+        assert [m.tolist() for _, m in data.grids] == [[0, 2], [1]]
+
+    def test_equal_values_read_from_a_file_share(self, tmp_path):
+        # each subject's x is parsed from its own rows, one-point grids included
+        path = tmp_path / "grids.csv"
+        path.write_text(
+            "subject,x,c,y\n"
+            "p,0.5,0,1\nq,0.25,0,1\nq,0.5,0,2\nr,0.50,1,3\n"
+            "s,0.25,1,4\ns,5e-1,1,5\nt,1,0,6\n"
+        )
+        data = read_dataset(path)
+        assert self.grids(data) == [([0.5], [0, 2]), ([0.25, 0.5], [1, 3]), ([1.0], [4])]
+
+    def test_generated_design_is_one_grid(self):
+        truth = TrueParameters(mu=[1.0, 0.5, -0.05], alpha=[0.3, 0.0],
+                               omega2=[1.0, 0.1, 0.0], sigma2=0.5)
+        data = generate_dataset(SimulationDesign("t", 12, 5), truth, seed=4093)
+        (x, members), = data.grids
+        np.testing.assert_array_equal(x, data.subjects[0].x)
+        assert members.tolist() == list(range(12))
+
+
+class TestCopies:
+    """pickle, copy and deepcopy rebuild a dataset through from_columns."""
+
+    def original(self):
+        truth = TrueParameters(mu=[1.0, 0.5, -0.05], alpha=[0.3, 0.2],
+                               omega2=[1.0, 0.1, 0.01], sigma2=0.5)
+        data = generate_dataset(SimulationDesign("t", 9, 6), truth, seed=4093)
+        assert data.subjects and data.grids  # cached here, and not carried over
+        return data
+
+    @pytest.mark.parametrize("make_copy", [
+        lambda d: pickle.loads(pickle.dumps(d)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_copy_is_checked_and_read_only(self, make_copy):
+        data = self.original()
+        twin = make_copy(data)
+        assert type(twin) is Dataset and twin is not data
+        assert "subjects" not in vars(twin) and "grids" not in vars(twin)
+        assert twin.ids == data.ids
+        for name in ("bounds", "c", "x", "y"):
+            column = getattr(twin, name)
+            assert column.tobytes() == getattr(data, name).tobytes()
+            with pytest.raises(ValueError):
+                column[0] = 1
+        with pytest.raises(ValueError):
+            twin.subjects[0].y[0] = 99.0
+        assert fit_fields(twin) == fit_fields(data)
 
 
 def fit_fields(data):

@@ -51,6 +51,17 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="seed"):
             StudyConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["replicates", "seed"])
+    @pytest.mark.parametrize("value", [True, False, 2.0, 1.5, "3"])
+    def test_non_integer_counts_rejected(self, field, value):
+        # True would run one replicate or seed 1; 2.0 would fail inside the study
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            StudyConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = StudyConfig(replicates=np.int64(3), seed=np.uint32(9))
+        assert (config.replicates, config.seed) == (3, 9)
+
     def test_designs_coerced_to_tuple(self):
         config = StudyConfig(designs=["b", "c"])
         assert config.designs == ("b", "c")
@@ -228,6 +239,32 @@ class TestRunStudy:
         capped = run_study(config, n_workers=64)
         assert asked == [16]
         assert capped.rows == table.rows
+
+
+    def test_cells_tally_their_own_replicates(self, monkeypatch):
+        # every criterion picks the truth, except that design b truth O2M1
+        # drops replicate 1 and design a truth O3M3 picks O1M1 in replicate 0
+        def fake_replicate(design, true_candidate, replicate_index, config):
+            key = (design.label, true_candidate.id, replicate_index)
+            winner = "O1M1" if key == ("a", "O3M3", 0) else true_candidate.id
+            selections = None if key == ("b", "O2M1", 1) else dict.fromkeys(CRITERIA, winner)
+            return lmmbic.simulation.ReplicateResult(
+                design.label, true_candidate.id, replicate_index, selections, 16, replicate_index
+            )
+
+        monkeypatch.setattr(lmmbic.simulation, "run_replicate", fake_replicate)
+        table = run_study(StudyConfig(designs=("b", "a"), replicates=3, seed=0))
+        expected = []
+        for design in ("b", "a"):
+            for truth in enumerate_candidates():
+                count = 2 if (design, truth.id) == ("b", "O2M1") else 3
+                correct = 2 if (design, truth.id) == ("a", "O3M3") else count
+                expected += [SelectionCell(design, truth.id, crit, correct, count)
+                             for crit in CRITERIA]
+        assert table.rows == tuple(expected)
+        assert table.invalid_replicates == 1
+        assert table.total_fits == 2 * 16 * 3 * 16
+        assert table.failed_fits == 2 * 16 * (0 + 1 + 2)
 
 
 # sha256 of the report of designs a-d at one replicate per cell and seed 1.
