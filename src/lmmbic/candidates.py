@@ -37,7 +37,12 @@ X_RANGE = (0.0, 10.0)
 _OPTIONAL = {1: (False, False), 2: (True, False), 3: (False, True), 4: (True, True)}
 _MEAN_COLUMNS = {code: np.array((True, True, True) + pair) for code, pair in _OPTIONAL.items()}
 _RANDOM_COLUMNS = {code: np.array((True,) + pair) for code, pair in _OPTIONAL.items()}
-for _mask in (*_MEAN_COLUMNS.values(), *_RANDOM_COLUMNS.values()):
+# O4M4's mean columns 1, x, x^2, c*x and c*x^2 as Z's [1, x, x^2] times a
+# factor in (1, c): MEAN_Z holds each column's Z column, MEAN_FACTOR the
+# index of its factor.
+MEAN_Z = np.array([0, 1, 2, 1, 2])
+MEAN_FACTOR = np.array([0, 0, 0, 1, 1])
+for _mask in (*_MEAN_COLUMNS.values(), *_RANDOM_COLUMNS.values(), MEAN_Z, MEAN_FACTOR):
     _mask.flags.writeable = False
 
 
@@ -164,7 +169,8 @@ def build_design(candidate: CandidateModel, block: SubjectBlock) -> DesignBlocks
     """
     x = block.x
     Z = np.column_stack([np.ones_like(x), x, x * x])
-    X = np.ascontiguousarray(np.column_stack([Z, block.c * Z[:, 1:]])[:, candidate.mean_columns])
+    X = (Z[:, MEAN_Z] * np.array([1.0, block.c])[MEAN_FACTOR])[:, candidate.mean_columns]
+    X = np.ascontiguousarray(X)
     Z = np.ascontiguousarray(Z[:, candidate.random_columns])
     X.flags.writeable = False
     Z.flags.writeable = False

@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -34,24 +35,17 @@ def _candidate_id(text: str) -> CandidateModel:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _criteria_list(text: str) -> list[str]:
-    keys = [k.strip() for k in text.split(",") if k.strip()]
-    unknown = [k for k in keys if k not in CRITERIA]
-    if unknown or not keys or len(set(keys)) != len(keys):
-        raise argparse.ArgumentTypeError(
-            f"criteria must be a comma-separated subset of {','.join(CRITERIA)}"
-        )
-    return keys
+def _subset(what: str, choices: Collection[str]) -> Callable[[str], list[str]]:
+    """Argument type: a non-empty comma-separated subset of choices, no key twice."""
+    message = f"{what} must be a comma-separated subset of {','.join(choices)}"
 
+    def parse(text: str) -> list[str]:
+        keys = [k.strip() for k in text.split(",") if k.strip()]
+        if not keys or not set(keys) <= set(choices) or len(set(keys)) != len(keys):
+            raise argparse.ArgumentTypeError(message)
+        return keys
 
-def _design_list(text: str) -> list[str]:
-    labels = [d.strip() for d in text.split(",") if d.strip()]
-    unknown = [d for d in labels if d not in DESIGNS]
-    if unknown or not labels:
-        raise argparse.ArgumentTypeError(
-            f"designs must be a comma-separated subset of {','.join(sorted(DESIGNS))}"
-        )
-    return labels
+    return parse
 
 
 def _non_negative_int(text: str) -> int:
@@ -87,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_select = sub.add_parser("select", help="rank all sixteen candidates")
     p_select.add_argument("data", help="delimited file with columns subject,x,c,y")
-    p_select.add_argument("--criteria", type=_criteria_list, default=list(CRITERIA),
-                          help="comma-separated subset of N,n,ne,h (default: all)")
+    p_select.add_argument("--criteria", type=_subset("criteria", CRITERIA), default=list(CRITERIA),
+                          help=f"comma-separated subset of {','.join(CRITERIA)} (default: all)")
     p_select.add_argument("--out", help="write JSON here instead of stdout")
     p_select.set_defaults(func=cmd_select)
 
@@ -100,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ess.set_defaults(func=cmd_ess)
 
     p_sim = sub.add_parser("simulate", help="run the Monte-Carlo selection study")
-    p_sim.add_argument("--design", type=_design_list, default=list(DESIGNS),
-                       help="comma-separated subset of a,b,c,d (default: all)")
+    p_sim.add_argument("--design", type=_subset("designs", DESIGNS), default=list(DESIGNS),
+                       help=f"comma-separated subset of {','.join(DESIGNS)} (default: all)")
     p_sim.add_argument("--replicates", type=_positive_int, default=25,
                        help="replicates per (design, truth) cell (default 25)")
     p_sim.add_argument("--out", default=".",

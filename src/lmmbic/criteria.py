@@ -23,7 +23,7 @@ from functools import cache
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .candidates import CandidateModel, enumerate_candidates
+from .candidates import MEAN_Z, CandidateModel, enumerate_candidates
 from .estimation import FittedModel, effective_sample_size
 
 CRITERIA = ("N", "n", "ne", "h")
@@ -90,7 +90,7 @@ def partition_parameters(candidate: CandidateModel) -> ParameterPartition:
     depends on the candidate alone, so it is made once per candidate.
     """
     # the random column on the direction of mu0, mu1, mu2, alpha1 and alpha2
-    subject_level = candidate.random_columns[[0, 1, 2, 1, 2]][candidate.mean_columns]
+    subject_level = candidate.random_columns[MEAN_Z][candidate.mean_columns]
     mean = candidate.mean_labels()
     random = tuple(compress(mean, subject_level)) + candidate.variance_labels()
     fixed = ("sigma2",) + tuple(compress(mean, ~subject_level))
@@ -239,10 +239,12 @@ def selection_summary(
     criterion difference and the matching approximate Bayes factor,
     each with its evidence grade; a runner-up tied with the winner (see
     select_model) has difference 0.  Raises ValueError on an unknown or
-    repeated criterion name.
+    repeated criterion name, or on a bare string of names.
     """
     if not reports:
         raise ValueError("no reports to summarize")
+    if isinstance(criteria, str):  # list() would split it into characters
+        raise ValueError(f"criteria must be a sequence of names, got {criteria!r}")
     criteria = list(criteria)
     for crit in criteria:
         criterion_value(reports[0], crit)  # validate names early

@@ -86,7 +86,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .candidates import CandidateModel, enumerate_candidates
+from .candidates import MEAN_FACTOR, MEAN_Z, CandidateModel, enumerate_candidates
 from .data import Dataset
 from .model import LN_TWO_PI, ParameterVector
 
@@ -133,9 +133,6 @@ _SAME_OPTIMUM = 5e-12
 _RSS_ROUNDING = 8.0 * float(np.finfo(float).eps)
 _EYE3 = np.eye(3)
 _EYE5 = np.eye(5)
-# O4M4's mean columns 1, x, x^2, c x, c x^2 carry w_i = (1, 1, 1, c_i, c_i):
-# the index of each column's factor in (1, c_i)
-_W = np.array([0, 0, 0, 1, 1])
 
 
 class UnidentifiableModelError(ValueError):
@@ -207,9 +204,9 @@ class DatasetStatistics:
     order, and a grid's responses are read from y as one (m, n) array.  Per
     distinct grid g, with O4M4's Z = [1, x, x^2] = Q R (Q and R zero-padded to 3
     axes when the grid has fewer than 3 points), X has no component
-    orthogonal to Z: subject i's Q'X_i = E diag(w_i), with E = [R, R[:, 1:]]
-    (3, 5) and w_i = (1, 1, 1, c_i, c_i).  So, with the sums running over
-    the grid's subjects and capacitance axes first,
+    orthogonal to Z: subject i's Q'X_i = E diag(w_i), with E = R[:, MEAN_Z]
+    (3, 5) and w_i = (1, c_i)[MEAN_FACTOR] = (1, 1, 1, c_i, c_i).  So, with
+    the sums running over the grid's subjects and capacitance axes first,
 
         R[g]                                                  (G, 3, 3)
         cross_xx[g][a, b, p, q] = E[a, p] E[b, q] sum w_ip w_iq (G, 3, 3, 5, 5)
@@ -253,16 +250,16 @@ class DatasetStatistics:
             self.perp_yy += float((perp_y * perp_y).sum())
             rs.append(R)
             qs.append(Q)
-            # w_i repeats 1 and c_i (see _W), so the grid's sums need only those
+            # w_i repeats 1 and c_i (see MEAN_FACTOR), so the grid's sums need only those
             one_c = np.stack([np.ones(len(members)), data.c[members]])
             moments.append(one_c @ one_c.T)
             cross_ty.append(one_c @ Qty.T)
             cross_yy.append(Qty @ Qty.T)
         self.counts = np.array([len(members) for _, members in data.grids], dtype=float)
         self.R = np.stack(rs)
-        E = np.concatenate([self.R, self.R[:, :, 1:]], axis=2)          # (G, 3, 5)
-        w2 = np.stack(moments)[:, _W][:, :, _W]                          # sum w_i w_i'
-        wy = np.stack(cross_ty)[:, _W]                                   # sum w_i (Q'y_i)'
+        E = self.R.take(MEAN_Z, axis=2)                                  # (G, 3, 5)
+        w2 = np.stack(moments)[:, MEAN_FACTOR][:, :, MEAN_FACTOR]        # sum w_i w_i'
+        wy = np.stack(cross_ty)[:, MEAN_FACTOR]                          # sum w_i (Q'y_i)'
         cross_xx = E[:, :, None, :, None] * E[:, None, :, None, :] * w2[:, None, None]
         self.xtx = np.einsum("gaapq->pq", cross_xx)
         self.cross_xx = cross_xx.reshape(-1, 25)
@@ -574,8 +571,12 @@ def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
     A candidate's mean columns depend only on m, so each answer holds for
     all four of its variance structures.  The rank of each structure's
     X'X is numpy.linalg.matrix_rank's, from one eigvalsh of the four with
-    the absent columns zeroed, which adds only zero eigenvalues.
+    the absent columns zeroed, which adds only zero eigenvalues.  An X'X
+    that overflows a float rejects all four structures.
     """
+    if not np.isfinite(stats.xtx).all():  # eigvalsh would raise LinAlgError
+        message = "mean design for candidate {id} overflows a float; rescale x or c"
+        return dict.fromkeys((1, 2, 3, 4), message)
     masks = _MEAN[:4]
     sizes = masks.sum(axis=1)
     s = np.abs(np.linalg.eigvalsh(np.where(masks[:, :, None] & masks[:, None, :], stats.xtx, 0.0)))
@@ -654,7 +655,8 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, _Optimum | 
     found = _search(stats, mean, present, start)
     theta, f, converged, iterations, evaluations, sigma2, beta = found
     restarted = np.zeros(len(ids), dtype=bool)
-    for size in range(6, 10):  # a level of the lattice; its covers have a parameter fewer
+    # each level of the lattice above the smallest; its covers have a parameter fewer
+    for size in sorted(set(_N_PARAMETERS))[1:]:
         fs = f.tolist()
         best = {
             row[k]: min((row[j] for j in _COVERS[k]), key=fs.__getitem__)

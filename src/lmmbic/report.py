@@ -10,21 +10,11 @@ import csv
 from pathlib import Path
 
 from .candidates import DESIGNS
+from .criteria import CRITERIA
 from .simulation import FrequencyTable
 
-CRITERION_NAMES = {
-    "N": "BIC_N",
-    "n": "BIC_n",
-    "ne": "BIC_ne",
-    "h": "BIC_h",
-}
-
-CRITERION_COLORS = {
-    "N": "#1f77b4",
-    "n": "#2ca02c",
-    "ne": "#e8c31e",
-    "h": "#d62728",
-}
+CRITERION_NAMES = {key: f"BIC_{key}" for key in CRITERIA}
+CRITERION_COLORS = dict(zip(CRITERIA, ("#1f77b4", "#2ca02c", "#e8c31e", "#d62728"), strict=True))
 
 _PANEL_WIDTH = 240
 _PANEL_GAP = 30

@@ -41,11 +41,13 @@ class StudyConfig:
     """What to run: which designs, how many replicates per (design,
     truth) cell, and the master seed."""
 
-    designs: tuple[str, ...] = ("a", "b", "c", "d")
+    designs: tuple[str, ...] = tuple(DESIGNS)
     replicates: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.designs, str):  # tuple() would split it into characters
+            raise ValueError(f"designs must be a sequence of labels, got {self.designs!r}")
         object.__setattr__(self, "designs", tuple(self.designs))
         # True or 2.0 would pass the range checks and fail, or run, later
         for name in ("replicates", "seed"):
@@ -71,26 +73,12 @@ def sample_true_parameters(true_candidate: CandidateModel, rng: np.random.Genera
     free variances are uniform on [0.01, 1.01]; sigma2 is fixed at 1.
     Parameters absent from the structure are exact zeros.
     """
-    mu = np.array(
-        [
-            rng.normal(0.01, 1.0),
-            rng.normal(0.005, 1.0),
-            rng.normal(0.0025, 1.0),
-        ]
-    )
-    alpha = np.array(
-        [
-            rng.normal(0.01, 1.0) if true_candidate.alpha1_free else 0.0,
-            rng.normal(0.01, 1.0) if true_candidate.alpha2_free else 0.0,
-        ]
-    )
-    omega2 = np.array(
-        [
-            rng.uniform(0.01, 1.01),
-            rng.uniform(0.01, 1.01) if true_candidate.omega1_free else 0.0,
-            rng.uniform(0.01, 1.01) if true_candidate.omega2_free else 0.0,
-        ]
-    )
+    mu = rng.normal([0.01, 0.005, 0.0025], 1.0)
+    alpha, omega2 = np.zeros(2), np.zeros(3)
+    free = true_candidate.mean_columns[3:]  # alpha1 and alpha2
+    alpha[free] = rng.normal(0.01, 1.0, size=np.count_nonzero(free))
+    free = true_candidate.random_columns  # omega0^2, omega1^2 and omega2^2
+    omega2[free] = rng.uniform(0.01, 1.01, size=np.count_nonzero(free))
     return TrueParameters(mu=mu, alpha=alpha, omega2=omega2, sigma2=1.0)
 
 
@@ -130,9 +118,10 @@ def run_replicate(
     )
     data = generate_dataset(design, truth, data_seed)
 
+    candidates = enumerate_candidates()
     reports = []
     failed = 0
-    for cand in enumerate_candidates():
+    for cand in candidates:
         try:
             fit = fit_ml(cand, data)
         except (UnidentifiableModelError, np.linalg.LinAlgError) as exc:
@@ -164,7 +153,7 @@ def run_replicate(
         truth_id=true_candidate.id,
         replicate_index=replicate_index,
         selections=selections,
-        n_fits=16,
+        n_fits=len(candidates),
         n_failed=failed,
     )
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lmmbic.candidates import (
+    MEAN_FACTOR,
+    MEAN_Z,
     CandidateModel,
     TrueParameters,
     build_design,
@@ -124,6 +126,18 @@ class TestBuildDesign:
         d = build_design(CandidateModel(m=3, o=3), block)
         np.testing.assert_array_equal(d.X, [[1.0, 2.0, 4.0, 12.0]])
         np.testing.assert_array_equal(d.Z, [[1.0, 4.0]])
+
+    @pytest.mark.parametrize("x, c", [([3.0], -1.3), ([0.7, 2.2], 0.0), ([0.1, 1.7, 4.4], 2.9)])
+    def test_mean_layout_rebuilds_every_x(self, x, c):
+        block = SubjectBlock(id="s", x=np.array(x), c=c, y=np.zeros(len(x)))
+        Z = build_design(CandidateModel(m=4, o=4), block).Z
+        full = Z[:, MEAN_Z] * np.array([1.0, c])[MEAN_FACTOR]
+        # O4M4's [1, x, x^2, c*x, c*x^2]
+        assert full.tobytes() == np.column_stack([Z, c * Z[:, 1:]]).tobytes()
+        for cand in enumerate_candidates():
+            X = build_design(cand, block).X
+            assert X.tobytes() == np.ascontiguousarray(full[:, cand.mean_columns]).tobytes()
+        assert not MEAN_Z.flags.writeable and not MEAN_FACTOR.flags.writeable
 
     def test_shapes_match_counts(self):
         block = SubjectBlock(id="s", x=np.linspace(0, 10, 6), c=0.3, y=np.zeros(6))

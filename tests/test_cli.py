@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmmbic.candidates import CandidateModel, TrueParameters, build_design, generate_dataset
+from lmmbic.candidates import (
+    DESIGNS,
+    CandidateModel,
+    TrueParameters,
+    build_design,
+    generate_dataset,
+)
 from lmmbic.cli import _thread_count, build_parser, main
 from lmmbic.criteria import CRITERIA
 from lmmbic.data import Dataset, SubjectBlock, read_dataset
@@ -186,6 +192,11 @@ class TestSelectCommand:
             main(["select", str(path), "--criteria", "N,aic"])
         assert excinfo.value.code == 2
 
+    def test_help_lists_every_criterion(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["select", "--help"])
+        assert ",".join(CRITERIA) in capsys.readouterr().out
+
     def test_repeated_criteria_is_usage_error(self, data_file, capsys):
         path, _ = data_file
         with pytest.raises(SystemExit) as excinfo:
@@ -229,6 +240,17 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--design", "a,x"])
         assert excinfo.value.code == 2
+
+    def test_repeated_design_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--design", "a,a"])
+        assert excinfo.value.code == 2
+        assert "designs must be a comma-separated subset" in capsys.readouterr().err
+
+    def test_help_lists_every_design(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert ",".join(DESIGNS) in capsys.readouterr().out
 
 
 class TestThreadCount:

@@ -316,6 +316,12 @@ class TestSelectionSummary:
         with pytest.raises(ValueError, match="repeat"):
             selection_summary(reports, criteria=["N", "N", "ne"])
 
+    @pytest.mark.parametrize("criteria", ["Nn", "ne", "h"])
+    def test_bare_string_criteria_rejected(self, criteria):
+        reports = [report_for("O1M1", -60.0), report_for("O2M1", -40.0)]
+        with pytest.raises(ValueError, match="criteria"):
+            selection_summary(reports, criteria=criteria)
+
     def test_single_report_has_no_evidence(self):
         payload = selection_summary([report_for("O1M1", -60.0)])
         assert payload["evidence"] == {}

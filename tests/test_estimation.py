@@ -798,6 +798,31 @@ class TestFitMl:
             else:
                 fit_ml(cand, data)
 
+    @pytest.mark.parametrize("x_scale, c_scale", [(1e100, 1.0), (1.0, 1e160)])
+    def test_overflowing_design_rejected_after_one_search(self, monkeypatch, x_scale, c_scale):
+        # x^4 or c^2 x^4 overflows O4M4's X'X, on which eigvalsh fails
+        searches = []
+        search_family = lmmbic.estimation._search_family
+
+        def counting(stats):
+            searches.append(stats)
+            return search_family(stats)
+
+        monkeypatch.setattr(lmmbic.estimation, "_search_family", counting)
+        rng = np.random.default_rng(8123)
+        x = np.linspace(0.0, 10.0, 5) * x_scale
+        subjects = tuple(
+            SubjectBlock(id=f"s{i}", x=x, c=rng.normal() * c_scale, y=rng.normal(size=5))
+            for i in range(12)
+        )
+        data = Dataset(subjects=subjects)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cand in enumerate_candidates():
+                message = f"candidate {cand.id} overflows a float"
+                with pytest.raises(UnidentifiableModelError, match=message):
+                    fit_ml(cand, data)
+        assert len(searches) == 1
+
     def test_collinear_design_rejected(self):
         # x in {0, 1} makes the linear and quadratic columns identical
         rng = np.random.default_rng(33)

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from lmmbic.criteria import CRITERIA
 from lmmbic.report import CRITERION_COLORS, CRITERION_NAMES, emit_report
 from lmmbic.simulation import FrequencyTable, SelectionCell
 
@@ -22,6 +23,11 @@ def synthetic_table():
                 part = correct // 2 if truth == "O1M1" else correct - correct // 2
                 rows.append(SelectionCell(design, truth, crit, part, total // 2))
     return FrequencyTable(rows=tuple(rows), invalid_replicates=2, total_fits=640, failed_fits=3)
+
+
+def test_criterion_tables_follow_criteria():
+    assert list(CRITERION_NAMES) == list(CRITERION_COLORS) == list(CRITERIA)
+    assert list(CRITERION_NAMES.values()) == ["BIC_N", "BIC_n", "BIC_ne", "BIC_h"]
 
 
 class TestEmitReport:

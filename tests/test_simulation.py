@@ -66,6 +66,11 @@ class TestStudyConfig:
         config = StudyConfig(designs=["b", "c"])
         assert config.designs == ("b", "c")
 
+    @pytest.mark.parametrize("designs", ["abd", "a", ""])
+    def test_bare_string_designs_rejected(self, designs):
+        with pytest.raises(ValueError, match="designs"):
+            StudyConfig(designs=designs)
+
 
 class TestSampleTrueParameters:
     def test_zero_pattern_follows_structure(self):
