@@ -800,7 +800,7 @@ class TestFitMl:
 
     @pytest.mark.parametrize("x_scale, c_scale", [(1e100, 1.0), (1.0, 1e160)])
     def test_overflowing_design_rejected_after_one_search(self, monkeypatch, x_scale, c_scale):
-        # x^4 or c^2 x^4 overflows O4M4's X'X, on which eigvalsh fails
+        # x^4 or c^2 x^4 overflows O4M4's X'X, which eigvalsh cannot take
         searches = []
         search_family = lmmbic.estimation._search_family
 
