@@ -1,10 +1,11 @@
 """Information criteria, parameter partitions and candidate ranking.
 
-Four penalized criteria are computed from one fitted log-likelihood:
+Each criterion charges every free parameter the log of a sample size,
+N, n or the effective n_e; SAMPLE_SIZES says which, per parameter class:
 
-    BIC_N  = -2 loglik + p ln N        (N subjects)
-    BIC_n  = -2 loglik + p ln n        (n observations)
-    BIC_ne = -2 loglik + p ln n_e      (effective sample size)
+    BIC_N  = -2 loglik + p ln N
+    BIC_n  = -2 loglik + p ln n
+    BIC_ne = -2 loglik + p ln n_e
     BIC_h  = -2 loglik + |theta_R| ln N + |theta_F| ln n
 
 where theta_R collects the parameters tied to subject-level variation
@@ -21,12 +22,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .candidates import MEAN_Z, CandidateModel, enumerate_candidates
 from .estimation import FittedModel, effective_sample_size
 
-CRITERIA = ("N", "n", "ne", "h")
+# criterion -> (size a theta_R parameter pays, size a theta_F parameter pays)
+SAMPLE_SIZES = {"N": ("N", "N"), "n": ("n", "n"), "ne": ("n_e", "n_e"), "h": ("N", "n")}
+CRITERIA = tuple(SAMPLE_SIZES)
 
 _JEFFREYS_BREAKS = (1.0, 10.0 ** 0.5, 10.0, 10.0 ** 1.5, 100.0)
 _JEFFREYS_LABELS = (
@@ -54,13 +58,6 @@ _DELTA_LABELS = (
     "Strong",
     "Very Strong",
 )
-
-
-def bic(loglik: float, p: int, sample_size: float) -> float:
-    """-2 loglik + p ln(sample_size)."""
-    if sample_size <= 0:
-        raise ValueError("sample_size must be positive")
-    return -2.0 * loglik + p * math.log(sample_size)
 
 
 @dataclass(frozen=True)
@@ -97,15 +94,28 @@ def partition_parameters(candidate: CandidateModel) -> ParameterPartition:
     return ParameterPartition(random=random, fixed=fixed)
 
 
-def bic_h(loglik: float, partition: ParameterPartition, n_subjects: int, n_obs: int) -> float:
-    """Hybrid criterion: subject-level parameters pay ln N, the rest ln n."""
-    if n_subjects <= 0 or n_obs <= 0:
-        raise ValueError("sample sizes must be positive")
-    return (
-        -2.0 * loglik
-        + partition.n_random * math.log(n_subjects)
-        + partition.n_fixed * math.log(n_obs)
-    )
+def criterion_values(
+    loglik: float, partition: ParameterPartition, sizes: Mapping[str, float]
+) -> dict[str, float]:
+    """Every criterion's value, in CRITERIA order.
+
+    sizes maps "N", "n" and "n_e" to positive, possibly fractional values.
+    A size both parameter classes pay is charged as one p ln m term.
+    """
+    logs = {}
+    for key, m in sizes.items():
+        if m <= 0:
+            raise ValueError("sample sizes must be positive")
+        logs[key] = math.log(m)
+    deviance = -2.0 * loglik
+    r, f = partition.n_random, partition.n_fixed
+    values = {}
+    for name, (random_size, fixed_size) in SAMPLE_SIZES.items():
+        if random_size == fixed_size:
+            values[name] = deviance + (r + f) * logs[random_size]
+        else:
+            values[name] = deviance + r * logs[random_size] + f * logs[fixed_size]
+    return values
 
 
 def bayes_factor_from_bics(bic_1: float, bic_2: float) -> float:
@@ -139,7 +149,7 @@ def delta_bic_label(delta: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class BicReport:
-    """All four criterion values for one fitted candidate."""
+    """Every criterion's value for one fitted candidate, keyed by CRITERIA."""
 
     candidate_id: str
     loglik: float
@@ -147,43 +157,31 @@ class BicReport:
     n_obs: int
     n_subjects: int
     n_effective: float
-    bic_N: float
-    bic_n: float
-    bic_ne: float
-    bic_h: float
+    values: Mapping[str, float]
     partition: ParameterPartition
 
 
 def build_report(fit: FittedModel) -> BicReport:
     """Evaluate every criterion for one fit (n_e is the fit's n_effective)."""
     part = partition_parameters(fit.candidate)
-    p = fit.candidate.n_parameters
     n_e = effective_sample_size(fit)
+    sizes = {"N": fit.n_subjects, "n": fit.n_obs, "n_e": n_e}
     return BicReport(
         candidate_id=fit.candidate.id,
         loglik=fit.loglik,
-        p=p,
+        p=fit.candidate.n_parameters,
         n_obs=fit.n_obs,
         n_subjects=fit.n_subjects,
         n_effective=n_e,
-        bic_N=bic(fit.loglik, p, fit.n_subjects),
-        bic_n=bic(fit.loglik, p, fit.n_obs),
-        bic_ne=bic(fit.loglik, p, n_e),
-        bic_h=bic_h(fit.loglik, part, fit.n_subjects, fit.n_obs),
+        values=MappingProxyType(criterion_values(fit.loglik, part, sizes)),
         partition=part,
     )
 
 
 def criterion_value(report: BicReport, criterion: str) -> float:
-    try:
-        return {
-            "N": report.bic_N,
-            "n": report.bic_n,
-            "ne": report.bic_ne,
-            "h": report.bic_h,
-        }[criterion]
-    except KeyError:
-        raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}") from None
+    if criterion not in SAMPLE_SIZES:
+        raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+    return report.values[criterion]
 
 
 def _ranked(reports: Sequence[BicReport], criterion: str) -> list[BicReport]:
@@ -220,10 +218,7 @@ def report_to_dict(report: BicReport) -> dict:
         "n": report.n_obs,
         "N": report.n_subjects,
         "n_e": report.n_effective,
-        "bic_N": report.bic_N,
-        "bic_n": report.bic_n,
-        "bic_ne": report.bic_ne,
-        "bic_h": report.bic_h,
+        **{f"bic_{name}": report.values[name] for name in CRITERIA},
         "theta_R": list(report.partition.random),
         "theta_F": list(report.partition.fixed),
     }

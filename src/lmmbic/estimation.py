@@ -226,6 +226,8 @@ class DatasetStatistics:
     read; no entry refers to the data.
     """
 
+    # an overflowing X'X is rejected with a clear message by _identifiability
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, data: Dataset):
         self.n_obs = data.n_obs
         self.n_subjects = data.n_subjects

@@ -56,6 +56,8 @@ class StudyConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if not self.designs:
+            raise ValueError("designs must name at least one design")
         unknown = [d for d in self.designs if d not in DESIGNS]
         if unknown:
             raise ValueError(f"unknown design labels {unknown}; available: {sorted(DESIGNS)}")

@@ -145,7 +145,7 @@ def test_04_degenerate_sample_size_identities():
     )
     exact_n = effective_sample_size(no_effects) == float(data.n_obs)
     rep = build_report(no_effects)
-    exact_bic = rep.bic_ne == rep.bic_n
+    exact_bic = rep.values["ne"] == rep.values["n"]
 
     # one observation per subject: N == n and every criterion collapses
     # to the same value
@@ -167,7 +167,7 @@ def test_04_degenerate_sample_size_identities():
     coincide = True
     for cand in enumerate_candidates():
         r = build_report(fit_ml(cand, singles))
-        values = (r.bic_N, r.bic_n, r.bic_ne, r.bic_h)
+        values = tuple(r.values.values())
         coincide &= max(values) - min(values) <= 1e-10
     ok = exact_n and exact_bic and coincide
     _line(4, "n_e == n without random effects (exact); all criteria coincide at n_i == 1", ok)

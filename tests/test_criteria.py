@@ -11,13 +11,13 @@ from lmmbic.criteria import (
     BicReport,
     ParameterPartition,
     bayes_factor_from_bics,
-    bic,
-    bic_h,
     build_report,
     criterion_value,
+    criterion_values,
     delta_bic_label,
     jeffreys_label,
     partition_parameters,
+    report_to_dict,
     select_model,
     selection_summary,
 )
@@ -53,22 +53,50 @@ PARTITION_TABLE = {
 }
 
 
+def sizes(n_subjects, n_obs, n_effective):
+    return {"N": n_subjects, "n": n_obs, "n_e": n_effective}
+
+
+def closed_forms(loglik, part, n_subjects, n_obs, n_effective):
+    """The paper's criteria, each summed as the formula reads."""
+    p = part.n_random + part.n_fixed
+    return {
+        "N": -2.0 * loglik + p * math.log(n_subjects),
+        "n": -2.0 * loglik + p * math.log(n_obs),
+        "ne": -2.0 * loglik + p * math.log(n_effective),
+        "h": -2.0 * loglik + part.n_random * math.log(n_subjects) + part.n_fixed * math.log(n_obs),
+    }
+
+
+# p = 3 and p = 2: one size for every parameter, as the single-size rows charge it
+THREE = ParameterPartition(random=("mu0", "omega0"), fixed=("sigma2",))
+TWO = ParameterPartition(random=("omega0",), fixed=("sigma2",))
+
+
 class TestBic:
+    """The rows that charge one sample size on every parameter."""
+
     def test_frozen_value(self):
-        np.testing.assert_allclose(bic(-100.0, 3, 100), 213.81551055796427, rtol=1e-12)
+        values = criterion_values(-100.0, THREE, sizes(100, 100, 100))
+        for name in ("N", "n", "ne"):
+            np.testing.assert_allclose(values[name], 213.81551055796427, rtol=1e-12)
 
     def test_manual_formula(self):
-        assert bic(-10.0, 2, 50) == pytest.approx(20.0 + 2.0 * math.log(50.0))
+        values = criterion_values(-10.0, TWO, sizes(50, 80, 60))
+        assert values["N"] == pytest.approx(20.0 + 2.0 * math.log(50.0))
+        assert values["n"] == pytest.approx(20.0 + 2.0 * math.log(80.0))
+        assert values["ne"] == pytest.approx(20.0 + 2.0 * math.log(60.0))
 
     def test_nonpositive_sample_size(self):
-        with pytest.raises(ValueError):
-            bic(-10.0, 2, 0)
-        with pytest.raises(ValueError):
-            bic(-10.0, 2, -3)
+        for size in ("N", "n", "n_e"):
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match="positive"):
+                    criterion_values(-10.0, TWO, {**sizes(50, 80, 60), size: bad})
 
     def test_fractional_sample_size_accepted(self):
         # effective sample sizes are rarely integers
-        assert bic(-10.0, 2, 36.7) == pytest.approx(20.0 + 2.0 * math.log(36.7))
+        values = criterion_values(-10.0, TWO, sizes(50, 80, 36.7))
+        assert values["ne"] == pytest.approx(20.0 + 2.0 * math.log(36.7))
 
 
 class TestPartition:
@@ -92,25 +120,51 @@ class TestPartition:
 
 
 class TestBicH:
+    """The hybrid row: theta_R pays ln N, theta_F pays ln n."""
+
     def test_frozen_value(self):
         part = partition_parameters(CandidateModel(m=1, o=2))
         assert (part.n_random, part.n_fixed) == (4, 2)
-        np.testing.assert_allclose(
-            bic_h(-50.0, part, 20, 100), 121.19326946619215, rtol=1e-12
-        )
+        values = criterion_values(-50.0, part, sizes(20, 100, 50))
+        np.testing.assert_allclose(values["h"], 121.19326946619215, rtol=1e-12)
 
     def test_reduces_to_bic_when_counts_match(self):
         part = partition_parameters(CandidateModel(m=1, o=1))
-        n = 40
-        same = bic_h(-30.0, part, n, n)
-        assert same == pytest.approx(bic(-30.0, part.n_random + part.n_fixed, n))
+        values = criterion_values(-30.0, part, sizes(40, 40, 40))
+        assert values["h"] == pytest.approx(values["N"])
 
     def test_nonpositive_counts(self):
         part = partition_parameters(CandidateModel(m=1, o=1))
         with pytest.raises(ValueError):
-            bic_h(-30.0, part, 0, 10)
+            criterion_values(-30.0, part, sizes(0, 10, 5))
         with pytest.raises(ValueError):
-            bic_h(-30.0, part, 10, 0)
+            criterion_values(-30.0, part, sizes(10, 0, 5))
+
+
+class TestCriterionValues:
+    # fractional n_e included; (12.5, 7, 7, 7.0) has N == n == n_e
+    @pytest.mark.parametrize("loglik, n_subjects, n_obs, n_e", [
+        (-100.0, 20, 100, 60.0),
+        (-50.0, 100, 300, 137.25),
+        (12.5, 7, 7, 7.0),
+        (-1234.5678, 100, 10000, 5234.891),
+        (-3.25, 2, 3, 2.000001),
+    ])
+    def test_every_candidate_matches_closed_form_exactly(self, loglik, n_subjects, n_obs, n_e):
+        for cand in enumerate_candidates():
+            part = partition_parameters(cand)
+            values = criterion_values(loglik, part, sizes(n_subjects, n_obs, n_e))
+            assert list(values) == list(CRITERIA)
+            expected = closed_forms(loglik, part, n_subjects, n_obs, n_e)
+            for name in CRITERIA:
+                assert values[name] == expected[name], (cand.id, name)
+
+    def test_report_keys_follow_the_table(self):
+        row = report_to_dict(report_for("O2M3", -50.0))
+        assert list(row) == [
+            "candidate", "loglik", "p", "n", "N", "n_e",
+            "bic_N", "bic_n", "bic_ne", "bic_h", "theta_R", "theta_F",
+        ]
 
 
 class TestHybridRecovery:
@@ -120,13 +174,16 @@ class TestHybridRecovery:
         # freeing omega_k^2 moves mu_k, and alpha_k when free, into theta_R
         for label, design in sorted(DESIGNS.items()):
             n_subjects, n_obs = sample_sizes(design)
+            design_sizes = sizes(n_subjects, n_obs, n_obs)
             for m in (1, 2, 3, 4):
                 for o_from, o_to, k in ((1, 2, 1), (1, 3, 2), (3, 4, 1), (2, 4, 2)):
                     small, big = CandidateModel(m=m, o=o_from), CandidateModel(m=m, o=o_to)
                     a_k = int(small.alpha1_free if k == 1 else small.alpha2_free)
-                    cost = bic_h(-50.0, partition_parameters(big), n_subjects, n_obs) - bic_h(
-                        -50.0, partition_parameters(small), n_subjects, n_obs
+                    big_h, small_h = (
+                        criterion_values(-50.0, partition_parameters(c), design_sizes)["h"]
+                        for c in (big, small)
                     )
+                    cost = big_h - small_h
                     expected = (2 + a_k) * math.log(n_subjects) - (1 + a_k) * math.log(n_obs)
                     assert cost == pytest.approx(expected, abs=1e-9), (label, small.id, big.id)
 
@@ -215,20 +272,21 @@ class TestEvidenceLabels:
 def report_for(candidate_id, loglik, n_obs=100, n_subjects=20, n_effective=60.0):
     cand = CandidateModel.from_id(candidate_id)
     part = partition_parameters(cand)
-    p = cand.n_parameters
     return BicReport(
         candidate_id=candidate_id,
         loglik=loglik,
-        p=p,
+        p=cand.n_parameters,
         n_obs=n_obs,
         n_subjects=n_subjects,
         n_effective=n_effective,
-        bic_N=bic(loglik, p, n_subjects),
-        bic_n=bic(loglik, p, n_obs),
-        bic_ne=bic(loglik, p, n_effective),
-        bic_h=bic_h(loglik, part, n_subjects, n_obs),
+        values=criterion_values(loglik, part, sizes(n_subjects, n_obs, n_effective)),
         partition=part,
     )
+
+
+def rigged(report, criterion, value):
+    """report with one criterion's value replaced."""
+    return dataclasses.replace(report, values={**report.values, criterion: value})
 
 
 class TestSelectModel:
@@ -239,9 +297,7 @@ class TestSelectModel:
     def test_tie_prefers_fewer_parameters(self):
         # force bit-identical criterion values, leaving only p to break the tie
         r_small = report_for("O1M1", -50.0)  # p = 5
-        r_large = dataclasses.replace(
-            report_for("O4M4", -41.0), bic_n=criterion_value(r_small, "n")
-        )
+        r_large = rigged(report_for("O4M4", -41.0), "n", criterion_value(r_small, "n"))
         assert criterion_value(r_large, "n") == criterion_value(r_small, "n")
         assert select_model([r_large, r_small], "n") == "O1M1"
 
@@ -249,9 +305,8 @@ class TestSelectModel:
         # the larger candidate is lower by 1e-12 relative, rounding in the
         # log-likelihood rather than evidence
         r_small = report_for("O1M1", -50.0)
-        r_large = dataclasses.replace(
-            report_for("O2M1", -50.0), bic_h=criterion_value(r_small, "h") * (1 - 1e-12)
-        )
+        lower = criterion_value(r_small, "h") * (1 - 1e-12)
+        r_large = rigged(report_for("O2M1", -50.0), "h", lower)
         assert criterion_value(r_large, "h") < criterion_value(r_small, "h")
         assert select_model([r_large, r_small], "h") == "O1M1"
 
@@ -296,9 +351,8 @@ class TestSelectionSummary:
 
     def test_tied_runner_up_below_winner_has_zero_delta(self):
         r_small = report_for("O1M1", -50.0)
-        r_large = dataclasses.replace(
-            report_for("O2M1", -50.0), bic_h=criterion_value(r_small, "h") * (1 - 1e-12)
-        )
+        lower = criterion_value(r_small, "h") * (1 - 1e-12)
+        r_large = rigged(report_for("O2M1", -50.0), "h", lower)
         ev = selection_summary([r_large, r_small], criteria=["h"])["evidence"]["h"]
         assert (ev["best"], ev["runner_up"]) == ("O1M1", "O2M1")
         assert ev["delta"] == 0.0
@@ -341,17 +395,17 @@ class TestBuildReport:
         assert report.candidate_id == "O1M1"
         assert report.p == 5
         assert report.n_obs == data.n_obs and report.n_subjects == data.n_subjects
-        assert report.bic_N == pytest.approx(bic(fit.loglik, 5, data.n_subjects))
-        assert report.bic_n == pytest.approx(bic(fit.loglik, 5, data.n_obs))
-        assert report.bic_ne == pytest.approx(bic(fit.loglik, 5, report.n_effective))
-        part = partition_parameters(fit.candidate)
-        assert report.bic_h == pytest.approx(
-            bic_h(fit.loglik, part, data.n_subjects, data.n_obs)
+        expected = closed_forms(
+            fit.loglik, partition_parameters(fit.candidate),
+            data.n_subjects, data.n_obs, report.n_effective,
         )
+        assert dict(report.values) == expected
+        with pytest.raises(TypeError):
+            report.values["n"] = 0.0  # read-only
         assert data.n_subjects < report.n_effective < data.n_obs
         # intermediate sample size puts BIC_ne between its siblings
-        lo, hi = sorted((report.bic_N, report.bic_n))
-        assert lo <= report.bic_ne <= hi
+        lo, hi = sorted((report.values["N"], report.values["n"]))
+        assert lo <= report.values["ne"] <= hi
 
     def test_single_observation_per_subject_collapses_criteria(self):
         # x stays off zero so no single observation's variance can be
@@ -370,5 +424,5 @@ class TestBuildReport:
         for cand in enumerate_candidates():
             fit = fit_ml(cand, data)
             report = build_report(fit)
-            values = [report.bic_N, report.bic_n, report.bic_ne, report.bic_h]
+            values = list(report.values.values())
             assert max(values) - min(values) < 1e-10, cand.id

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -816,7 +817,8 @@ class TestFitMl:
             for i in range(12)
         )
         data = Dataset(subjects=subjects)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # nothing reaches stderr
             for cand in enumerate_candidates():
                 message = f"candidate {cand.id} overflows a float"
                 with pytest.raises(UnidentifiableModelError, match=message):

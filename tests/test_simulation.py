@@ -39,6 +39,12 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="unknown design"):
             StudyConfig(designs=("a", "z"))
 
+    @pytest.mark.parametrize("designs", [(), []])
+    def test_no_designs_rejected(self, designs):
+        # run_study would return an empty table, and emit_report fail on it
+        with pytest.raises(ValueError, match="at least one design"):
+            StudyConfig(designs=designs)
+
     def test_duplicate_labels(self):
         with pytest.raises(ValueError, match="repeat"):
             StudyConfig(designs=("a", "a"))
