@@ -9,14 +9,9 @@ and with perfect correlation it collapses to the subject count N.
 
 import numpy as np
 
-from lmmbic import (
-    CandidateModel,
-    TrueParameters,
-    effective_sample_size,
-    fit_ml,
-    generate_dataset,
-    magnitude,
-)
+from lmmbic.candidates import CandidateModel, TrueParameters, generate_dataset
+from lmmbic.estimation import effective_sample_size, fit_ml
+from lmmbic.model import magnitude
 from lmmbic.simulation import SimulationDesign
 
 # ---------------------------------------------------------------------

@@ -7,16 +7,9 @@ pays the complexity penalty, and on moderate designs that difference
 is enough to change the winner.
 """
 
-from lmmbic import (
-    CRITERIA,
-    TrueParameters,
-    build_report,
-    criterion_value,
-    enumerate_candidates,
-    fit_ml,
-    generate_dataset,
-    selection_summary,
-)
+from lmmbic.candidates import TrueParameters, enumerate_candidates, generate_dataset
+from lmmbic.criteria import CRITERIA, build_report, criterion_value, selection_summary
+from lmmbic.estimation import fit_ml
 from lmmbic.simulation import SimulationDesign
 
 truth = TrueParameters(

@@ -8,28 +8,9 @@ or a hybrid that charges subject-level parameters and population-level
 parameters separately.  The Monte-Carlo harness that measures how often
 each criterion recovers the generating structure lives in
 lmmbic.simulation, and its report files in lmmbic.report.
+
+The package root imports nothing, so that it loads no numpy: import
+each name from its module, as in `from lmmbic.estimation import fit_ml`.
 """
 
-from .candidates import CandidateModel, TrueParameters, enumerate_candidates, generate_dataset
-from .criteria import CRITERIA, build_report, criterion_value, selection_summary
-from .data import read_dataset
-from .estimation import effective_sample_size, fit_ml
-from .model import magnitude
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CRITERIA",
-    "CandidateModel",
-    "TrueParameters",
-    "build_report",
-    "criterion_value",
-    "effective_sample_size",
-    "enumerate_candidates",
-    "fit_ml",
-    "generate_dataset",
-    "magnitude",
-    "read_dataset",
-    "selection_summary",
-    "__version__",
-]

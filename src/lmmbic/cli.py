@@ -16,6 +16,10 @@ import sys
 from pathlib import Path
 from typing import Callable, Collection
 
+# Before numpy loads: one BLAS thread unless the user set one, as the largest
+# matrix is one subject's n_i x n_i block and simulate runs a process per CPU.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__
@@ -117,15 +121,15 @@ def _emit_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _block_summaries(fit) -> list[dict]:
-    """Per-subject covariance and correlation summaries, in subject order.
+def _block_summaries(fit, data) -> list[dict]:
+    """Per-subject covariance and correlation summaries of fit on data, in subject order.
 
     Subjects on one observation grid share V_i, so each grid's summary is
     computed once.
     """
-    subjects = fit.data.subjects
+    subjects = data.subjects
     summaries = [None] * len(subjects)
-    for _, members in fit.data.grids:
+    for _, members in data.grids:
         V = implied_covariance(fit.candidate, fit.theta_hat, subjects[members[0]])
         R = correlation_from_covariance(V)
         off = R[~np.eye(R.shape[0], dtype=bool)]
@@ -161,7 +165,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "evaluations": fit.evaluations,
             "restarted": fit.restarted,
         },
-        "blocks": _block_summaries(fit),
+        "blocks": _block_summaries(fit, data),
     }
     _emit_json(payload, args.out)
     return 0

@@ -49,7 +49,7 @@ fixed number of batched numpy calls whose arithmetic is linear in B G:
 with one shared grid the cost does not grow with the number of
 subjects, and on unbalanced data, where every subject may have its own
 grid, it does not pay a Python loop over the grids.  The sixteen
-searches run in lockstep the first time a dataset's optima are read
+searches run in lockstep the first time a dataset's fits are read
 (_search_family), which rejects candidates once per parameter count and
 mean structure and calls the core on the whole stack: the fit path
 constructs no ProfiledLikelihood.
@@ -80,8 +80,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import namedtuple
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -146,16 +145,12 @@ class FittedModel:
     converged is the KKT check where the search stopped (see fit_ml).
     boundary lists the omega* labels whose estimate is exactly zero, and
     sigma2 when it sits on VARIANCE_FLOOR; such solutions are reported
-    rather than rejected.  iterations counts the Newton steps and
-    evaluations the likelihood evaluations of the candidate's searches,
-    and restarted says whether its optimum came from the restart at the
-    optimum of a candidate it nests.
-
-    n_effective is the effective sample size sum_i 1' R_i^-1 1 at
-    theta_hat's variances (_effective_sizes).  fit_ml passes it in as
-    n_e, from the one call that serves its whole family; any other
-    construction, dataclasses.replace included, leaves n_e out and gets
-    the n_e of its own theta_hat.
+    rather than rejected.  n_effective is the effective sample size
+    sum_i 1' R_i^-1 1 at theta_hat's variances (_effective_sizes).
+    iterations counts the Newton steps and evaluations the likelihood
+    evaluations of the candidate's searches, and restarted says whether
+    its optimum came from the restart at the optimum of a candidate it
+    nests.  A fit holds no reference to its dataset.
     """
 
     candidate: CandidateModel
@@ -163,21 +158,12 @@ class FittedModel:
     loglik: float
     converged: bool
     boundary: tuple[str, ...]
-    data: Dataset
     n_obs: int
     n_subjects: int
+    n_effective: float
     iterations: int = 0
     evaluations: int = 0
     restarted: bool = False
-    n_e: InitVar[float | None] = None
-    n_effective: float = field(init=False)
-
-    def __post_init__(self, n_e: float | None) -> None:
-        if n_e is None:
-            theta = np.zeros((1, 3))
-            theta[0, self.candidate.random_columns] = self.theta_hat.omega2 / self.theta_hat.sigma2
-            n_e = float(_effective_sizes(dataset_statistics(self.data), theta)[0])
-        object.__setattr__(self, "n_effective", n_e)
 
 
 def effective_sample_size(fit: FittedModel) -> float:
@@ -187,13 +173,6 @@ def effective_sample_size(fit: FittedModel) -> float:
     R_i at a time.
     """
     return fit.n_effective
-
-
-# A candidate's maximum as DatasetStatistics.optima keeps it, with theta
-# and beta over O4M4's terms.
-_Optimum = namedtuple(
-    "_Optimum", "theta f converged beta sigma2 iterations evaluations restarted n_e"
-)
 
 
 class DatasetStatistics:
@@ -221,7 +200,7 @@ class DatasetStatistics:
     plain X'X and yty is y'y; z_scale2 is the mean square of each Z
     column.  point_q (P, 3) stacks the rows of every grid's Q, grid after
     grid in the order of R, and grid_sizes (G,) their number of points.
-    optima holds each candidate's _Optimum, or the message of the error
+    fits holds each candidate's FittedModel, or the message of the error
     that rejects it, from one family search (_search_family) on first
     read; no entry refers to the data.
     """
@@ -275,7 +254,7 @@ class DatasetStatistics:
         self.grid_sizes = np.array([len(q) for q in qs])
 
     @cached_property
-    def optima(self) -> dict[CandidateModel, _Optimum | str]:
+    def fits(self) -> dict[CandidateModel, FittedModel | str]:
         return _search_family(self)
 
 
@@ -620,8 +599,8 @@ def _search(stats: DatasetStatistics, mean: np.ndarray, present: np.ndarray, sta
     return _relative_variances(w, scale2), f, converged, iterations, evaluations, sigma2, beta
 
 
-def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, _Optimum | str]:
-    """Fit all sixteen candidates on the dataset: stats.optima.
+def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel | str]:
+    """Fit all sixteen candidates on the dataset: stats.fits.
 
     A candidate with no fewer parameters than the data has observations,
     or an unidentifiable mean structure, gets its error's message, in
@@ -637,20 +616,20 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, _Optimum | 
     searches evaluated at each optimum.
     """
     problems = _identifiability(stats)
-    optima: dict[CandidateModel, _Optimum | str] = {}
+    fits: dict[CandidateModel, FittedModel | str] = {}
     ids = []  # enumeration indices of the stack's rows
     for k, candidate in enumerate(_CANDIDATES):
         if stats.n_obs <= _N_PARAMETERS[k]:
-            optima[candidate] = (
+            fits[candidate] = (
                 f"candidate {candidate.id} has {_N_PARAMETERS[k]} parameters "
                 f"but the data has only {stats.n_obs} observations"
             )
         elif problems[candidate.m] is not None:
-            optima[candidate] = problems[candidate.m].format(id=candidate.id)
+            fits[candidate] = problems[candidate.m].format(id=candidate.id)
         else:
             ids.append(k)
     if not ids:
-        return optima
+        return fits
     row = {k: i for i, k in enumerate(ids)}
     mean, present = _MEAN[ids], _PRESENT[ids]
     start = np.where(present, _START, 0.0)
@@ -679,26 +658,45 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, _Optimum | 
         if fs[j] <= fs[i] + _SAME_OPTIMUM * (1.0 + abs(fs[i])):
             theta[i], f[i], beta[i], sigma2[i] = theta[j], f[j], beta[j], sigma2[j]
             fs[i], zero[i] = fs[j], zero[j]
-    # n_e at the variances each FittedModel will hold, omega2 / sigma2
+    # n_e at the variances each FittedModel holds, omega2 / sigma2
     n_e, finite = np.full(len(ids), math.nan), np.isfinite(f)
     if finite.any():
         scale = sigma2[finite, None]
         n_e[finite] = _effective_sizes(stats, theta[finite] * scale / scale)
-    theta.flags.writeable = beta.flags.writeable = False
-    fields = theta, f, converged, beta, sigma2, iterations, evaluations, restarted, n_e
-    for k, optimum in zip(ids, map(_Optimum, *fields)):
+    for i, k in enumerate(ids):
         candidate = _CANDIDATES[k]
-        optima[candidate] = optimum if math.isfinite(optimum.f) else (
-            f"likelihood for candidate {candidate.id} could not be evaluated at any visited point"
+        if not finite[i]:
+            fits[candidate] = (
+                f"likelihood for candidate {candidate.id} "
+                "could not be evaluated at any visited point"
+            )
+            continue
+        omega2 = theta[i, candidate.random_columns] * sigma2[i]
+        boundary = tuple(label for label, v in zip(candidate.variance_labels(), omega2) if v == 0.0)
+        if sigma2[i] <= VARIANCE_FLOOR:
+            boundary += ("sigma2",)
+        fits[candidate] = FittedModel(
+            candidate=candidate,
+            theta_hat=ParameterVector(beta[i, candidate.mean_columns], omega2, sigma2[i]),
+            loglik=-float(f[i]),
+            converged=bool(converged[i]),
+            boundary=boundary,
+            n_obs=stats.n_obs,
+            n_subjects=stats.n_subjects,
+            n_effective=float(n_e[i]),
+            iterations=int(iterations[i]),
+            evaluations=int(evaluations[i]),
+            restarted=bool(restarted[i]),
         )
-    return optima
+    return fits
 
 
 def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     """Fit one candidate by maximum likelihood.
 
     The first fit on a dataset fits all sixteen (_search_family), and
-    each fit reads its optimum from there.  beta and sigma2 are profiled
+    every call returns the FittedModel that search built for the
+    candidate, the same object each time.  beta and sigma2 are profiled
     out (_profile), and a projected Newton search with the exact
     gradient and Hessian searches the relative variances on the scale
     w_j = log(theta_j s_j^2 + _ZERO_SHIFT), with s_j^2 the mean square
@@ -723,26 +721,7 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
             subject covariate, or a likelihood that could not be
             evaluated anywhere the search went.
     """
-    stats = dataset_statistics(data)
-    optimum = stats.optima[candidate]
-    if isinstance(optimum, str):
-        raise UnidentifiableModelError(optimum)
-    mean, random = candidate.mean_columns, candidate.random_columns
-    omega2 = optimum.theta[random] * optimum.sigma2
-    boundary = tuple(label for label, v in zip(candidate.variance_labels(), omega2) if v == 0.0)
-    if optimum.sigma2 <= VARIANCE_FLOOR:
-        boundary += ("sigma2",)
-    return FittedModel(
-        candidate=candidate,
-        theta_hat=ParameterVector(beta=optimum.beta[mean], omega2=omega2, sigma2=optimum.sigma2),
-        loglik=-float(optimum.f),
-        converged=bool(optimum.converged),
-        boundary=boundary,
-        data=data,
-        n_obs=stats.n_obs,
-        n_subjects=stats.n_subjects,
-        iterations=int(optimum.iterations),
-        evaluations=int(optimum.evaluations),
-        restarted=bool(optimum.restarted),
-        n_e=float(optimum.n_e),
-    )
+    fit = dataset_statistics(data).fits[candidate]
+    if isinstance(fit, str):
+        raise UnidentifiableModelError(fit)
+    return fit

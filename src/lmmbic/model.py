@@ -184,11 +184,11 @@ class CorrelationStructure:
     n_e: float
 
 
-def correlation_structure(fit: FittedModel) -> CorrelationStructure:
-    """Per-subject implied correlation matrices and magnitudes for a fit."""
+def correlation_structure(fit: FittedModel, data: Dataset) -> CorrelationStructure:
+    """Per-subject implied correlation matrices and magnitudes for a fit on data."""
     blocks = tuple(
         correlation_from_covariance(implied_covariance(fit.candidate, fit.theta_hat, block))
-        for block in fit.data.subjects
+        for block in data.subjects
     )
     weights = tuple(magnitude(R) for R in blocks)
     return CorrelationStructure(blocks=blocks, weights=weights, n_e=float(sum(weights)))

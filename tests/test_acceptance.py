@@ -47,7 +47,13 @@ from lmmbic.criteria import (
     partition_parameters,
 )
 from lmmbic.data import Dataset, SubjectBlock
-from lmmbic.estimation import ProfiledLikelihood, effective_sample_size, fit_ml
+from lmmbic.estimation import (
+    ProfiledLikelihood,
+    _effective_sizes,
+    dataset_statistics,
+    effective_sample_size,
+    fit_ml,
+)
 from lmmbic.model import ParameterVector, log_likelihood, magnitude
 from lmmbic.rng import substream
 from lmmbic.simulation import DESIGNS, SimulationDesign, StudyConfig, sample_true_parameters, run_study
@@ -142,6 +148,8 @@ def test_04_degenerate_sample_size_identities():
         theta_hat=ParameterVector(
             beta=base.theta_hat.beta, omega2=np.zeros(1), sigma2=1.3
         ),
+        # n_e at no random effects, from the fit path's own computation
+        n_effective=float(_effective_sizes(dataset_statistics(data), np.zeros((1, 3)))[0]),
     )
     exact_n = effective_sample_size(no_effects) == float(data.n_obs)
     rep = build_report(no_effects)

@@ -281,40 +281,50 @@ class TestParser:
         assert args.verbose == 2
 
 
+def _python(probe, **env):
+    """Run probe in a fresh interpreter that imports lmmbic from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in dict(os.environ, PYTHONPATH=path, **env).items() if v is not None}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy serves only the dense reference likelihood, and the study
     # stack only simulate; loading either would add to the start-up time
     # and memory of every lmmbic process
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     unwanted = ("scipy", "lmmbic.simulation", "lmmbic.report", "concurrent.futures.process")
     for module in ("lmmbic.cli", "lmmbic"):
         probe = (
             f"import sys, {module}; "
             f"print([m for m in sys.modules if m.startswith({unwanted!r})])"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]", module
+        assert _python(probe).strip() == "[]", module
+
+
+def test_package_root_leaves_numpy_unloaded():
+    # `python -m lmmbic.cli` imports the package root first, so the CLI
+    # can choose numpy's BLAS threads only if the root loads no numpy
+    assert _python("import sys, lmmbic; print('numpy' in sys.modules)").strip() == "False"
+
+
+def test_cli_defaults_to_one_blas_thread():
+    probe = "import os, lmmbic.cli; print(os.environ['OMP_NUM_THREADS'])"
+    assert _python(probe, OMP_NUM_THREADS=None).strip() == "1"
+    assert _python(probe, OMP_NUM_THREADS="3").strip() == "3"
 
 
 def test_select_leaves_numpy_ma_unloaded(data_file):
     # numpy.ma loads lazily, from np.unique among others, and would add
     # about 10 ms to the start-up of every select process
     path, _ = data_file
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys; from lmmbic.cli import main; "
         f"code = main(['select', {str(path)!r}]); "
         "print(code, 'numpy.ma' in sys.modules)"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path_var),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert _python(probe).splitlines()[-1] == "0 False"

@@ -11,8 +11,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # the demos import from the package root, so a cut to the root that
-    # breaks one shows here
+    # the demos import each name from its module, so a cut to a module's
+    # surface that breaks one shows here
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(demo)],

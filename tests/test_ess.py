@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
     VARIANCE_FLOOR,
     FittedModel,
+    _effective_sizes,
     dataset_statistics,
     effective_sample_size,
     fit_ml,
@@ -120,15 +119,17 @@ def synthetic_fit(candidate, data, omega2, sigma2, loglik=-50.0):
     theta = ParameterVector(
         beta=np.zeros(candidate.n_mean), omega2=np.array(omega2), sigma2=sigma2
     )
+    relative = np.zeros((1, 3))
+    relative[0, candidate.random_columns] = theta.omega2 / theta.sigma2
     return FittedModel(
         candidate=candidate,
         theta_hat=theta,
         loglik=loglik,
         converged=True,
         boundary=(),
-        data=data,
         n_obs=data.n_obs,
         n_subjects=data.n_subjects,
+        n_effective=float(_effective_sizes(dataset_statistics(data), relative)[0]),
     )
 
 
@@ -147,8 +148,8 @@ class TestEffectiveSampleSize:
         np.testing.assert_allclose(effective_sample_size(fit), expected, rtol=1e-10)
 
     def test_agrees_with_per_subject_structure(self):
-        fit, _ = intercept_fit(seed=61)
-        structure = correlation_structure(fit)
+        fit, data = intercept_fit(seed=61)
+        structure = correlation_structure(fit, data)
         np.testing.assert_allclose(
             effective_sample_size(fit), sum(structure.weights), rtol=1e-12
         )
@@ -189,7 +190,7 @@ class TestEffectiveSampleSize:
             )
         data = Dataset(subjects=tuple(subjects))
         fit = synthetic_fit(CandidateModel(m=1, o=2), data, omega2=[0.5, 0.1], sigma2=0.9)
-        structure = correlation_structure(fit)
+        structure = correlation_structure(fit, data)
         np.testing.assert_allclose(
             effective_sample_size(fit), sum(structure.weights), rtol=1e-12
         )
@@ -252,7 +253,7 @@ class TestEffectiveSampleSize:
                     pass  # not identifiable on this layout
                 for fit in fits:
                     np.testing.assert_allclose(
-                        effective_sample_size(fit), correlation_structure(fit).n_e,
+                        effective_sample_size(fit), correlation_structure(fit, data).n_e,
                         rtol=1e-10, err_msg=cand.id,
                     )
 
@@ -324,7 +325,7 @@ class TestFamilyBatch:
                     fit.n_effective, alone.n_effective, rtol=1e-11, err_msg=fit.candidate.id
                 )
                 np.testing.assert_allclose(
-                    fit.n_effective, correlation_structure(fit).n_e, rtol=1e-10,
+                    fit.n_effective, correlation_structure(fit, data).n_e, rtol=1e-10,
                     err_msg=fit.candidate.id,
                 )
                 assert effective_sample_size(fit) == fit.n_effective
@@ -350,18 +351,3 @@ class TestFamilyBatch:
                     at_zero += 1
                     assert fit.n_effective == float(data.n_obs), fit.candidate.id
         assert at_zero >= 10
-
-    def test_replace_recomputes_for_new_variances(self):
-        data = self.layouts()[0]
-        fit = fit_ml(CandidateModel(m=2, o=2), data)
-        omega2 = fit.theta_hat.omega2 * 4.0
-        moved = dataclasses.replace(
-            fit, theta_hat=ParameterVector(beta=fit.theta_hat.beta, omega2=omega2, sigma2=0.5)
-        )
-        want = synthetic_fit(fit.candidate, data, omega2, 0.5).n_effective
-        assert moved.n_effective == want
-        assert moved.n_effective < fit.n_effective
-        none = dataclasses.replace(
-            fit, theta_hat=ParameterVector(beta=fit.theta_hat.beta, omega2=omega2 * 0.0, sigma2=0.5)
-        )
-        assert none.n_effective == float(data.n_obs)

@@ -408,6 +408,20 @@ class TestDatasetStatistics:
         gc.collect()
         assert ref() is None
 
+    def test_held_fit_does_not_keep_dataset_alive(self):
+        data = random_dataset(np.random.default_rng(24), n_subjects=10)
+        fit = fit_ml(CandidateModel(m=2, o=3), data)
+        ref = weakref.ref(data)
+        del data
+        gc.collect()
+        assert ref() is None
+        assert fit.converged
+
+    def test_fit_is_one_object_per_dataset(self):
+        data = random_dataset(np.random.default_rng(25), n_subjects=10)
+        for cand in enumerate_candidates():
+            assert fit_ml(cand, data) is fit_ml(cand, data), cand.id
+
 
 class TestProfileBeta:
     def test_beta_maximizes_over_grid(self):
@@ -682,18 +696,21 @@ class TestFitMl:
         # one its own search reaches from the same start; O2M3 and O4M3
         # restart from O1M3's optimum on the last dataset
         for data in self.reference_layouts() + (study_dataset("d", "O1M4", seed=7),):
-            fit_ml(CandidateModel(m=1, o=1), data)
             stats = dataset_statistics(data)
             for cand in enumerate_candidates():
-                optimum = stats.optima[cand]
+                fit = stats.fits[cand]
                 mean, random = cand.mean_columns[None], cand.random_columns[None]
                 start = np.where(random, lmmbic.estimation._START, 0.0)
-                if optimum.restarted:
-                    start = min((stats.optima[c] for c in cand.covers()), key=lambda o: o.f).theta
+                if fit.restarted:
+                    cover = max((stats.fits[c] for c in cand.covers()), key=lambda o: o.loglik)
+                    start = np.zeros((1, 3))
+                    start[0, cover.candidate.random_columns] = (
+                        cover.theta_hat.omega2 / cover.theta_hat.sigma2
+                    )
                 _, f, *_ = _search(stats, mean, random, start.reshape(1, 3))
-                np.testing.assert_allclose(optimum.f, f[0], rtol=1e-12, atol=0.0, err_msg=cand.id)
+                np.testing.assert_allclose(-fit.loglik, f[0], rtol=1e-12, atol=0.0, err_msg=cand.id)
                 # every Newton step costs at least one evaluation, the start one more
-                assert 0 < optimum.iterations < optimum.evaluations, cand.id
+                assert 0 < fit.iterations < fit.evaluations, cand.id
 
     def test_reaches_optimum_the_log_variance_simplex_missed(self):
         # the simplex stopped at -191.53 here, 1.73 short of the optimum

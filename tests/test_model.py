@@ -186,7 +186,7 @@ data = Dataset(subjects=tuple(
 ))
 cand = CandidateModel(m=1, o=1)
 params = ParameterVector(beta=[1.0, 0.5, 0.0], omega2=[0.5], sigma2=1.0)
-structure = correlation_structure(fit_ml(cand, data))
+structure = correlation_structure(fit_ml(cand, data), data)
 print(log_likelihood(params, cand, data), magnitude(np.eye(3)), structure.n_e)
 """
 
