@@ -37,11 +37,11 @@ their cross-products collapse into one group tensor per distinct grid,
 built from R, the subjects' Q'y_i and their covariate moments.
 
 All sixteen candidates are O4M4 with some terms removed, so these
-statistics are built once per dataset (dataset_statistics), for O4M4's
-full design, and one core (_solve, _profile) evaluates B candidates at
-once: theta (B, 3) is over O4M4's random effects, zero on those a
-candidate lacks, as the lme4 profiled deviance treats a term at its
-boundary, and a mean column it lacks gets 1 on the normal matrix's
+statistics are built once per family search (DatasetStatistics), for
+O4M4's full design, and one core (_solve, _profile) evaluates B
+candidates at once: theta (B, 3) is over O4M4's random effects, zero on
+those a candidate lacks, as the lme4 profiled deviance treats a term at
+its boundary, and a mean column it lacks gets 1 on the normal matrix's
 diagonal and 0 on its right-hand side.  The G group tensors are stacked
 (Q and R zero-padded to 3 axes on a grid of fewer than 3 points, which
 adds 1 to Ct's diagonal and nothing else), and each evaluation is a
@@ -49,10 +49,10 @@ fixed number of batched numpy calls whose arithmetic is linear in B G:
 with one shared grid the cost does not grow with the number of
 subjects, and on unbalanced data, where every subject may have its own
 grid, it does not pay a Python loop over the grids.  The sixteen
-searches run in lockstep the first time a dataset's fits are read
-(_search_family), which rejects candidates once per parameter count and
-mean structure and calls the core on the whole stack: the fit path
-constructs no ProfiledLikelihood.
+searches run in lockstep on a dataset's first fit (_search_family),
+which rejects candidates once per parameter count and mean structure
+and calls the core on the whole stack: the fit path constructs no
+ProfiledLikelihood.
 
 The same capacitances give the effective sample size n_e = sum_i
 1' R_i^-1 1 of every optimum (Faes, Molenberghs, Aerts, Verbeke &
@@ -81,7 +81,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -200,9 +199,6 @@ class DatasetStatistics:
     plain X'X and yty is y'y; z_scale2 is the mean square of each Z
     column.  point_q (P, 3) stacks the rows of every grid's Q, grid after
     grid in the order of R, and grid_sizes (G,) their number of points.
-    fits holds each candidate's FittedModel, or the message of the error
-    that rejects it, from one family search (_search_family) on first
-    read; no entry refers to the data.
     """
 
     # an overflowing X'X is rejected with a clear message by _identifiability
@@ -253,37 +249,20 @@ class DatasetStatistics:
         self.point_q = np.concatenate(qs)
         self.grid_sizes = np.array([len(q) for q in qs])
 
-    @cached_property
-    def fits(self) -> dict[CandidateModel, FittedModel | str]:
-        return _search_family(self)
-
-
-# A Dataset is frozen and its arrays are read-only, so its statistics
-# never go stale; they live exactly as long as the dataset does.
-_STATISTICS: weakref.WeakKeyDictionary[Dataset, DatasetStatistics] = weakref.WeakKeyDictionary()
-
-
-def dataset_statistics(data: Dataset) -> DatasetStatistics:
-    """The dataset's O4M4 statistics, built on first use per dataset."""
-    stats = _STATISTICS.get(data)
-    if stats is None:
-        stats = _STATISTICS[data] = DatasetStatistics(data)
-    return stats
-
 
 class ProfiledLikelihood:
     """One candidate's likelihood with beta profiled out.
 
     Construction checks that the candidate is identifiable on the data
-    (_identifiability).  evaluate() is the one-row case of the stacked
-    core (_solve) on the dataset's statistics (dataset_statistics).  The
-    fit path does not construct it: the family search (_search_family)
-    checks identifiability once for all mean structures and calls the
-    core on the whole stack.
+    (_identifiability) and builds the dataset's statistics for this
+    likelihood alone.  evaluate() is the one-row case of the stacked core
+    (_solve) on them.  The fit path does not construct it: the family
+    search (_search_family) checks identifiability once for all mean
+    structures and calls the core on the whole stack.
     """
 
     def __init__(self, candidate: CandidateModel, data: Dataset):
-        stats = dataset_statistics(data)
+        stats = DatasetStatistics(data)
         problem = _identifiability(stats)[candidate.m]
         if problem is not None:
             raise UnidentifiableModelError(problem.format(id=candidate.id))
@@ -455,14 +434,13 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
     lower, upper = np.broadcast_to(lower, z0.shape), np.broadcast_to(upper, z0.shape)
     eye = np.eye(d)
     z = np.clip(z0, lower, upper)
-    f, g, h, *extra = fun(z, np.arange(B))
-    # a round's trial values; rows it does not evaluate keep old ones, which
-    # the masks ignore
-    f_new, g_new, h_new = f.copy(), g.copy(), h.copy()
-    extra_new = [e.copy() for e in extra]
+    state = list(fun(z, np.arange(B)))  # f, g, h, then fun's further outputs
+    f, g, h = state[:3]
     evaluations, iterations = np.ones(B, dtype=int), np.zeros(B, dtype=int)
     started = np.isfinite(f)
-    running = started.copy()
+    # stepped marks the rows that moved last round and need a new direction;
+    # every other running row halves its last step
+    running, stepped = started.copy(), started.copy()
     direction, trial = np.zeros((B, d)), z.copy()
     t, tries = np.ones(B), np.zeros(B, dtype=int)
 
@@ -471,21 +449,18 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
 
     def halve(rows: np.ndarray) -> np.ndarray:
         # a row out of halvings stops where it is
-        if not rows.any():
+        if not rows.size:
             return rows
-        np.multiply(t, 0.5, out=t, where=rows)
-        np.add(tries, rows, out=tries)
-        out = rows & (tries >= _LINE_SEARCH_STEPS)
-        np.copyto(running, False, where=out)
-        np.add(iterations, out, out=iterations)
-        return rows & ~out
+        t[rows] *= 0.5
+        tries[rows] += 1
+        out = tries[rows] >= _LINE_SEARCH_STEPS
+        running[rows[out]] = False
+        iterations[rows[out]] += 1
+        return rows[~out]
 
-    starting, backtracking = running.copy(), np.zeros(B, dtype=bool)
     while True:
-        stop = starting & (kkt() | (iterations >= max_iterations))
-        running &= ~stop
-        starting &= ~stop
-        rows = np.flatnonzero(starting)
+        running &= ~(stepped & (kkt() | (iterations >= max_iterations)))
+        rows = np.flatnonzero(stepped & running)
         zr, gr, lo, up = z[rows], g[rows], lower[rows], upper[rows]
         held = (lo >= up) | ((zr <= lo) & (gr > 0)) | ((zr >= up) & (gr < 0))
         g_free = np.where(held, 0.0, gr)
@@ -493,39 +468,37 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
         lam = np.maximum(np.abs(lam), 1e-10 * np.abs(lam).max(axis=1, keepdims=True))
         dr = np.where(held, 0.0, -(V @ ((g_free[:, None, :] @ V)[:, 0] / lam)[:, :, None])[:, :, 0])
         direction[rows] = dr * np.minimum(1.0, _MAX_STEP / np.abs(dr).max(axis=1))[:, None]
-        np.copyto(t, 1.0, where=starting)
-        np.copyto(tries, 0, where=starting)
+        t[rows], tries[rows] = 1.0, 0
         # each row halves its step until its projected path descends
-        pending = starting | backtracking
-        while pending.any():
+        rows = np.flatnonzero(running)
+        while rows.size:
             step = np.clip(z + t[:, None] * direction, lower, upper)
-            np.copyto(trial, step, where=pending[:, None])
-            pending = halve(pending & ~((g * (trial - z)).sum(axis=1) < 0))
+            trial[rows] = step[rows]
+            rows = halve(rows[~((g * (step - z)).sum(axis=1)[rows] < 0)])
         rows = np.flatnonzero(running)
         if not rows.size:
             # a row stopped by its halvings or the iteration cap has not
             # moved since its last check, so one check here covers all
-            return z, f, g, started & kkt(), iterations, evaluations, *extra
-        f_new[rows], g_new[rows], h_new[rows], *values = fun(trial[rows], rows)
-        for e, v in zip(extra_new, values):
-            e[rows] = v
+            return z, f, g, started & kkt(), iterations, evaluations, *state[3:]
+        zt = trial[rows]
+        new = fun(zt, rows)
         evaluations += running
-        s = trial - z
-        slope = (g * s).sum(axis=1)
+        fr, s = f[rows], zt - z[rows]
+        slope = (g[rows] * s).sum(axis=1)
         # Armijo, or its exact form on a quadratic, which reads the
         # gradient where rounding has flattened f
-        flat = (f_new <= f + _F_ROUNDING * (1.0 + np.abs(f))) & (
-            (g_new * s).sum(axis=1) <= (2e-4 - 1.0) * slope
+        flat = (new[0] <= fr + _F_ROUNDING * (1.0 + np.abs(fr))) & (
+            (new[1] * s).sum(axis=1) <= (2e-4 - 1.0) * slope
         )
-        starting = running & ((f_new <= f + 1e-4 * slope) | flat)
-        backtracking = halve(running & ~starting)
-        np.copyto(z, trial, where=starting[:, None])
-        np.copyto(f, f_new, where=starting)
-        np.copyto(g, g_new, where=starting[:, None])
-        np.copyto(h, h_new, where=starting[:, None, None])
-        for e, e_new in zip(extra, extra_new):
-            np.copyto(e, e_new, where=starting.reshape((B,) + (1,) * (e.ndim - 1)))
-        iterations += starting
+        accept = (new[0] <= fr + 1e-4 * slope) | flat
+        halve(rows[~accept])
+        moved = rows[accept]
+        z[moved] = zt[accept]
+        for value, value_new in zip(state, new):
+            value[moved] = value_new[accept]
+        stepped[:] = False
+        stepped[moved] = True
+        iterations += stepped
 
 
 # The candidate lattice, in enumeration order: each candidate's columns of
@@ -600,7 +573,7 @@ def _search(stats: DatasetStatistics, mean: np.ndarray, present: np.ndarray, sta
 
 
 def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel | str]:
-    """Fit all sixteen candidates on the dataset: stats.fits.
+    """Fit all sixteen candidates on the dataset whose statistics are stats.
 
     A candidate with no fewer parameters than the data has observations,
     or an unidentifiable mean structure, gets its error's message, in
@@ -691,12 +664,19 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
     return fits
 
 
+# A Dataset is frozen and its arrays are read-only, so its fits never go
+# stale; they live exactly as long as the dataset does.
+_FITS: weakref.WeakKeyDictionary[Dataset, dict] = weakref.WeakKeyDictionary()
+
+
 def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     """Fit one candidate by maximum likelihood.
 
-    The first fit on a dataset fits all sixteen (_search_family), and
-    every call returns the FittedModel that search built for the
-    candidate, the same object each time.  beta and sigma2 are profiled
+    The first fit on a dataset builds its statistics and fits all sixteen
+    (_search_family); the fits live as long as the dataset, the
+    statistics only until the search ends.  Every call returns the
+    FittedModel that search built for the candidate, the same object
+    each time.  beta and sigma2 are profiled
     out (_profile), and a projected Newton search with the exact
     gradient and Hessian searches the relative variances on the scale
     w_j = log(theta_j s_j^2 + _ZERO_SHIFT), with s_j^2 the mean square
@@ -721,7 +701,10 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
             subject covariate, or a likelihood that could not be
             evaluated anywhere the search went.
     """
-    fit = dataset_statistics(data).fits[candidate]
+    fits = _FITS.get(data)
+    if fits is None:
+        fits = _FITS[data] = _search_family(DatasetStatistics(data))
+    fit = fits[candidate]
     if isinstance(fit, str):
         raise UnidentifiableModelError(fit)
     return fit

@@ -48,9 +48,9 @@ from lmmbic.criteria import (
 )
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
+    DatasetStatistics,
     ProfiledLikelihood,
     _effective_sizes,
-    dataset_statistics,
     effective_sample_size,
     fit_ml,
 )
@@ -149,7 +149,7 @@ def test_04_degenerate_sample_size_identities():
             beta=base.theta_hat.beta, omega2=np.zeros(1), sigma2=1.3
         ),
         # n_e at no random effects, from the fit path's own computation
-        n_effective=float(_effective_sizes(dataset_statistics(data), np.zeros((1, 3)))[0]),
+        n_effective=float(_effective_sizes(DatasetStatistics(data), np.zeros((1, 3)))[0]),
     )
     exact_n = effective_sample_size(no_effects) == float(data.n_obs)
     rep = build_report(no_effects)

@@ -10,9 +10,9 @@ from lmmbic.candidates import (
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
     VARIANCE_FLOOR,
+    DatasetStatistics,
     FittedModel,
     _effective_sizes,
-    dataset_statistics,
     effective_sample_size,
     fit_ml,
 )
@@ -129,7 +129,7 @@ def synthetic_fit(candidate, data, omega2, sigma2, loglik=-50.0):
         boundary=(),
         n_obs=data.n_obs,
         n_subjects=data.n_subjects,
-        n_effective=float(_effective_sizes(dataset_statistics(data), relative)[0]),
+        n_effective=float(_effective_sizes(DatasetStatistics(data), relative)[0]),
     )
 
 
@@ -240,7 +240,7 @@ class TestEffectiveSampleSize:
         # variance at up to twice the noise's, as the search scales it
         rng = np.random.default_rng(68)
         for data in self.grid_layouts():
-            z_scale2 = dataset_statistics(data).z_scale2
+            z_scale2 = DatasetStatistics(data).z_scale2
             for cand in enumerate_candidates():
                 theta = rng.uniform(0.0, 2.0, size=cand.n_variance) / z_scale2[cand.random_columns]
                 fits = [

@@ -19,6 +19,7 @@ from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
     VARIANCE_FLOOR,
     _LINE_SEARCH_STEPS,
+    DatasetStatistics,
     ProfiledLikelihood,
     UnidentifiableModelError,
     _minimize_box,
@@ -26,7 +27,6 @@ from lmmbic.estimation import (
     _profile_stack,
     _search,
     _solve,
-    dataset_statistics,
     fit_ml,
 )
 from lmmbic.model import ParameterVector, log_likelihood
@@ -197,7 +197,7 @@ class TestProfiledLikelihood:
     def test_profile_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(18)
         for data in self.gradient_layouts():
-            stats = dataset_statistics(data)
+            stats = DatasetStatistics(data)
             for cand in enumerate_candidates():
                 scales2 = stats.z_scale2[cand.random_columns]
                 theta = rng.uniform(0.05, 2.0, size=cand.n_variance)
@@ -232,7 +232,7 @@ class TestProfiledLikelihood:
             for b in line
         ))
         for data in TestFitMl.reference_layouts() + (on_floor, exact):
-            stats = dataset_statistics(data)
+            stats = DatasetStatistics(data)
             for cand in enumerate_candidates():
                 random_columns = np.flatnonzero(cand.random_columns)
                 mean = cand.mean_columns[None]
@@ -263,7 +263,7 @@ class TestProfiledLikelihood:
             for cand in enumerate_candidates():
                 prof = ProfiledLikelihood(cand, data)
                 theta = rng.uniform(0.0, 2.0, size=cand.n_variance)
-                value, _, sigma2 = self.profile_at(dataset_statistics(data), cand, theta)
+                value, _, sigma2 = self.profile_at(DatasetStatistics(data), cand, theta)
                 loglik, _ = prof.evaluate(theta * sigma2, sigma2)
                 np.testing.assert_allclose(value, -loglik, rtol=1e-12, atol=0.0)
                 # sigma2_hat maximizes over sigma2 at fixed theta
@@ -273,7 +273,7 @@ class TestProfiledLikelihood:
     def test_breakdown_stays_in_its_row(self):
         # a stacked factorization that fails, or overflows, fails for the
         # whole stack: the other rows keep their one-row values bit for bit
-        stats = dataset_statistics(study_dataset("a", "O4M4"))
+        stats = DatasetStatistics(study_dataset("a", "O4M4"))
         theta = np.random.default_rng(21).uniform(0.0, 2.0, size=(4, 3))
         theta[2] = 1e306  # 1e300 still gives a finite f on this design
         mean = np.ones((4, 5), dtype=bool)
@@ -316,17 +316,33 @@ class TestDatasetStatistics:
         monkeypatch.setattr(lmmbic.estimation, "DatasetStatistics", Counting)
         data = random_dataset(np.random.default_rng(22), n_subjects=10)
         for cand in enumerate_candidates():
-            ProfiledLikelihood(cand, data)
+            fit_ml(cand, data)
         assert built == [data]
 
-    def test_equal_dataset_gets_its_own_statistics(self):
+    def test_freed_once_the_search_ends(self, monkeypatch):
+        # the fits outlive the statistics they were searched on
+        built = []
+
+        class Watched(lmmbic.estimation.DatasetStatistics):
+            def __init__(self, data):
+                super().__init__(data)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(lmmbic.estimation, "DatasetStatistics", Watched)
+        data = random_dataset(np.random.default_rng(26), n_subjects=10)
+        cand = CandidateModel(m=4, o=4)
+        fit = fit_ml(cand, data)
+        gc.collect()
+        assert len(built) == 1 and built[0]() is None
+        assert fit_ml(cand, data) is fit
+
+    def test_equal_dataset_gets_its_own_fits(self):
         data = random_dataset(np.random.default_rng(23), n_subjects=10)
         copy = Dataset(subjects=tuple(
             SubjectBlock(id=b.id, x=b.x.copy(), c=b.c, y=b.y.copy()) for b in data.subjects
         ))
-        assert dataset_statistics(copy) is not dataset_statistics(data)
-        assert dataset_statistics(data) is dataset_statistics(data)
         for cand in enumerate_candidates():
+            assert fit_ml(cand, copy) is not fit_ml(cand, data)
             a, b = fit_ml(cand, data), fit_ml(cand, copy)
             assert a.loglik == b.loglik
             np.testing.assert_array_equal(a.theta_hat.beta, b.theta_hat.beta)
@@ -377,7 +393,7 @@ class TestDatasetStatistics:
         thetas = ([0.0, 0.0, 0.0], [0.5, 0.1, 0.01], [3.0, 0.0, 0.2], [100.0, 10.0, 1.0])
         varying, constant = self.tiny_layouts()
         for data, m in ((varying, 4), (constant, 1)):
-            stats = dataset_statistics(data)
+            stats = DatasetStatistics(data)
             mean = CandidateModel(m=m, o=1).mean_columns
             xtx, A_dense, b_dense = np.zeros((5, 5)), np.zeros((5, 5)), np.zeros(5)
             for theta in thetas:
@@ -537,8 +553,10 @@ class TestBoundedNewton:
             return -((z - 1.0) ** 2).sum(axis=1), 2.0 * (z - 1.0), hess
 
         pieces = [bowl, boxed, rosenbrock, infinite, liar]
+        calls = []
 
         def stacked(z, rows):
+            calls.append(rows.tolist())
             parts = [pieces[r](z[k : k + 1], rows[k : k + 1]) for k, r in enumerate(rows)]
             return tuple(np.concatenate(column) for column in zip(*parts))
 
@@ -554,6 +572,14 @@ class TestBoundedNewton:
         # evaluation and every one of the halvings after it
         np.testing.assert_array_equal(together[0][4], starts[4])
         assert together[4][4] == 1 and together[5][4] == 1 + _LINE_SEARCH_STEPS
+        # lockstep: call k evaluates exactly the rows with more than k
+        # evaluations, so each row appears in as many calls as it evaluated
+        evaluations = together[5]
+        assert len(calls) == evaluations.max()
+        for r in range(len(pieces)):
+            assert sum(r in rows for rows in calls) == evaluations[r]
+        for k, rows in enumerate(calls):
+            assert rows == np.flatnonzero(evaluations > k).tolist()
         for r, piece in enumerate(pieces):
             alone = _minimize_box(piece, starts[r : r + 1], lower[r], upper[r], 500, 1e-10)
             for a, b in zip(alone, together):
@@ -689,13 +715,13 @@ class TestFitMl:
         # one its own search reaches from the same start; O2M3 and O4M3
         # restart from O1M3's optimum on the last dataset
         for data in self.reference_layouts() + (study_dataset("d", "O1M4", seed=7),):
-            stats = dataset_statistics(data)
+            stats = DatasetStatistics(data)
             for cand in enumerate_candidates():
-                fit = stats.fits[cand]
+                fit = fit_ml(cand, data)
                 mean, random = cand.mean_columns[None], cand.random_columns[None]
                 start = np.where(random, lmmbic.estimation._START, 0.0)
                 if fit.restarted:
-                    cover = max((stats.fits[c] for c in cand.covers()), key=lambda o: o.loglik)
+                    cover = max((fit_ml(c, data) for c in cand.covers()), key=lambda o: o.loglik)
                     start = np.zeros((1, 3))
                     start[0, cover.candidate.random_columns] = (
                         cover.theta_hat.omega2 / cover.theta_hat.sigma2
