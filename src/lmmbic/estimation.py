@@ -676,9 +676,9 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     (_search_family); the fits live as long as the dataset, the
     statistics only until the search ends.  Every call returns the
     FittedModel that search built for the candidate, the same object
-    each time.  beta and sigma2 are profiled
-    out (_profile), and a projected Newton search with the exact
-    gradient and Hessian searches the relative variances on the scale
+    each time.  beta and sigma2 are profiled out (_profile), and a
+    projected Newton search with the exact gradient and Hessian
+    searches the relative variances on the scale
     w_j = log(theta_j s_j^2 + _ZERO_SHIFT), with s_j^2 the mean square
     of Z's column j.  That scale is logarithmic for variances well above
     zero and linear near zero, and its lower bound w_j = log(_ZERO_SHIFT)
