@@ -238,6 +238,7 @@ class SimulationDesign:
     n_per_subject: int
 
 
+# a design's position keys its replicates' draws: append new designs, never insert them
 DESIGNS = {
     "a": SimulationDesign("a", 20, 5),
     "b": SimulationDesign("b", 20, 100),

@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=".",
                        help="directory for results.csv, summary.csv, figure.svg (default .)")
     p_sim.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker processes (default: the CPU count)")
+                       help="worker processes (default: the CPUs this process may run on)")
     p_sim.add_argument("--seed", type=_non_negative_int, default=0,
                        help="seed for every random draw of the study (default 0)")
     p_sim.set_defaults(func=cmd_simulate)
@@ -207,6 +207,8 @@ def cmd_ess(args: argparse.Namespace) -> int:
 def _thread_count(args: argparse.Namespace) -> int:
     if args.threads is not None:
         return args.threads
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

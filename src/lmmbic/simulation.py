@@ -8,7 +8,9 @@ criterion pick a winner, and counts exact structure recoveries.
 Randomness is split into Philox substreams keyed by
 (seed, design, truth, replicate), so results do not depend on the
 execution schedule and the study parallelizes over replicates with
-bit-identical output for any worker count.
+bit-identical output for any worker count.  draw_replicate alone
+derives those substreams, so any replicate can be drawn again on its
+own.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .candidates import (
     generate_dataset,
 )
 from .criteria import CRITERIA, build_report, select_model
+from .data import Dataset
 from .estimation import UnidentifiableModelError, fit_ml
 from .rng import substream
 
@@ -84,6 +87,22 @@ def sample_true_parameters(true_candidate: CandidateModel, rng: np.random.Genera
     return TrueParameters(mu=mu, alpha=alpha, omega2=omega2, sigma2=1.0)
 
 
+def draw_replicate(
+    design: SimulationDesign, true_candidate: CandidateModel, replicate_index: int, seed: int
+) -> tuple[TrueParameters, Dataset]:
+    """The generating parameters and the dataset of one study replicate.
+
+    The parameters come from substream (seed, design, truth, replicate,
+    0) and the dataset's seed from (..., 1).  A design is keyed by its
+    position in DESIGNS, so an appended design leaves every other
+    design's draws as they were.
+    """
+    path = (list(DESIGNS).index(design.label), true_candidate.enumeration_index, replicate_index)
+    truth = sample_true_parameters(true_candidate, substream(seed, *path, 0))
+    data_seed = int(substream(seed, *path, 1).integers(2 ** 63))
+    return truth, generate_dataset(design, truth, data_seed)
+
+
 @dataclass(frozen=True)
 class ReplicateResult:
     """Winners per criterion for one simulated dataset.
@@ -111,14 +130,7 @@ def run_replicate(
     Candidate fits that error out or stop without meeting the
     convergence tolerance are logged and excluded from the ranking.
     """
-    design_index = sorted(DESIGNS).index(design.label)
-    truth_index = true_candidate.enumeration_index
-    truth_rng = substream(config.seed, design_index, truth_index, replicate_index, 0)
-    truth = sample_true_parameters(true_candidate, truth_rng)
-    data_seed = int(
-        substream(config.seed, design_index, truth_index, replicate_index, 1).integers(2 ** 63)
-    )
-    data = generate_dataset(design, truth, data_seed)
+    _, data = draw_replicate(design, true_candidate, replicate_index, config.seed)
 
     candidates = enumerate_candidates()
     reports = []

@@ -55,8 +55,7 @@ from lmmbic.estimation import (
     fit_ml,
 )
 from lmmbic.model import ParameterVector, log_likelihood, magnitude
-from lmmbic.rng import substream
-from lmmbic.simulation import DESIGNS, SimulationDesign, StudyConfig, sample_true_parameters, run_study
+from lmmbic.simulation import DESIGNS, SimulationDesign, StudyConfig, draw_replicate, run_study
 
 from hybrid_recovery import cheaper_upgrade_truths, recoverable_truths
 
@@ -288,17 +287,11 @@ def test_06_literal_likelihood_and_gls():
 def test_07_fit_dominates_truth_on_large_design():
     seed = 7
     design = DESIGNS["d"]
-    design_index = sorted(DESIGNS).index("d")
     cand = CandidateModel.from_id("O1M1")
     dominated = 0
     sigma2_hats = []
     for rep in range(25):
-        truth_rng = substream(seed, design_index, cand.enumeration_index, rep, 0)
-        truth = sample_true_parameters(cand, truth_rng)
-        data_seed = int(
-            substream(seed, design_index, cand.enumeration_index, rep, 1).integers(2 ** 63)
-        )
-        data = generate_dataset(design, truth, data_seed)
+        truth, data = draw_replicate(design, cand, rep, seed)
         fit = fit_ml(cand, data)
         beta, omega2, sigma2 = truth.free_values(cand)
         ll_truth = log_likelihood(ParameterVector(beta, omega2, sigma2), cand, data)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,19 +10,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lmmbic.cli
+import lmmbic.simulation
 from lmmbic.candidates import (
     DESIGNS,
     CandidateModel,
     TrueParameters,
     build_design,
+    enumerate_candidates,
     generate_dataset,
 )
 from lmmbic.cli import _thread_count, build_parser, main
 from lmmbic.criteria import CRITERIA
 from lmmbic.data import Dataset, SubjectBlock, read_dataset
-from lmmbic.estimation import fit_ml
+from lmmbic.estimation import UnidentifiableModelError, fit_ml
 from lmmbic.model import assemble_marginal_covariance, correlation_from_covariance
-from lmmbic.simulation import SimulationDesign
+from lmmbic.simulation import SimulationDesign, StudyConfig, run_replicate
 
 
 @pytest.fixture()
@@ -205,6 +209,34 @@ class TestSelectCommand:
         assert "comma-separated subset" in capsys.readouterr().err
 
 
+def test_failed_and_unconverged_fits_left_out(data_file, monkeypatch, capsys, caplog):
+    raising = {"O2M2"}
+
+    def flaky_fit_ml(cand, data):
+        if cand.id in raising:
+            raise UnidentifiableModelError(f"candidate {cand.id} made to fail")
+        fit = fit_ml(cand, data)
+        return dataclasses.replace(fit, converged=False) if cand.id == "O3M1" else fit
+
+    monkeypatch.setattr(lmmbic.cli, "fit_ml", flaky_fit_ml)
+    monkeypatch.setattr(lmmbic.simulation, "fit_ml", flaky_fit_ml)
+    config = StudyConfig(designs=("a",), seed=16001)
+    result = run_replicate(DESIGNS["a"], CandidateModel.from_id("O1M1"), 0, config)
+    assert result.n_failed == 2 and not set(result.selections.values()) & {"O2M2", "O3M1"}
+    assert "candidate O2M2 failed to fit" in caplog.text
+    assert "candidate O3M1 did not converge" in caplog.text
+    code, out, err = run_cli(capsys, "select", str(data_file[0]))
+    listed = {row["candidate"] for row in json.loads(out)["candidates"]}
+    assert code == 0 and len(listed) == 14 and not listed & {"O2M2", "O3M1"}
+    # main moves logging onto stderr, out of caplog's sight
+    assert "candidate O2M2 failed to fit" in err and "candidate O3M1 did not converge" in err
+
+    raising.update(cand.id for cand in enumerate_candidates())
+    assert run_cli(capsys, "select", str(data_file[0]))[:2] == (1, "")
+    result = run_replicate(DESIGNS["a"], CandidateModel.from_id("O1M1"), 0, config)
+    assert result.selections is None and result.n_failed == 16
+
+
 class TestEssCommand:
     def test_payload_between_bounds(self, data_file, capsys):
         path, data = data_file
@@ -260,7 +292,12 @@ class TestThreadCount:
     def test_flag_wins(self):
         assert _thread_count(self.make_args(threads=3)) == 3
 
-    def test_falls_back_to_cpu_count(self):
+    def test_defaults_to_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _thread_count(self.make_args()) == 1
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _thread_count(self.make_args()) == (os.cpu_count() or 1)
 
 

@@ -31,7 +31,7 @@ from lmmbic.estimation import (
 )
 from lmmbic.model import ParameterVector, log_likelihood
 from lmmbic.rng import substream
-from lmmbic.simulation import DESIGNS, SimulationDesign, sample_true_parameters
+from lmmbic.simulation import DESIGNS, SimulationDesign, draw_replicate, sample_true_parameters
 
 
 def random_dataset(rng, n_subjects=6, min_obs=2, max_obs=7):
@@ -599,13 +599,9 @@ def study_data(seed=101, n_subjects=40, n_per=8, truth=None):
 
 
 def study_dataset(design_label, truth_id, seed=1, replicate=0):
-    """The dataset run_replicate simulates for one study cell."""
-    design_index = sorted(DESIGNS).index(design_label)
-    truth_cand = CandidateModel.from_id(truth_id)
-    path = (design_index, truth_cand.enumeration_index, replicate)
-    truth = sample_true_parameters(truth_cand, substream(seed, *path, 0))
-    data_seed = int(substream(seed, *path, 1).integers(2**63))
-    return generate_dataset(DESIGNS[design_label], truth, data_seed)
+    """The dataset of one study cell's replicate."""
+    truth = CandidateModel.from_id(truth_id)
+    return draw_replicate(DESIGNS[design_label], truth, replicate, seed)[1]
 
 
 def free_terms(cand):

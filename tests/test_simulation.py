@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import lmmbic.simulation
-from lmmbic.candidates import CandidateModel, enumerate_candidates
-from lmmbic.criteria import CRITERIA
+from lmmbic.candidates import CandidateModel, SimulationDesign, enumerate_candidates
+from lmmbic.criteria import CRITERIA, build_report, select_model
+from lmmbic.estimation import UnidentifiableModelError, fit_ml
 from lmmbic.report import emit_report
 from lmmbic.rng import substream
 from lmmbic.simulation import (
@@ -13,6 +14,7 @@ from lmmbic.simulation import (
     FrequencyTable,
     SelectionCell,
     StudyConfig,
+    draw_replicate,
     run_replicate,
     run_study,
     sample_true_parameters,
@@ -146,6 +148,38 @@ class TestRunReplicate:
             for rep in range(4)
         ]
         assert len({tuple(sorted(p.items())) for p in picks if p is not None}) > 1
+
+
+class TestDrawReplicate:
+    def test_appended_design_moves_no_draws(self, monkeypatch):
+        truth = CandidateModel.from_id("O3M4")
+        before = [draw_replicate(DESIGNS[label], truth, 2, 16003)[1].y for label in "abcd"]
+        # "N200n50" sorts before "a", so keys from sorted labels would shift a-d's draws
+        monkeypatch.setitem(DESIGNS, "N200n50", SimulationDesign("N200n50", 200, 50))
+        after = [draw_replicate(DESIGNS[label], truth, 2, 16003)[1].y for label in "abcd"]
+        assert all(map(np.array_equal, before, after))
+
+    def test_study_cells_match_replicates_drawn_again(self):
+        table = run_study(StudyConfig(designs=("a", "c"), replicates=1, seed=16005))
+        rows, failed = iter(table.rows), 0
+        for label in ("a", "c"):
+            for truth in enumerate_candidates():
+                _, data = draw_replicate(DESIGNS[label], truth, 0, 16005)
+                reports = []
+                for cand in enumerate_candidates():
+                    try:
+                        fit = fit_ml(cand, data)
+                    except UnidentifiableModelError:
+                        fit = None
+                    if fit is None or not fit.converged:
+                        failed += 1
+                    else:
+                        reports.append(build_report(fit))
+                for crit in CRITERIA:
+                    row = next(rows)
+                    assert (row.design, row.truth, row.criterion) == (label, truth.id, crit)
+                    assert row.correct == (select_model(reports, crit) == truth.id)
+        assert table.failed_fits == failed
 
 
 class TestFrequencyTable:

@@ -2,14 +2,12 @@
 
 The refit set is all sixteen candidates on:
   - the study datasets of seeds 1 and 7, designs a-d x 16 truths,
-    replicate 0, as run_replicate generates them;
+    replicate 0, as simulation.draw_replicate draws them;
   - the 16 ragged 40-subject files of perfbench/inputs.datasets("ragged", 41, 16).
 
 A fit prints the reprs of loglik, beta, omega2, sigma2, converged,
 boundary, iterations, evaluations, restarted and n_e; a fit that raises
-prints its error message.  The study datasets are kept by a
-perfbench/tracing.Tracer around simulation.generate_dataset while
-run_replicate runs, so their seeding is run_replicate's own.
+prints its error message.
 
 Run from the repository root, once per checkout, and compare:
 
@@ -41,12 +39,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-import lmmbic.simulation  # noqa: E402
 from inputs import datasets  # noqa: E402
 from lmmbic.candidates import DESIGNS, enumerate_candidates  # noqa: E402
 from lmmbic.estimation import UnidentifiableModelError, effective_sample_size, fit_ml  # noqa: E402
-from lmmbic.simulation import StudyConfig, run_replicate  # noqa: E402
-from tracing import Tracer  # noqa: E402
+from lmmbic.simulation import draw_replicate  # noqa: E402
 
 STUDY_SEEDS = (1, 7)
 RAGGED = ("ragged", 41, 16)
@@ -64,19 +60,11 @@ LOGLIK_RTOL = 1e-10
 
 def study_datasets(seed: int) -> list[tuple[str, object]]:
     """(label, dataset) of every (design, truth) cell's replicate 0."""
-    kept = []
-    tracer = Tracer(lambda summary, calls: kept.extend(result for _, _, result in calls))
-    tracer.wrap(lmmbic.simulation, "generate_dataset", "generate_dataset", keep=True)
-    labels = []
-    try:
-        for design in sorted(DESIGNS):
-            config = StudyConfig(designs=(design,), replicates=1, seed=seed)
-            for truth in enumerate_candidates():
-                run_replicate(DESIGNS[design], truth, 0, config)
-                labels.append(f"seed {seed} design {design} truth {truth.id}")
-    finally:
-        tracer.uninstall()
-    return list(zip(labels, kept, strict=True))
+    return [
+        (f"seed {seed} design {label} truth {truth.id}", draw_replicate(design, truth, 0, seed)[1])
+        for label, design in DESIGNS.items()
+        for truth in enumerate_candidates()
+    ]
 
 
 def fit_line(cand, data) -> str:
