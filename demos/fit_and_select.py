@@ -7,8 +7,8 @@ pays the complexity penalty, and on moderate designs that difference
 is enough to change the winner.
 """
 
-from lmmbic.candidates import TrueParameters, enumerate_candidates, generate_dataset
-from lmmbic.criteria import CRITERIA, build_report, criterion_value, selection_summary
+from lmmbic.candidates import TrueParameters, generate_dataset
+from lmmbic.criteria import CRITERIA, build_report, criterion_value, selection_summary, usable_reports
 from lmmbic.estimation import fit_ml
 from lmmbic.simulation import SimulationDesign
 
@@ -23,7 +23,10 @@ data = generate_dataset(design, truth, seed=11)
 print(f"data: {data.n_subjects} subjects, {data.n_obs} observations, truth O2M2")
 print()
 
-reports = [build_report(fit_ml(cand, data)) for cand in enumerate_candidates()]
+# rank only the fits that neither raised nor stopped unconverged
+reports, left_out = usable_reports(data, fit_ml, build_report)
+for cand_id, reason in left_out.items():
+    print(f"{cand_id} left out: {reason}")
 
 # ranking table, one column per criterion
 header = f"{'candidate':<10}{'loglik':>12}{'p':>4}" + "".join(

@@ -23,13 +23,14 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .candidates import DESIGNS, CandidateModel, enumerate_candidates
-from .criteria import CRITERIA, build_report, selection_summary
+from .candidates import DESIGNS, CandidateModel
+from .criteria import CRITERIA, build_report, selection_summary, usable_reports
 from .data import read_dataset
 from .estimation import UnidentifiableModelError, effective_sample_size, fit_ml
 from .model import correlation_from_covariance, implied_covariance
 
 logger = logging.getLogger("lmmbic")
+_stderr_handler: logging.Handler | None = None  # the one main put on logger
 
 
 def _candidate_id(text: str) -> CandidateModel:
@@ -173,17 +174,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     data = read_dataset(args.data)
-    reports = []
-    for cand in enumerate_candidates():
-        try:
-            fit = fit_ml(cand, data)
-        except (UnidentifiableModelError, np.linalg.LinAlgError) as exc:
-            logger.warning("candidate %s failed to fit: %s", cand.id, exc)
-            continue
-        if not fit.converged:
-            logger.warning("candidate %s did not converge; excluded", cand.id)
-            continue
-        reports.append(build_report(fit))
+    reports, left_out = usable_reports(data, fit_ml, build_report)
+    for cand_id, reason in left_out.items():
+        logger.warning("candidate %s %s", cand_id, reason)
     if not reports:
         raise UnidentifiableModelError("no candidate could be fitted on this data")
     payload = selection_summary(reports, args.criteria)
@@ -234,11 +227,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    global _stderr_handler
     args = build_parser().parse_args(argv)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(
-        stream=sys.stderr, level=level, format="%(levelname)s %(message)s", force=True
-    )
+    # this call's stderr, through lmmbic's logger only: the root logger is the caller's
+    logger.removeHandler(_stderr_handler)
+    _stderr_handler = logging.StreamHandler(sys.stderr)
+    _stderr_handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    logger.addHandler(_stderr_handler)
+    logger.setLevel(logging.WARNING - 10 * min(args.verbose, 2))
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # data, fit and linalg errors are ValueErrors

@@ -23,10 +23,13 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .candidates import MEAN_Z, CandidateModel, enumerate_candidates
-from .estimation import FittedModel, effective_sample_size
+from .data import Dataset
+from .estimation import FittedModel, UnidentifiableModelError, effective_sample_size
 
 # criterion -> (size a theta_R parameter pays, size a theta_F parameter pays)
 SAMPLE_SIZES = {"N": ("N", "N"), "n": ("n", "n"), "ne": ("n_e", "n_e"), "h": ("N", "n")}
@@ -176,6 +179,31 @@ def build_report(fit: FittedModel) -> BicReport:
         values=MappingProxyType(criterion_values(fit.loglik, part, sizes)),
         partition=part,
     )
+
+
+def usable_reports(
+    data: Dataset, fit: Callable[..., FittedModel], report: Callable[..., BicReport]
+) -> tuple[list[BicReport], dict[str, str]]:
+    """What a selection ranks: report(fit(candidate, data)) for every
+    candidate whose fit neither raised nor stopped unconverged, in
+    enumeration order; and, by id, why each other candidate was left
+    out: "failed to fit (<message>)" or "did not converge".
+
+    The caller passes the fit_ml and build_report its own module
+    imported, so that whatever wraps those names sees every call.
+    """
+    reports, left_out = [], {}
+    for cand in enumerate_candidates():
+        try:
+            fitted = fit(cand, data)
+        except (UnidentifiableModelError, np.linalg.LinAlgError) as exc:
+            left_out[cand.id] = f"failed to fit ({exc})"
+            continue
+        if fitted.converged:
+            reports.append(report(fitted))
+        else:
+            left_out[cand.id] = "did not converge"
+    return reports, left_out
 
 
 def criterion_value(report: BicReport, criterion: str) -> float:

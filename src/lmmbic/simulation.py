@@ -31,9 +31,9 @@ from .candidates import (
     enumerate_candidates,
     generate_dataset,
 )
-from .criteria import CRITERIA, build_report, select_model
+from .criteria import CRITERIA, build_report, select_model, usable_reports
 from .data import Dataset
-from .estimation import UnidentifiableModelError, fit_ml
+from .estimation import fit_ml
 from .rng import substream
 
 logger = logging.getLogger(__name__)
@@ -127,48 +127,24 @@ def run_replicate(
 ) -> ReplicateResult:
     """Simulate one dataset and let every criterion pick its winner.
 
-    Candidate fits that error out or stop without meeting the
-    convergence tolerance are logged and excluded from the ranking.
+    The criteria rank the fits usable_reports keeps; each candidate it
+    leaves out is logged and counted in n_failed.
     """
     _, data = draw_replicate(design, true_candidate, replicate_index, config.seed)
-
-    candidates = enumerate_candidates()
-    reports = []
-    failed = 0
-    for cand in candidates:
-        try:
-            fit = fit_ml(cand, data)
-        except (UnidentifiableModelError, np.linalg.LinAlgError) as exc:
-            logger.warning(
-                "design %s truth %s rep %d: candidate %s failed to fit (%s)",
-                design.label, true_candidate.id, replicate_index, cand.id, exc,
-            )
-            failed += 1
-            continue
-        if not fit.converged:
-            logger.warning(
-                "design %s truth %s rep %d: candidate %s did not converge; excluded",
-                design.label, true_candidate.id, replicate_index, cand.id,
-            )
-            failed += 1
-            continue
-        reports.append(build_report(fit))
-
+    reports, left_out = usable_reports(data, fit_ml, build_report)
+    where = f"design {design.label} truth {true_candidate.id} rep {replicate_index}"
+    for cand_id, reason in left_out.items():
+        logger.warning("%s: candidate %s %s", where, cand_id, reason)
     if not reports:
-        logger.warning(
-            "design %s truth %s rep %d: no candidate converged; replicate dropped",
-            design.label, true_candidate.id, replicate_index,
-        )
-        selections = None
-    else:
-        selections = {crit: select_model(reports, crit) for crit in CRITERIA}
+        logger.warning("%s: no candidate converged; replicate dropped", where)
+    selections = {crit: select_model(reports, crit) for crit in CRITERIA} if reports else None
     return ReplicateResult(
         design_label=design.label,
         truth_id=true_candidate.id,
         replicate_index=replicate_index,
         selections=selections,
-        n_fits=len(candidates),
-        n_failed=failed,
+        n_fits=len(reports) + len(left_out),
+        n_failed=len(left_out),
     )
 
 

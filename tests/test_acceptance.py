@@ -22,9 +22,9 @@ pooled frequency of at most 0.05.  The printed line reports BIC_h's
 frequency on each subset and the subset sizes.
 """
 
+import argparse
 import dataclasses
 import math
-import os
 import time
 
 import numpy as np
@@ -37,7 +37,7 @@ from lmmbic.candidates import (
     enumerate_candidates,
     generate_dataset,
 )
-from lmmbic.cli import main
+from lmmbic.cli import _thread_count, main
 from lmmbic.criteria import (
     CRITERIA,
     bayes_factor_from_bics,
@@ -317,7 +317,7 @@ def _pooled(table, design: str, criterion: str, truths) -> float:
 
 
 def test_08_study_selection_patterns():
-    workers = os.cpu_count() or 1
+    workers = _thread_count(argparse.Namespace(threads=None))
     t0 = time.perf_counter()
     table = run_study(
         StudyConfig(designs=("a", "b", "c", "d"), replicates=25, seed=1),

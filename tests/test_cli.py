@@ -1,7 +1,9 @@
 import argparse
 import csv
 import dataclasses
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -228,13 +230,39 @@ def test_failed_and_unconverged_fits_left_out(data_file, monkeypatch, capsys, ca
     code, out, err = run_cli(capsys, "select", str(data_file[0]))
     listed = {row["candidate"] for row in json.loads(out)["candidates"]}
     assert code == 0 and len(listed) == 14 and not listed & {"O2M2", "O3M1"}
-    # main moves logging onto stderr, out of caplog's sight
+    # main logs to this call's stderr; caplog sees the same records (TestLogging)
     assert "candidate O2M2 failed to fit" in err and "candidate O3M1 did not converge" in err
 
     raising.update(cand.id for cand in enumerate_candidates())
     assert run_cli(capsys, "select", str(data_file[0]))[:2] == (1, "")
     result = run_replicate(DESIGNS["a"], CandidateModel.from_id("O1M1"), 0, config)
     assert result.selections is None and result.n_failed == 16
+
+
+class TestLogging:
+    def test_root_handlers_survive_main(self, data_file, capsys):
+        root = logging.getLogger()
+        handler = logging.StreamHandler(io.StringIO())
+        root.addHandler(handler)
+        try:
+            assert run_cli(capsys, "select", str(data_file[0]))[0] == 0
+            assert handler in root.handlers
+        finally:
+            root.removeHandler(handler)
+
+    def test_select_warnings_reach_caplog_and_stderr_once(
+        self, data_file, monkeypatch, capsys, caplog
+    ):
+        def unconverged_fit_ml(cand, data):
+            fit = fit_ml(cand, data)
+            return dataclasses.replace(fit, converged=False) if cand.id == "O3M1" else fit
+
+        monkeypatch.setattr(lmmbic.cli, "fit_ml", unconverged_fit_ml)
+        for _ in range(2):  # a second in-process call must not stack handlers
+            code, _, err = run_cli(capsys, "select", str(data_file[0]))
+            assert code == 0 and err == "WARNING candidate O3M1 did not converge\n"
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["candidate O3M1 did not converge"] * 2
 
 
 class TestEssCommand:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from lmmbic.criteria import (
     report_to_dict,
     select_model,
     selection_summary,
+    usable_reports,
 )
 from lmmbic.data import Dataset, SubjectBlock
-from lmmbic.estimation import fit_ml
+from lmmbic.estimation import UnidentifiableModelError, fit_ml
 from lmmbic.simulation import DESIGNS, SimulationDesign
 
 from hybrid_recovery import cheaper_upgrade_truths, recoverable_truths, sample_sizes
@@ -426,3 +428,40 @@ class TestBuildReport:
             report = build_report(fit)
             values = list(report.values.values())
             assert max(values) - min(values) < 1e-10, cand.id
+
+
+class TestUsableReports:
+    def test_ranks_the_fits_that_neither_raised_nor_stopped_unconverged(self):
+        data = object()  # passed through to fit untouched
+        fitted, reported = [], []
+
+        def fit(cand, given):
+            fitted.append((cand, given))
+            if cand.id == "O2M3":
+                raise UnidentifiableModelError("alpha2 not estimable")
+            if cand.id == "O1M4":
+                raise np.linalg.LinAlgError("singular capacitance")
+            return SimpleNamespace(candidate=cand, converged=cand.id != "O4M1")
+
+        def report(fit):
+            reported.append(fit)
+            return fit.candidate.id
+
+        reports, left_out = usable_reports(data, fit, report)
+        candidates = enumerate_candidates()
+        assert fitted == [(cand, data) for cand in candidates]
+        kept = [c.id for c in candidates if c.id not in {"O1M4", "O2M3", "O4M1"}]
+        assert len(reports) == 13 and reports == kept
+        assert [r.candidate.id for r in reported] == kept
+        assert list(left_out.items()) == [
+            ("O1M4", "failed to fit (singular capacitance)"),
+            ("O2M3", "failed to fit (alpha2 not estimable)"),
+            ("O4M1", "did not converge"),
+        ]
+
+    def test_other_errors_propagate(self):
+        def fit(cand, data):
+            raise RuntimeError("not a fit failure")
+
+        with pytest.raises(RuntimeError):
+            usable_reports(object(), fit, build_report)

@@ -5,8 +5,8 @@ import pytest
 
 import lmmbic.simulation
 from lmmbic.candidates import CandidateModel, SimulationDesign, enumerate_candidates
-from lmmbic.criteria import CRITERIA, build_report, select_model
-from lmmbic.estimation import UnidentifiableModelError, fit_ml
+from lmmbic.criteria import CRITERIA, build_report, select_model, usable_reports
+from lmmbic.estimation import fit_ml
 from lmmbic.report import emit_report
 from lmmbic.rng import substream
 from lmmbic.simulation import (
@@ -165,16 +165,8 @@ class TestDrawReplicate:
         for label in ("a", "c"):
             for truth in enumerate_candidates():
                 _, data = draw_replicate(DESIGNS[label], truth, 0, 16005)
-                reports = []
-                for cand in enumerate_candidates():
-                    try:
-                        fit = fit_ml(cand, data)
-                    except UnidentifiableModelError:
-                        fit = None
-                    if fit is None or not fit.converged:
-                        failed += 1
-                    else:
-                        reports.append(build_report(fit))
+                reports, left_out = usable_reports(data, fit_ml, build_report)
+                failed += len(left_out)
                 for crit in CRITERIA:
                     row = next(rows)
                     assert (row.design, row.truth, row.criterion) == (label, truth.id, crit)
