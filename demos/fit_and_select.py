@@ -8,7 +8,7 @@ is enough to change the winner.
 """
 
 from lmmbic.candidates import TrueParameters, generate_dataset
-from lmmbic.criteria import CRITERIA, build_report, criterion_value, selection_summary, usable_reports
+from lmmbic.criteria import CRITERIA, build_report, selection_summary, usable_reports
 from lmmbic.estimation import fit_ml
 from lmmbic.simulation import SimulationDesign
 
@@ -34,7 +34,7 @@ header = f"{'candidate':<10}{'loglik':>12}{'p':>4}" + "".join(
 )
 print(header)
 for report in reports:
-    cells = "".join(f"{criterion_value(report, c):>12.2f}" for c in CRITERIA)
+    cells = "".join(f"{report.values[c]:>12.2f}" for c in CRITERIA)
     print(f"{report.candidate_id:<10}{report.loglik:>12.2f}{report.p:>4}{cells}")
 
 print()

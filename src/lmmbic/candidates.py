@@ -27,7 +27,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .data import Dataset, SubjectBlock
+from .data import Dataset, SubjectBlock, _readonly
 from .rng import substream_keys
 
 X_RANGE = (0.0, 10.0)
@@ -35,15 +35,15 @@ X_RANGE = (0.0, 10.0)
 # Which of an axis's two optional terms a candidate keeps, by its m or o:
 # 1 neither, 2 the first, 3 the second, 4 both.
 _OPTIONAL = {1: (False, False), 2: (True, False), 3: (False, True), 4: (True, True)}
-_MEAN_COLUMNS = {code: np.array((True, True, True) + pair) for code, pair in _OPTIONAL.items()}
-_RANDOM_COLUMNS = {code: np.array((True,) + pair) for code, pair in _OPTIONAL.items()}
+_MEAN_COLUMNS = {
+    code: _readonly((True, True, True) + pair, dtype=bool) for code, pair in _OPTIONAL.items()
+}
+_RANDOM_COLUMNS = {code: _readonly((True,) + pair, dtype=bool) for code, pair in _OPTIONAL.items()}
 # O4M4's mean columns 1, x, x^2, c*x and c*x^2 as Z's [1, x, x^2] times a
 # factor in (1, c): MEAN_Z holds each column's Z column, MEAN_FACTOR the
 # index of its factor.
-MEAN_Z = np.array([0, 1, 2, 1, 2])
-MEAN_FACTOR = np.array([0, 0, 0, 1, 1])
-for _mask in (*_MEAN_COLUMNS.values(), *_RANDOM_COLUMNS.values(), MEAN_Z, MEAN_FACTOR):
-    _mask.flags.writeable = False
+MEAN_Z = _readonly([0, 1, 2, 1, 2], dtype=int)
+MEAN_FACTOR = _readonly([0, 0, 0, 1, 1], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,6 @@ class DesignBlocks:
     X: np.ndarray
     Z: np.ndarray
 
-    @property
-    def n_obs(self) -> int:
-        return self.X.shape[0]
-
 
 def build_design(candidate: CandidateModel, block: SubjectBlock) -> DesignBlocks:
     """Assemble X_i and Z_i for one subject under one candidate.
@@ -170,11 +166,7 @@ def build_design(candidate: CandidateModel, block: SubjectBlock) -> DesignBlocks
     x = block.x
     Z = np.column_stack([np.ones_like(x), x, x * x])
     X = (Z[:, MEAN_Z] * np.array([1.0, block.c])[MEAN_FACTOR])[:, candidate.mean_columns]
-    X = np.ascontiguousarray(X)
-    Z = np.ascontiguousarray(Z[:, candidate.random_columns])
-    X.flags.writeable = False
-    Z.flags.writeable = False
-    return DesignBlocks(X=X, Z=Z)
+    return DesignBlocks(X=_readonly(X), Z=_readonly(Z[:, candidate.random_columns]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,15 +187,11 @@ class TrueParameters:
     sigma2: float
 
     def __post_init__(self) -> None:
-        mu = np.array(self.mu, dtype=float)
-        alpha = np.array(self.alpha, dtype=float)
-        omega2 = np.array(self.omega2, dtype=float)
+        mu, alpha, omega2 = _readonly(self.mu), _readonly(self.alpha), _readonly(self.omega2)
         if mu.shape != (3,) or alpha.shape != (2,) or omega2.shape != (3,):
             raise ValueError("expected shapes: mu (3,), alpha (2,), omega2 (3,)")
         if np.any(omega2 < 0) or self.sigma2 <= 0:
             raise ValueError("variances must be non-negative and sigma2 positive")
-        for arr in (mu, alpha, omega2):
-            arr.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "omega2", omega2)

@@ -30,7 +30,21 @@ from .estimation import UnidentifiableModelError, effective_sample_size, fit_ml
 from .model import correlation_from_covariance, implied_covariance
 
 logger = logging.getLogger("lmmbic")
-_stderr_handler: logging.Handler | None = None  # the one main put on logger
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever sys.stderr is when a record is emitted, as
+    logging.lastResort does, so a stream swapped or closed after main
+    returns is never written to."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)  # StreamHandler's would assign stream
+
+    stream = property(lambda self: sys.stderr)
+
+
+_STDERR_HANDLER = _StderrHandler()
+_STDERR_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
 
 
 def _candidate_id(text: str) -> CandidateModel:
@@ -227,13 +241,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _stderr_handler
     args = build_parser().parse_args(argv)
-    # this call's stderr, through lmmbic's logger only: the root logger is the caller's
-    logger.removeHandler(_stderr_handler)
-    _stderr_handler = logging.StreamHandler(sys.stderr)
-    _stderr_handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    logger.addHandler(_stderr_handler)
+    # stderr through lmmbic's logger only: the root logger is the caller's;
+    # addHandler ignores a handler the logger already has
+    logger.addHandler(_STDERR_HANDLER)
     logger.setLevel(logging.WARNING - 10 * min(args.verbose, 2))
     try:
         return args.func(args)

@@ -206,23 +206,20 @@ def usable_reports(
     return reports, left_out
 
 
-def criterion_value(report: BicReport, criterion: str) -> float:
-    if criterion not in SAMPLE_SIZES:
-        raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
-    return report.values[criterion]
-
-
 def _ranked(reports: Sequence[BicReport], criterion: str) -> list[BicReport]:
     """Reports best first: the candidates tied with the best (within
-    _TIE_RTOL) by (p, enumeration index), then the rest by value."""
+    _TIE_RTOL) by (p, enumeration index), then the rest by value.
+    Raises ValueError on an unknown criterion name."""
+    if criterion not in SAMPLE_SIZES:
+        raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
 
     def parsimony(r: BicReport) -> tuple[int, int]:
         return r.p, _ENUMERATION_INDEX[r.candidate_id]
 
-    by_value = sorted(reports, key=lambda r: (criterion_value(r, criterion), *parsimony(r)))
-    best = criterion_value(by_value[0], criterion)
+    by_value = sorted(reports, key=lambda r: (r.values[criterion], *parsimony(r)))
+    best = by_value[0].values[criterion]
     tolerance = _TIE_RTOL * abs(best)
-    tied = [r for r in by_value if criterion_value(r, criterion) - best <= tolerance]
+    tied = [r for r in by_value if r.values[criterion] - best <= tolerance]
     return sorted(tied, key=parsimony) + by_value[len(tied):]
 
 
@@ -269,8 +266,6 @@ def selection_summary(
     if isinstance(criteria, str):  # list() would split it into characters
         raise ValueError(f"criteria must be a sequence of names, got {criteria!r}")
     criteria = list(criteria)
-    for crit in criteria:
-        criterion_value(reports[0], crit)  # validate names early
     if len(set(criteria)) != len(criteria):
         raise ValueError("criteria must not repeat")
     winners: dict[str, str] = {}
@@ -280,9 +275,9 @@ def selection_summary(
         winners[crit] = ranked[0].candidate_id
         if len(ranked) > 1:
             best, runner = ranked[0], ranked[1]
-            best_value = criterion_value(best, crit)
+            best_value = best.values[crit]
             # a runner-up tied with the winner may sit below it by rounding
-            runner_value = max(criterion_value(runner, crit), best_value)
+            runner_value = max(runner.values[crit], best_value)
             delta = runner_value - best_value
             bf = bayes_factor_from_bics(best_value, runner_value)
             evidence[crit] = {

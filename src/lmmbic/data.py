@@ -30,7 +30,8 @@ class DataFormatError(ValueError):
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """A read-only C-ordered copy of values: the one way this package freezes an array."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
 

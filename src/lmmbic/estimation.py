@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import MEAN_FACTOR, MEAN_Z, CandidateModel, enumerate_candidates
-from .data import Dataset
+from .data import Dataset, _readonly
 from .model import LN_TWO_PI, ParameterVector
 
 # The lower bound of the profiled sigma2: on data the mean fits exactly
@@ -505,9 +505,8 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
 # O4M4's X (16, 5) and Z (16, 3), its parameter count, and the enumeration
 # indices of its covers (CandidateModel.covers).
 _CANDIDATES = tuple(enumerate_candidates())
-_MEAN = np.array([c.mean_columns for c in _CANDIDATES])
-_PRESENT = np.array([c.random_columns for c in _CANDIDATES])
-_MEAN.flags.writeable = _PRESENT.flags.writeable = False
+_MEAN = _readonly([c.mean_columns for c in _CANDIDATES], dtype=bool)
+_PRESENT = _readonly([c.random_columns for c in _CANDIDATES], dtype=bool)
 _N_PARAMETERS = tuple(c.n_parameters for c in _CANDIDATES)
 _COVERS = tuple(tuple(cover.enumeration_index for cover in c.covers()) for c in _CANDIDATES)
 # per candidate, its covers with its mean columns, and the Z columns it lacks

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .candidates import CandidateModel, build_design
-from .data import Dataset, SubjectBlock
+from .data import Dataset, SubjectBlock, _readonly
 
 if TYPE_CHECKING:
     from .estimation import FittedModel
@@ -54,16 +54,13 @@ class ParameterVector:
     sigma2: float
 
     def __post_init__(self) -> None:
-        beta = np.array(self.beta, dtype=float)
-        omega2 = np.array(self.omega2, dtype=float)
+        beta, omega2 = _readonly(self.beta), _readonly(self.omega2)
         if beta.ndim != 1 or omega2.ndim != 1:
             raise ValueError("beta and omega2 must be one-dimensional")
         if np.any(omega2 < 0):
             raise ValueError("omega2 entries must be non-negative")
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
-        beta.flags.writeable = False
-        omega2.flags.writeable = False
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "omega2", omega2)
         object.__setattr__(self, "sigma2", float(self.sigma2))
@@ -130,14 +127,14 @@ def log_likelihood(params: ParameterVector, candidate: CandidateModel, data: Dat
         numpy.linalg.LinAlgError: when some V_i is not numerically
             positive definite.
     """
+    if params.beta.size != candidate.n_mean:
+        raise ValueError(
+            f"beta has {params.beta.size} entries but candidate "
+            f"{candidate.id} has {candidate.n_mean} mean columns"
+        )
     total = 0.0
     for block in data.subjects:
         d = build_design(candidate, block)
-        if params.beta.size != d.X.shape[1]:
-            raise ValueError(
-                f"beta has {params.beta.size} entries but candidate "
-                f"{candidate.id} has {d.X.shape[1]} mean columns"
-            )
         V = assemble_marginal_covariance(d.Z, params.omega2, params.sigma2)
         half, logdet = _whiten(V, block.y - d.X @ params.beta)
         total -= 0.5 * (block.n_obs * LN_TWO_PI + logdet + float(half @ half))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lmmbic.cli
+import lmmbic.estimation
 import lmmbic.simulation
 from lmmbic.candidates import (
     DESIGNS,
@@ -23,7 +24,7 @@ from lmmbic.candidates import (
     generate_dataset,
 )
 from lmmbic.cli import _thread_count, build_parser, main
-from lmmbic.criteria import CRITERIA
+from lmmbic.criteria import CRITERIA, build_report, usable_reports
 from lmmbic.data import Dataset, SubjectBlock, read_dataset
 from lmmbic.estimation import UnidentifiableModelError, fit_ml
 from lmmbic.model import assemble_marginal_covariance, correlation_from_covariance
@@ -239,6 +240,23 @@ def test_failed_and_unconverged_fits_left_out(data_file, monkeypatch, capsys, ca
     assert result.selections is None and result.n_failed == 16
 
 
+def test_likelihood_never_evaluated_leaves_every_candidate_out(data_file, monkeypatch, capsys):
+    def broken(stats, mean, theta):
+        raise np.linalg.LinAlgError("broken")
+
+    monkeypatch.setattr(lmmbic.estimation, "_profile", broken)
+    path, data = data_file  # a fresh dataset: no fits of it are kept yet
+    for cand in enumerate_candidates():
+        message = f"candidate {cand.id} could not be evaluated at any visited point"
+        with pytest.raises(UnidentifiableModelError, match=message):
+            fit_ml(cand, data)
+    reports, left_out = usable_reports(data, fit_ml, build_report)
+    assert reports == [] and len(left_out) == 16
+    code, out, err = run_cli(capsys, "select", str(path))
+    assert (code, out) == (1, "")
+    assert err.endswith("ERROR no candidate could be fitted on this data\n")
+
+
 class TestLogging:
     def test_root_handlers_survive_main(self, data_file, capsys):
         root = logging.getLogger()
@@ -263,6 +281,18 @@ class TestLogging:
             assert code == 0 and err == "WARNING candidate O3M1 did not converge\n"
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["candidate O3M1 did not converge"] * 2
+
+    def test_records_after_main_reach_the_current_stderr(self, tmp_path, monkeypatch, capsys):
+        # main logs to the stderr of its call; its caller then closes that
+        # stream, as capsys does at teardown, and logs on
+        stream = io.StringIO()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stderr", stream)
+            assert main(["fit", str(tmp_path / "nope.csv"), "--candidate", "O1M1"]) == 1
+        assert stream.getvalue().startswith("ERROR ") and "nope.csv" in stream.getvalue()
+        stream.close()
+        logging.getLogger("lmmbic.simulation").warning("after main")
+        assert capsys.readouterr().err == "WARNING after main\n"
 
 
 class TestEssCommand:
@@ -295,6 +325,14 @@ class TestSimulateCommand:
             summary = list(csv.DictReader(handle))
         assert [r["criterion"] for r in summary] == list(CRITERIA)
         assert (out_dir / "figure.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--replicates", "0"]])
+    def test_out_of_range_count_is_usage_error(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--design", "a", "--out", str(tmp_path), *flag])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_bad_design_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -13,7 +13,6 @@ from lmmbic.criteria import (
     ParameterPartition,
     bayes_factor_from_bics,
     build_report,
-    criterion_value,
     criterion_values,
     delta_bic_label,
     jeffreys_label,
@@ -299,17 +298,17 @@ class TestSelectModel:
     def test_tie_prefers_fewer_parameters(self):
         # force bit-identical criterion values, leaving only p to break the tie
         r_small = report_for("O1M1", -50.0)  # p = 5
-        r_large = rigged(report_for("O4M4", -41.0), "n", criterion_value(r_small, "n"))
-        assert criterion_value(r_large, "n") == criterion_value(r_small, "n")
+        r_large = rigged(report_for("O4M4", -41.0), "n", r_small.values["n"])
+        assert r_large.values["n"] == r_small.values["n"]
         assert select_model([r_large, r_small], "n") == "O1M1"
 
     def test_rounding_level_tie_prefers_fewer_parameters(self):
         # the larger candidate is lower by 1e-12 relative, rounding in the
         # log-likelihood rather than evidence
         r_small = report_for("O1M1", -50.0)
-        lower = criterion_value(r_small, "h") * (1 - 1e-12)
+        lower = r_small.values["h"] * (1 - 1e-12)
         r_large = rigged(report_for("O2M1", -50.0), "h", lower)
-        assert criterion_value(r_large, "h") < criterion_value(r_small, "h")
+        assert r_large.values["h"] < r_small.values["h"]
         assert select_model([r_large, r_small], "h") == "O1M1"
 
     def test_tie_on_everything_prefers_enumeration_order(self):
@@ -353,7 +352,7 @@ class TestSelectionSummary:
 
     def test_tied_runner_up_below_winner_has_zero_delta(self):
         r_small = report_for("O1M1", -50.0)
-        lower = criterion_value(r_small, "h") * (1 - 1e-12)
+        lower = r_small.values["h"] * (1 - 1e-12)
         r_large = rigged(report_for("O2M1", -50.0), "h", lower)
         ev = selection_summary([r_large, r_small], criteria=["h"])["evidence"]["h"]
         assert (ev["best"], ev["runner_up"]) == ("O1M1", "O2M1")
@@ -366,6 +365,11 @@ class TestSelectionSummary:
         payload = selection_summary(reports, criteria=["ne"])
         assert list(payload["winners"]) == ["ne"]
         assert list(payload["evidence"]) == ["ne"]
+
+    def test_unknown_criterion_rejected(self):
+        reports = [report_for("O1M1", -60.0), report_for("O2M1", -40.0)]
+        with pytest.raises(ValueError, match="unknown criterion 'AIC'"):
+            selection_summary(reports, criteria=["n", "AIC"])
 
     def test_repeated_criteria_rejected(self):
         reports = [report_for("O1M1", -60.0), report_for("O2M1", -40.0)]

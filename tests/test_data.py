@@ -335,6 +335,15 @@ class TestReadDataset:
         with pytest.raises(DataFormatError, match=message):
             read_dataset(self.write(tmp_path, "subject,x,c,y\n" + rows))
 
+    @pytest.mark.parametrize("rows, message", [
+        # a row shorter than the header reads as blank fields
+        ("s1,0.0,1.0,2.0\ns1,1.0,1.0\n", "data.csv:3: column 'y' has non-numeric value ''"),
+        ("s1,0.0,1.0,2.0\n ,1.0,1.0,3.0\n", "data.csv:3: empty subject id"),
+    ])
+    def test_short_row_and_empty_id_report_line(self, tmp_path, rows, message):
+        with pytest.raises(DataFormatError, match=message):
+            read_dataset(self.write(tmp_path, "subject,x,c,y\n" + rows))
+
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, "")
         with pytest.raises(DataFormatError, match="empty"):

@@ -287,6 +287,25 @@ class TestProfiledLikelihood:
                 for a, b in zip(alone, stacked):
                     np.testing.assert_array_equal(a[0], b[i])
 
+    def test_singular_normal_matrix_stays_in_its_row(self):
+        # with c = 0 the c x column is zero and M2's normal matrix singular
+        # (with c = 0.7 the collinear one still factorizes); M1 is fine
+        rng = np.random.default_rng(30019)
+        x = np.linspace(0.0, 10.0, 5)
+        subjects = tuple(
+            SubjectBlock(id=f"s{i}", x=x, c=0.0, y=rng.normal(size=5)) for i in range(8)
+        )
+        stats = DatasetStatistics(Dataset(subjects=subjects))
+        mean = np.array([CandidateModel(m=m, o=2).mean_columns for m in (1, 2)])
+        theta = np.array([[0.5, 0.3, 0.0]] * 2)
+        with pytest.raises(UnidentifiableModelError, match="normal matrix is singular"):
+            _solve(stats, mean, theta)
+        stacked = _profile_stack(stats, mean, theta)
+        assert stacked[0][1] == np.inf
+        assert not stacked[1][1].any() and not stacked[2][1].any()
+        for a, b in zip(_profile(stats, mean[:1], theta[:1]), stacked):
+            np.testing.assert_array_equal(a[0], b[0])
+
     def test_absent_random_effects_are_zero_variances_of_o4(self):
         # every candidate reads O4M4's one rotation: it is O4Mm with the
         # variances it lacks held at zero
@@ -800,10 +819,13 @@ class TestFitMl:
             if cand.m == 1:
                 # without an alpha term the same data is fine
                 fit_ml(cand, data)
+                ProfiledLikelihood(cand, data)
             else:
                 message = f"candidate {cand.id} .*single value"
                 with pytest.raises(UnidentifiableModelError, match=message):
                     fit_ml(cand, data)
+                with pytest.raises(UnidentifiableModelError, match=message):
+                    ProfiledLikelihood(cand, data)
 
     def test_too_few_observations_rejected(self):
         x = np.array([0.0, 5.0])
