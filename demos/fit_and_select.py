@@ -35,11 +35,12 @@ header = f"{'candidate':<10}{'loglik':>12}{'p':>4}" + "".join(
 print(header)
 for report in reports:
     cells = "".join(f"{report.values[c]:>12.2f}" for c in CRITERIA)
-    print(f"{report.candidate_id:<10}{report.loglik:>12.2f}{report.p:>4}{cells}")
+    p = report.fit.candidate.n_parameters
+    print(f"{report.candidate_id:<10}{report.loglik:>12.2f}{p:>4}{cells}")
 
 print()
 summary = selection_summary(reports)
-ess = [report.n_effective for report in reports]
+ess = [report.fit.n_effective for report in reports]
 print(
     f"sample sizes: N = {summary['N']}, n = {summary['n']}, "
     f"n_e between {min(ess):.1f} and {max(ess):.1f} depending on the candidate"

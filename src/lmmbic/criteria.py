@@ -50,10 +50,6 @@ _JEFFREYS_LABELS = (
 # pair whose extra variance sits at zero differs only in rounding there.
 _TIE_RTOL = 1e-9
 
-# A report's candidate id to its enumeration index, the second key of the
-# parsimony order.
-_ENUMERATION_INDEX = {c.id: c.enumeration_index for c in enumerate_candidates()}
-
 _DELTA_BREAKS = (2.0, 6.0, 10.0)
 _DELTA_LABELS = (
     "Not worth more than a bare mention",
@@ -152,33 +148,25 @@ def delta_bic_label(delta: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class BicReport:
-    """Every criterion's value for one fitted candidate, keyed by CRITERIA."""
+    """One fit and every criterion's value for it, keyed by CRITERIA."""
 
-    candidate_id: str
-    loglik: float
-    p: int
-    n_obs: int
-    n_subjects: int
-    n_effective: float
+    fit: FittedModel
     values: Mapping[str, float]
-    partition: ParameterPartition
+
+    @property
+    def candidate_id(self) -> str:
+        return self.fit.candidate.id
+
+    @property
+    def loglik(self) -> float:
+        return self.fit.loglik
 
 
 def build_report(fit: FittedModel) -> BicReport:
     """Evaluate every criterion for one fit (n_e is the fit's n_effective)."""
-    part = partition_parameters(fit.candidate)
-    n_e = effective_sample_size(fit)
-    sizes = {"N": fit.n_subjects, "n": fit.n_obs, "n_e": n_e}
-    return BicReport(
-        candidate_id=fit.candidate.id,
-        loglik=fit.loglik,
-        p=fit.candidate.n_parameters,
-        n_obs=fit.n_obs,
-        n_subjects=fit.n_subjects,
-        n_effective=n_e,
-        values=MappingProxyType(criterion_values(fit.loglik, part, sizes)),
-        partition=part,
-    )
+    sizes = {"N": fit.n_subjects, "n": fit.n_obs, "n_e": effective_sample_size(fit)}
+    values = criterion_values(fit.loglik, partition_parameters(fit.candidate), sizes)
+    return BicReport(fit=fit, values=MappingProxyType(values))
 
 
 def usable_reports(
@@ -214,7 +202,7 @@ def _ranked(reports: Sequence[BicReport], criterion: str) -> list[BicReport]:
         raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
 
     def parsimony(r: BicReport) -> tuple[int, int]:
-        return r.p, _ENUMERATION_INDEX[r.candidate_id]
+        return r.fit.candidate.n_parameters, r.fit.candidate.enumeration_index
 
     by_value = sorted(reports, key=lambda r: (r.values[criterion], *parsimony(r)))
     best = by_value[0].values[criterion]
@@ -236,16 +224,18 @@ def select_model(reports: Sequence[BicReport], criterion: str) -> str:
 
 
 def report_to_dict(report: BicReport) -> dict:
+    fit = report.fit
+    part = partition_parameters(fit.candidate)
     return {
-        "candidate": report.candidate_id,
-        "loglik": report.loglik,
-        "p": report.p,
-        "n": report.n_obs,
-        "N": report.n_subjects,
-        "n_e": report.n_effective,
+        "candidate": fit.candidate.id,
+        "loglik": fit.loglik,
+        "p": fit.candidate.n_parameters,
+        "n": fit.n_obs,
+        "N": fit.n_subjects,
+        "n_e": fit.n_effective,
         **{f"bic_{name}": report.values[name] for name in CRITERIA},
-        "theta_R": list(report.partition.random),
-        "theta_F": list(report.partition.fixed),
+        "theta_R": list(part.random),
+        "theta_F": list(part.fixed),
     }
 
 
@@ -289,8 +279,8 @@ def selection_summary(
                 "jeffreys_label": jeffreys_label(bf),
             }
     return {
-        "n": reports[0].n_obs,
-        "N": reports[0].n_subjects,
+        "n": reports[0].fit.n_obs,
+        "N": reports[0].fit.n_subjects,
         "criteria": criteria,
         "candidates": [report_to_dict(r) for r in reports],
         "winners": winners,

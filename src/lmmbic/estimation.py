@@ -88,10 +88,6 @@ from .candidates import MEAN_FACTOR, MEAN_Z, CandidateModel, enumerate_candidate
 from .data import Dataset, _readonly
 from .model import LN_TWO_PI, ParameterVector
 
-# The lower bound of the profiled sigma2: on data the mean fits exactly
-# sigma2_hat sits on it and is listed as boundary.  Relative variances
-# have their own bound at exactly zero (see _ZERO_SHIFT).
-VARIANCE_FLOOR = 1e-12
 # KKT tolerance: a fit converged when its projected gradient on the
 # search scale is at most _KKT_TOLERANCE * (1 + |loglik|).
 _KKT_TOLERANCE = 1e-8
@@ -127,7 +123,7 @@ _SAME_OPTIMUM = 5e-12
 # y'y, so its rounding grows like sqrt(n) eps y'y (on data the mean fits
 # exactly it reached 16 eps y'y at n = 24 and 171 eps y'y at n = 10^4).
 # An rss below _RSS_ROUNDING sqrt(n) y'y is taken as zero: the mean fits
-# the data exactly.
+# the data exactly, and sigma2_hat is held at that rounding over n.
 _RSS_ROUNDING = 8.0 * float(np.finfo(float).eps)
 _EYE3 = np.eye(3)
 _EYE5 = np.eye(5)
@@ -143,13 +139,15 @@ class FittedModel:
 
     converged is the KKT check where the search stopped (see fit_ml).
     boundary lists the omega* labels whose estimate is exactly zero, and
-    sigma2 when it sits on VARIANCE_FLOOR; such solutions are reported
-    rather than rejected.  n_effective is the effective sample size
-    sum_i 1' R_i^-1 1 at theta_hat's variances (_effective_sizes).
-    iterations counts the Newton steps and evaluations the likelihood
-    evaluations of the candidate's searches, and restarted says whether
-    its optimum came from the restart at the optimum of a candidate it
-    nests.  A fit holds no reference to its dataset.
+    sigma2 when the mean fits the data exactly, rss within its rounding,
+    where sigma2_hat is that rounding over n (see _profile); such
+    solutions are reported rather than rejected.  n_effective is the
+    effective sample size sum_i 1' R_i^-1 1 at theta_hat's variances
+    (_effective_sizes).  iterations counts the Newton steps and
+    evaluations the likelihood evaluations of the candidate's searches,
+    and restarted says whether its optimum came from the restart at the
+    optimum of a candidate it nests.  A fit holds no reference to its
+    dataset.
     """
 
     candidate: CandidateModel
@@ -338,7 +336,9 @@ def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> t
     """Negative log-likelihoods with beta and sigma2 profiled out.
 
     At relative variances theta = omega2 / sigma2 (B, 3) the likelihood
-    is maximized by sigma2_hat = max(rss / n, VARIANCE_FLOOR).  Returns
+    is maximized by sigma2_hat = rss / n; where the mean fits the data
+    exactly, rss is zero (see _solve) and sigma2_hat is held at the
+    floor rss_rounding / n, which scales with y'y.  Returns
     per candidate f = -loglik at (theta * sigma2_hat, sigma2_hat), its
     exact gradient (B, 3) and Hessian (B, 3, 3) in theta, sigma2_hat and
     beta_hat (B, 5).  With r_j the j-th column of a grid's R, K = Ct^-1,
@@ -353,18 +353,16 @@ def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> t
     (beta_hat is stationary, and sigma2_hat stationary or held at the
     floor, so neither adds a term to the gradient).  f's gradient is
     (d log det + d rss / sigma2_hat) / 2 and its Hessian (d2 log det +
-    d2 rss / sigma2_hat - d rss d rss' / (n sigma2_hat^2)) / 2, without
-    the last term when sigma2_hat is on the floor.  S and P come from the
-    same cross-product tensors as the normal equations.  Where the mean
-    fits the data exactly, rss is zero (see _solve) and so are its
-    terms: S is then rounding, which sigma2_hat on the floor would
-    magnify.
+    d2 rss / sigma2_hat - d rss d rss' / (n sigma2_hat^2)) / 2.  S and P
+    come from the same cross-product tensors as the normal equations.
+    Where sigma2_hat is on the floor, rss is zero and so are its terms:
+    S is then rounding, which the floor would magnify.
 
     Raises the same errors as _solve.
     """
     logdet, rss, beta, K, A = _solve(stats, mean, theta)
     B, n = theta.shape[0], stats.n_obs
-    sigma2 = np.maximum(rss / n, VARIANCE_FLOOR)
+    sigma2 = np.maximum(rss, stats.rss_rounding) / n
     value = 0.5 * (n * (LN_TWO_PI + np.log(sigma2)) + logdet + rss / sigma2)
     W = K @ stats.R                                # columns K_g r_j
     Wt = W.transpose(0, 1, 3, 2)
@@ -379,8 +377,7 @@ def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> t
     d_rss = -np.diagonal(N.sum(axis=1), axis1=1, axis2=2)
     MN = (M * N).sum(axis=1)
     h_rss = MN + MN.transpose(0, 2, 1) - 2.0 * c @ np.linalg.solve(A, c.transpose(0, 2, 1))
-    outer = d_rss[:, :, None] * d_rss[:, None, :] / (n * sigma2[:, None, None])
-    h_rss -= np.where((sigma2 > VARIANCE_FLOOR)[:, None, None], outer, 0.0)
+    h_rss -= d_rss[:, :, None] * d_rss[:, None, :] / (n * sigma2[:, None, None])
     fitted = (rss > 0.0)[:, None]
     grad = np.where(fitted, d_rss / sigma2[:, None], 0.0)
     grad += stats.counts @ np.diagonal(M, axis1=2, axis2=3)
@@ -645,7 +642,7 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
             continue
         omega2 = theta[i, candidate.random_columns] * sigma2[i]
         boundary = tuple(label for label, v in zip(candidate.variance_labels(), omega2) if v == 0.0)
-        if sigma2[i] <= VARIANCE_FLOOR:
+        if sigma2[i] <= stats.rss_rounding / stats.n_obs:  # rss is zero
             boundary += ("sigma2",)
         fits[candidate] = FittedModel(
             candidate=candidate,

@@ -115,7 +115,6 @@ class ReplicateResult:
     truth_id: str
     replicate_index: int
     selections: dict[str, str] | None
-    n_fits: int
     n_failed: int
 
 
@@ -143,7 +142,6 @@ def run_replicate(
         truth_id=true_candidate.id,
         replicate_index=replicate_index,
         selections=selections,
-        n_fits=len(reports) + len(left_out),
         n_failed=len(left_out),
     )
 
@@ -232,7 +230,7 @@ def run_study(config: StudyConfig, n_workers: int | None = None) -> FrequencyTab
     table = FrequencyTable(
         rows=tuple(rows),
         invalid_replicates=invalid,
-        total_fits=sum(res.n_fits for res in results),
+        total_fits=len(truths) * len(results),  # usable_reports fits every candidate
         failed_fits=sum(res.n_failed for res in results),
     )
     logger.info(

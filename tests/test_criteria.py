@@ -23,7 +23,8 @@ from lmmbic.criteria import (
     usable_reports,
 )
 from lmmbic.data import Dataset, SubjectBlock
-from lmmbic.estimation import UnidentifiableModelError, fit_ml
+from lmmbic.estimation import FittedModel, UnidentifiableModelError, fit_ml
+from lmmbic.model import ParameterVector
 from lmmbic.simulation import DESIGNS, SimulationDesign
 
 from hybrid_recovery import cheaper_upgrade_truths, recoverable_truths, sample_sizes
@@ -272,17 +273,9 @@ class TestEvidenceLabels:
 
 def report_for(candidate_id, loglik, n_obs=100, n_subjects=20, n_effective=60.0):
     cand = CandidateModel.from_id(candidate_id)
-    part = partition_parameters(cand)
-    return BicReport(
-        candidate_id=candidate_id,
-        loglik=loglik,
-        p=cand.n_parameters,
-        n_obs=n_obs,
-        n_subjects=n_subjects,
-        n_effective=n_effective,
-        values=criterion_values(loglik, part, sizes(n_subjects, n_obs, n_effective)),
-        partition=part,
-    )
+    theta = ParameterVector(np.zeros(cand.mean_columns.sum()), np.ones(cand.n_variance), 1.0)
+    fit = FittedModel(cand, theta, loglik, True, (), n_obs, n_subjects, n_effective)
+    return build_report(fit)
 
 
 def rigged(report, criterion, value):
@@ -399,16 +392,18 @@ class TestBuildReport:
         fit, data = self.fit_small()
         report = build_report(fit)
         assert report.candidate_id == "O1M1"
-        assert report.p == 5
-        assert report.n_obs == data.n_obs and report.n_subjects == data.n_subjects
+        assert [field.name for field in dataclasses.fields(BicReport)] == ["fit", "values"]
+        assert report.fit is fit
+        assert report.fit.candidate.n_parameters == 5
+        assert report.fit.n_obs == data.n_obs and report.fit.n_subjects == data.n_subjects
         expected = closed_forms(
             fit.loglik, partition_parameters(fit.candidate),
-            data.n_subjects, data.n_obs, report.n_effective,
+            data.n_subjects, data.n_obs, report.fit.n_effective,
         )
         assert dict(report.values) == expected
         with pytest.raises(TypeError):
             report.values["n"] = 0.0  # read-only
-        assert data.n_subjects < report.n_effective < data.n_obs
+        assert data.n_subjects < report.fit.n_effective < data.n_obs
         # intermediate sample size puts BIC_ne between its siblings
         lo, hi = sorted((report.values["N"], report.values["n"]))
         assert lo <= report.values["ne"] <= hi

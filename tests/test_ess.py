@@ -9,7 +9,6 @@ from lmmbic.candidates import (
 )
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
-    VARIANCE_FLOOR,
     DatasetStatistics,
     FittedModel,
     _effective_sizes,
@@ -235,7 +234,7 @@ class TestEffectiveSampleSize:
 
     def test_matches_dense_reference(self):
         # the capacitance form against the dense correlation blocks, at
-        # random variances, with sigma2 on the floor, and at fitted optima;
+        # random variances, with a tiny sigma2, and at fitted optima;
         # theta_j s_j^2 up to 2 puts a random effect's share of the
         # variance at up to twice the noise's, as the search scales it
         rng = np.random.default_rng(68)
@@ -245,7 +244,7 @@ class TestEffectiveSampleSize:
                 theta = rng.uniform(0.0, 2.0, size=cand.n_variance) / z_scale2[cand.random_columns]
                 fits = [
                     synthetic_fit(cand, data, omega2=theta * 0.7, sigma2=0.7),
-                    synthetic_fit(cand, data, omega2=theta * VARIANCE_FLOOR, sigma2=VARIANCE_FLOOR),
+                    synthetic_fit(cand, data, omega2=theta * 1e-12, sigma2=1e-12),
                 ]
                 try:
                     fits.append(fit_ml(cand, data))

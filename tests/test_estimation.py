@@ -17,7 +17,6 @@ from lmmbic.candidates import (
 import lmmbic.estimation
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
-    VARIANCE_FLOOR,
     _LINE_SEARCH_STEPS,
     DatasetStatistics,
     ProfiledLikelihood,
@@ -224,8 +223,8 @@ class TestProfiledLikelihood:
         x = np.linspace(0.0, 10.0, 4)
         line = [SubjectBlock(id=f"s{i}", x=x, c=float(i), y=1.0 + 2.0 * x) for i in range(6)]
         exact = Dataset(subjects=tuple(line))  # rss = 0: the mean fits exactly
-        # noise of 7e-7 about a line of slope 2e-6: rss > 0 and sigma2_hat on the floor,
-        # close enough to it that the free-sigma2 term would show
+        # noise of 7e-7 about a line of slope 2e-6: rss > 0 with rss / n below 1e-12,
+        # small enough that the free-sigma2 term shows, yet above rss's rounding
         rng = np.random.default_rng(22)
         on_floor = Dataset(subjects=tuple(
             SubjectBlock(id=b.id, x=b.x, c=b.c, y=1e-6 * b.y + 7e-7 * rng.normal(size=b.x.size))
@@ -253,9 +252,11 @@ class TestProfiledLikelihood:
                         row = hess[0, j, random_columns]
                         scale = np.abs(row).max()
                         np.testing.assert_allclose(row, fd[0, random_columns], rtol=0.0, atol=1e-4 * scale)
-                    if data is on_floor or data is exact:
-                        assert sigma2[0] == VARIANCE_FLOOR
-                        assert (_solve(stats, mean, point)[1][0] > 0.0) == (data is on_floor)
+                    rss = _solve(stats, mean, point)[1][0]
+                    if data is on_floor:
+                        assert rss > 0.0 and sigma2[0] == rss / data.n_obs
+                    elif data is exact:
+                        assert rss == 0.0 and sigma2[0] == stats.rss_rounding / data.n_obs
 
     def test_profile_is_evaluate_at_sigma2_hat(self):
         rng = np.random.default_rng(19)
@@ -776,7 +777,7 @@ class TestFitMl:
         fit = fit_ml(CandidateModel(m=1, o=1), data)
         assert "omega0" in fit.boundary
         assert "sigma2" in fit.boundary
-        assert fit.theta_hat.sigma2 == VARIANCE_FLOOR
+        assert fit.theta_hat.sigma2 == DatasetStatistics(data).rss_rounding / data.n_obs
         np.testing.assert_allclose(fit.theta_hat.beta, [1.0, 2.0, 0.0], atol=1e-6)
 
     def test_every_candidate_converges_on_exact_fit(self):
@@ -804,7 +805,7 @@ class TestFitMl:
         data, _ = study_data()
         fit = fit_ml(CandidateModel(m=4, o=4), data)
         assert np.all(fit.theta_hat.omega2 >= 0.0)
-        assert fit.theta_hat.sigma2 >= VARIANCE_FLOOR
+        assert fit.theta_hat.sigma2 > DatasetStatistics(data).rss_rounding / data.n_obs
         assert fit.theta_hat.omega2[2] == 0.0
         assert fit.boundary == ("omega2",)
 

@@ -131,7 +131,6 @@ class TestRunReplicate:
         assert result.design_label == "a"
         assert result.truth_id == "O1M1"
         assert result.replicate_index == 0
-        assert result.n_fits == 16
         assert 0 <= result.n_failed <= 16
         if result.selections is not None:
             assert set(result.selections) == set(CRITERIA)
@@ -286,7 +285,7 @@ class TestRunStudy:
             winner = "O1M1" if key == ("a", "O3M3", 0) else true_candidate.id
             selections = None if key == ("b", "O2M1", 1) else dict.fromkeys(CRITERIA, winner)
             return lmmbic.simulation.ReplicateResult(
-                design.label, true_candidate.id, replicate_index, selections, 16, replicate_index
+                design.label, true_candidate.id, replicate_index, selections, replicate_index
             )
 
         monkeypatch.setattr(lmmbic.simulation, "run_replicate", fake_replicate)
