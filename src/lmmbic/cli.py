@@ -226,6 +226,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .simulation import StudyConfig, run_study
 
     config = StudyConfig(designs=tuple(args.design), replicates=args.replicates, seed=args.seed)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # fail before the study, not after
     workers = _thread_count(args)
     logger.info(
         "running %d designs x 16 truths x %d replicates on %d worker(s)",

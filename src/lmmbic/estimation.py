@@ -377,9 +377,11 @@ def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> t
     d_rss = -np.diagonal(N.sum(axis=1), axis1=1, axis2=2)
     MN = (M * N).sum(axis=1)
     h_rss = MN + MN.transpose(0, 2, 1) - 2.0 * c @ np.linalg.solve(A, c.transpose(0, 2, 1))
-    h_rss -= d_rss[:, :, None] * d_rss[:, None, :] / (n * sigma2[:, None, None])
+    # d rss d rss' / (n sigma2_hat) as (d rss / rss) d rss', so that y^4 is never formed
+    g_rss = d_rss / sigma2[:, None]
+    h_rss -= g_rss[:, :, None] / n * d_rss[:, None, :]
     fitted = (rss > 0.0)[:, None]
-    grad = np.where(fitted, d_rss / sigma2[:, None], 0.0)
+    grad = np.where(fitted, g_rss, 0.0)
     grad += stats.counts @ np.diagonal(M, axis1=2, axis2=3)
     hess = np.where(fitted[:, :, None], h_rss / sigma2[:, None, None], 0.0)
     hess -= (stats.counts @ (M * M).reshape(B, -1, 9)).reshape(B, 3, 3)
@@ -387,12 +389,12 @@ def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> t
 
 
 def _profile_stack(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tuple:
-    """_profile with a breakdown kept to its own rows: when the stack
-    raises or some f is not finite, each row is evaluated alone, and one
-    that breaks down alone gets f = inf and a zero gradient and Hessian."""
+    """_profile with a breakdown kept to its own rows: when the stack raises
+    or an f, gradient or Hessian is not finite, each row is evaluated alone,
+    and one that breaks down alone gets f = inf and zero derivatives."""
     try:
         out = _profile(stats, mean, theta)
-        if np.isfinite(out[0]).all():
+        if all(np.isfinite(a).all() for a in out[:3]):
             return out
     except (np.linalg.LinAlgError, UnidentifiableModelError):
         pass
@@ -522,10 +524,17 @@ def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
     all four of its variance structures.  The rank of each structure's
     X'X is numpy.linalg.matrix_rank's, from one eigvalsh of the four with
     the absent columns zeroed, which adds only zero eigenvalues.  An X'X
-    that overflows a float rejects all four structures.
+    that overflows a float rejects all four structures, and so does a y
+    whose y'y, the scale of rss's rounding, is zero, subnormal or so
+    large that _profile's products overflow.
     """
     if not np.isfinite(stats.xtx).all():  # eigvalsh would raise LinAlgError
         message = "mean design for candidate {id} overflows a float; rescale x or c"
+        return dict.fromkeys((1, 2, 3, 4), message)
+    # _profile's largest products, N = W'SW and M o N, are about y'y (sum |rr|)^2
+    size, floats = np.abs(stats.rr).sum(), np.finfo(float)
+    if not floats.tiny <= stats.yty <= floats.max / size / size:
+        message = "response y for candidate {id} is zero or out of float range; rescale y"
         return dict.fromkeys((1, 2, 3, 4), message)
     masks = _MEAN[:4]
     sizes = masks.sum(axis=1)
@@ -616,9 +625,14 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
         rows = [i for i, j in best.items() if fs[j] < fs[i] - _F_ROUNDING * (1.0 + abs(fs[j]))]
         if rows:
             found = _search(stats, mean[rows], present[rows], theta[[best[i] for i in rows]])
-            theta[rows], f[rows], converged[rows], steps, spent, sigma2[rows], beta[rows] = found
-            iterations[rows] += steps
-            evaluations[rows] += spent
+            iterations[rows] += found[3]
+            evaluations[rows] += found[4]
+            # a restart that breaks down at its start keeps the first
+            # optimum, which its cover beats: that one is not converged
+            kept = np.isfinite(found[1])
+            converged[rows] &= kept
+            rows, found = np.array(rows)[kept], [a[kept] for a in found]
+            theta[rows], f[rows], converged[rows], _, _, sigma2[rows], beta[rows] = found
             restarted[rows] = True
     fs, zero = f.tolist(), (theta == 0.0).tolist()
     for i, k in enumerate(ids):  # covers come first in this order
@@ -692,10 +706,10 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     it nests reports that candidate's optimum bit for bit.
 
     Raises:
-        UnidentifiableModelError: fewer observations than parameters,
-            rank-deficient mean design, an alpha term with a constant
-            subject covariate, or a likelihood that could not be
-            evaluated anywhere the search went.
+        UnidentifiableModelError: fewer observations than parameters, a
+            rank-deficient or overflowing mean design, a zero or out-of-range
+            y, an alpha term with a constant subject covariate, or a
+            likelihood that could not be evaluated anywhere the search went.
     """
     fits = _FITS.get(data)
     if fits is None:

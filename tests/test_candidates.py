@@ -89,6 +89,9 @@ class TestCandidateModel:
         for bad in ("O5M1", "O1M0", "M1O1", "O1", "", "O1M12"):
             with pytest.raises(ValueError):
                 CandidateModel.from_id(bad)
+        # a letter where a digit belongs is reported as a malformed id
+        with pytest.raises(ValueError, match="must look like 'O2M1', got 'OXM1'"):
+            CandidateModel.from_id("OXM1")
 
     def test_invalid_indices(self):
         with pytest.raises(ValueError):
@@ -291,6 +294,8 @@ class TestSubstreamKeys:
             substream_keys(5, [[2**32]])
         with pytest.raises(ValueError):
             substream_keys(5, [[0.5]])
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            substream(-1)
 
     @pytest.mark.parametrize("n_subjects", [1, 7, 100, 400])
     def test_generate_dataset_matches_substreams(self, n_subjects):

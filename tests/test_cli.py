@@ -193,6 +193,30 @@ class TestSelectCommand:
         assert len(payload["candidates"]) == 16
         assert "bic_N" in payload["candidates"][0]
 
+    def test_response_in_large_units(self, tmp_path, capsys):
+        # y in units 1e80 times smaller: the same ranking, without a warning,
+        # and every loglik moved by n ln 1e80
+        rng = np.random.default_rng(47041)
+        x = np.array([0.0, 4.0, 9.0])
+        subjects = [
+            SubjectBlock(id=f"s{i}", x=x, c=rng.normal(), y=1.0 + 0.5 * x + rng.normal(size=3))
+            for i in range(4)
+        ]
+        payloads = []
+        for scale in (1.0, 1e80):
+            path = tmp_path / f"y{scale:g}.csv"
+            blocks = [dataclasses.replace(b, y=b.y * scale) for b in subjects]
+            write_data(Dataset(subjects=blocks), path)
+            code, out, _ = run_cli(capsys, "select", str(path))
+            assert code == 0
+            payloads.append(json.loads(out))
+        plain, scaled = payloads
+        assert scaled["winners"] == plain["winners"]
+        shift = 12 * np.log(1e80)
+        for a, b in zip(plain["candidates"], scaled["candidates"]):
+            assert a["candidate"] == b["candidate"]
+            assert b["loglik"] + shift == pytest.approx(a["loglik"], rel=1e-9)
+
     def test_bad_criteria_is_usage_error(self, data_file):
         path, _ = data_file
         with pytest.raises(SystemExit) as excinfo:
@@ -325,6 +349,17 @@ class TestSimulateCommand:
             summary = list(csv.DictReader(handle))
         assert [r["criterion"] for r in summary] == list(CRITERIA)
         assert (out_dir / "figure.svg").read_text().startswith("<svg")
+
+    def test_unwritable_out_fails_before_the_study(self, tmp_path, monkeypatch, capsys):
+        # --out names an existing file: the command stops before any replicate runs
+        out = tmp_path / "f.txt"
+        out.write_text("")
+        studies = []
+        monkeypatch.setattr(lmmbic.simulation, "run_study", lambda *a, **k: studies.append(a))
+        code, _, err = run_cli(capsys, "simulate", "--design", "a", "--out", str(out))
+        assert code == 1
+        assert "File exists" in err
+        assert studies == []
 
     @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--replicates", "0"]])
     def test_out_of_range_count_is_usage_error(self, flag, tmp_path, capsys):

@@ -327,6 +327,10 @@ class TestSelectModel:
 
 
 class TestSelectionSummary:
+    def test_no_reports_rejected(self):
+        with pytest.raises(ValueError, match="no reports to summarize"):
+            selection_summary([])
+
     def test_structure_and_evidence(self):
         reports = [report_for("O1M1", -60.0), report_for("O2M1", -40.0)]
         payload = selection_summary(reports)

@@ -288,6 +288,13 @@ class TestReadDataset:
         data = read_dataset(path)
         assert data.n_obs == 2
 
+    def test_header_without_delimiter_is_missing_columns(self, tmp_path):
+        # no tab, semicolon or comma: read as comma-separated, so the whole
+        # header is one column and subject is missing
+        path = self.write(tmp_path, "subject x c y\ns1 0 1 2\ns1 1 1 3\n")
+        with pytest.raises(DataFormatError, match="missing column 'subject'"):
+            read_dataset(path)
+
     def test_semicolon_delimiter(self, tmp_path):
         path = self.write(tmp_path, "subject;x;c;y\ns1;0;1;2\ns1;1;1;3\n")
         assert read_dataset(path).n_obs == 2

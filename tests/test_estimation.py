@@ -1,6 +1,10 @@
+import functools
 import gc
+import importlib.util
+import math
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from lmmbic.candidates import (
     generate_dataset,
 )
 import lmmbic.estimation
+from lmmbic.criteria import CRITERIA, build_report, select_model, usable_reports
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
     _LINE_SEARCH_STEPS,
@@ -287,6 +292,20 @@ class TestProfiledLikelihood:
                 alone = _profile_stack(stats, mean[i : i + 1], theta[i : i + 1])
                 for a, b in zip(alone, stacked):
                     np.testing.assert_array_equal(a[0], b[i])
+
+    def test_overflowing_derivatives_price_out_their_row(self):
+        # y'y at a quarter of the largest float and theta = 0, where K = I:
+        # f is finite, but its derivatives overflow, and no step can use them
+        data = study_dataset("a", "O4M4")
+        scale = math.sqrt(np.finfo(float).max / 4.0 / DatasetStatistics(data).yty)
+        y = data.y * scale
+        stats = DatasetStatistics(Dataset.from_columns(data.ids, np.diff(data.bounds), data.c, data.x, y))
+        mean, theta = np.ones((1, 5), dtype=bool), np.zeros((1, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, grad, hess, _, _ = _profile(stats, mean, theta)
+            assert np.isfinite(f).all() and not (np.isfinite(grad).all() and np.isfinite(hess).all())
+            f, grad, hess, _, _ = _profile_stack(stats, mean, theta)
+        assert f[0] == np.inf and not grad.any() and not hess.any()
 
     def test_singular_normal_matrix_stays_in_its_row(self):
         # with c = 0 the c x column is zero and M2's normal matrix singular
@@ -880,6 +899,30 @@ class TestFitMl:
                     fit_ml(cand, data)
         assert len(searches) == 1
 
+    def test_restart_that_breaks_down_keeps_the_first_optimum(self):
+        # O1M4's first search converges at loglik -109.44; its best cover's
+        # optimum lies at theta_0 ~ 1.5e14 with loglik ~ 36.86, and the
+        # restart from there breaks down at its start
+        rows = (
+            ("s0", [7.497450991458502], -0.9223814729286727, [-5422497.1385593675]),
+            ("s1", [4.738591090534387, 6.2144182254074884, 6.6146318222641565, 8.775029922635454],
+             0.8964461478298618, [-0.029592877585486534, -0.05067873720762725,
+                                  -0.05734988931895663, -0.10038392272853514]),
+            ("s2", [9.808361271079919], 1.3878015494373896, [0.11452474835092111]),
+            ("s3", [1.1967359581925796, 6.580492195117836], 0.4356849487374035,
+             [-3.699074846565707, -37.95220169341218]),
+        )
+        data = Dataset(subjects=tuple(
+            SubjectBlock(id=i, x=np.array(x), c=c, y=np.array(y)) for i, x, c, y in rows
+        ))
+        cand = CandidateModel.from_id("O1M4")
+        fit = fit_ml(cand, data)
+        assert not fit.converged and not fit.restarted
+        assert fit.loglik == pytest.approx(-109.44, abs=0.01)
+        assert max(fit_ml(cover, data).loglik for cover in cand.covers()) > fit.loglik
+        _, left_out = usable_reports(data, fit_ml, build_report)
+        assert left_out["O1M4"] == "did not converge"
+
     def test_collinear_design_rejected(self):
         # x in {0, 1} makes the linear and quadratic columns identical
         rng = np.random.default_rng(33)
@@ -893,3 +936,80 @@ class TestFitMl:
             message = f"candidate {cand.id} is rank deficient"
             with pytest.raises(UnidentifiableModelError, match=message):
                 fit_ml(cand, data)
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    """The statistics of every family search the test runs, in order."""
+    calls = []
+    search_family = lmmbic.estimation._search_family
+
+    def counting(stats):
+        calls.append(stats)
+        return search_family(stats)
+
+    monkeypatch.setattr(lmmbic.estimation, "_search_family", counting)
+    return calls
+
+
+@functools.cache
+def benchmark_dataset(kind, seed):
+    """File 0 of a benchmark workload's inputs at this seed."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.datasets(kind, seed, 1)[0]
+
+
+class TestResponseScale:
+    # y in other units: each fit moves with them, and a y whose products
+    # the core cannot hold in floats is rejected for every candidate
+    FILES = [("ragged", 46021), ("shared", 46023)]
+
+    def select_scaled(self, data, scale, searches):
+        """True when select on y * scale picks the winners it picks at
+        scale 1, every loglik + n ln scale within 1e-9 relative of the one
+        at scale 1; False when every candidate is rejected for y.  Either
+        way the family is searched once and nothing warns."""
+        reference, left_out = usable_reports(data, fit_ml, build_report)
+        assert not left_out
+        scaled = Dataset.from_columns(data.ids, np.diff(data.bounds), data.c, data.x, data.y * scale)
+        searches.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports, left_out = usable_reports(scaled, fit_ml, build_report)
+        assert len(searches) == 1
+        if not reports:
+            assert len(left_out) == 16
+            for cand_id, why in left_out.items():
+                assert why == (
+                    f"failed to fit (response y for candidate {cand_id} "
+                    "is zero or out of float range; rescale y)"
+                )
+            return False
+        assert not left_out
+        for crit in CRITERIA:
+            assert select_model(reports, crit) == select_model(reference, crit), (scale, crit)
+        shift = data.n_obs * math.log(scale)
+        for before, after in zip(reference, reports):
+            assert after.loglik + shift == pytest.approx(before.loglik, rel=1e-9, abs=0.0)
+        return True
+
+    @pytest.mark.parametrize("kind, seed", FILES)
+    def test_fits_move_with_the_units(self, kind, seed, searches):
+        for scale in (1e-30, 1e-8, 1e80, 1e120):
+            assert self.select_scaled(benchmark_dataset(kind, seed), scale, searches), scale
+
+    @pytest.mark.parametrize("kind, seed", FILES)
+    def test_zero_or_huge_response_rejected(self, kind, seed, searches):
+        for scale in (1e200, 0.0):
+            assert not self.select_scaled(benchmark_dataset(kind, seed), scale, searches), scale
+
+    @pytest.mark.parametrize("kind, seed", FILES)
+    def test_every_decade_fits_or_is_rejected(self, kind, seed, searches):
+        data = benchmark_dataset(kind, seed)
+        fitted = [self.select_scaled(data, 10.0 ** e, searches) for e in range(-200, 201)]
+        # the decades that fit are one run about scale 1
+        first, last = fitted.index(True), len(fitted) - fitted[::-1].index(True)
+        assert all(fitted[first:last]) and first <= 200 < last

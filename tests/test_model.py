@@ -57,6 +57,8 @@ class TestParameterVector:
             ParameterVector(beta=[0.0], omega2=[-0.1], sigma2=1.0)
         with pytest.raises(ValueError):
             ParameterVector(beta=[0.0], omega2=[0.1], sigma2=0.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ParameterVector(beta=[[0.0, 1.0]], omega2=[0.1], sigma2=1.0)
 
     def test_zero_omega_allowed(self):
         p = ParameterVector(beta=[1.0, 2.0], omega2=[0.0], sigma2=0.5)
@@ -69,6 +71,10 @@ class TestParameterVector:
 
 
 class TestAssembleCovariance:
+    def test_vector_design_rejected(self):
+        with pytest.raises(ValueError, match="Z must be a matrix"):
+            assemble_marginal_covariance(np.ones(3), np.array([0.5, 0.5, 0.5]), 1.0)
+
     def test_hand_computed_intercept_slope(self):
         Z = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         V = assemble_marginal_covariance(Z, np.array([0.5, 0.25]), 1.0)
