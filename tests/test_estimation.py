@@ -375,7 +375,7 @@ class TestDatasetStatistics:
         assert len(built) == 1 and built[0]() is None
         assert fit_ml(cand, data) is fit
 
-    def test_equal_dataset_gets_its_own_fits(self):
+    def test_equal_dataset_gets_fits_of_its_own(self):
         data = random_dataset(np.random.default_rng(23), n_subjects=10)
         copy = Dataset(subjects=tuple(
             SubjectBlock(id=b.id, x=b.x.copy(), c=b.c, y=b.y.copy()) for b in data.subjects
