@@ -120,8 +120,9 @@ _F_ROUNDING = 1e-12
 # above f's rounding (2e-12 at n = 10^4), below the 1e-11 nesting holds to.
 _SAME_OPTIMUM = 5e-12
 # rss is a difference of sums over the n observations, each term at most
-# y'y, so its rounding grows like sqrt(n) eps y'y (on data the mean fits
-# exactly it reached 16 eps y'y at n = 24 and 171 eps y'y at n = 10^4).
+# y'y (y centred, see DatasetStatistics), so its rounding grows like
+# sqrt(n) eps y'y (on data the mean fits exactly it reached 16 eps y'y at
+# n = 24 and 171 eps y'y at n = 10^4).
 # An rss below _RSS_ROUNDING sqrt(n) y'y is taken as zero: the mean fits
 # the data exactly, and sigma2_hat is held at that rounding over n.
 _RSS_ROUNDING = 8.0 * float(np.finfo(float).eps)
@@ -177,7 +178,11 @@ class DatasetStatistics:
 
     Subjects are grouped by observation grid as the dataset's grids give
     them, grids in order of first appearance and subjects in dataset
-    order, and a grid's responses are read from y as one (m, n) array.  Per
+    order, and a grid's responses are read from y as one (m, n) array,
+    centred on y's mean y_mean.  Every candidate's intercept absorbs the
+    centring exactly, and without it rss and the search's derivatives would
+    be differences of terms the size of y's origin.  Below, y is the
+    centred y.  Per
     distinct grid g, with O4M4's Z = [1, x, x^2] = Q R (Q and R zero-padded to 3
     axes when the grid has fewer than 3 points), X has no component
     orthogonal to Z: subject i's Q'X_i = E diag(w_i), with E = R[:, MEAN_Z]
@@ -194,8 +199,9 @@ class DatasetStatistics:
     rr (3, G*9) the outer products of R's columns: Ct = I + theta @ rr.
     Only y has a component orthogonal to Z; perp_yy is its sum of squares
     over all subjects.  xtx = sum_g sum_a cross_xx[g][a, a] is O4M4's
-    plain X'X and yty is y'y; z_scale2 is the mean square of each Z
-    column.  point_q (P, 3) stacks the rows of every grid's Q, grid after
+    plain X'X and yty is y'y; constant_covariate and constant_response
+    say whether c and y take a single value; z_scale2 is the mean square
+    of each Z column.  point_q (P, 3) stacks the rows of every grid's Q, grid after
     grid in the order of R, and grid_sizes (G,) their number of points.
     """
 
@@ -205,12 +211,14 @@ class DatasetStatistics:
         self.n_obs = data.n_obs
         self.n_subjects = data.n_subjects
         self.constant_covariate = bool(data.c.min() == data.c.max())
+        self.constant_response = bool(data.y.min() == data.y.max())
+        self.y_mean = float(data.y.mean())
         self.yty = 0.0
         self.perp_yy = 0.0
         rs, qs, moments, cross_ty, cross_yy = [], [], [], [], []
         for x, members in data.grids:
             n = x.size
-            Ys = data.y[data.bounds[members][:, None] + np.arange(n)].T  # (n, m)
+            Ys = data.y[data.bounds[members][:, None] + np.arange(n)].T - self.y_mean  # (n, m)
             self.yty += float((Ys * Ys).sum())
             # a grid with n < 3 points has k = n; zero-padding Q and R to 3
             # axes leaves Ct = 1 on the padded axes, which adds nothing
@@ -278,6 +286,7 @@ class ProfiledLikelihood:
         theta = np.zeros((1, 3))
         theta[0, self.candidate.random_columns] = np.asarray(omega2, dtype=float) / sigma2
         logdet, rss, beta, _, _ = _solve(self._stats, self.candidate.mean_columns[None], theta)
+        beta[0, 0] += self._stats.y_mean
         n = self._stats.n_obs
         loglik = -0.5 * (n * (LN_TWO_PI + math.log(sigma2)) + logdet[0] + rss[0] / sigma2)
         return float(loglik), beta[0, self.candidate.mean_columns]
@@ -338,7 +347,7 @@ def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> t
     At relative variances theta = omega2 / sigma2 (B, 3) the likelihood
     is maximized by sigma2_hat = rss / n; where the mean fits the data
     exactly, rss is zero (see _solve) and sigma2_hat is held at the
-    floor rss_rounding / n, which scales with y'y.  Returns
+    floor rss_rounding / n, which scales with the centred y'y.  Returns
     per candidate f = -loglik at (theta * sigma2_hat, sigma2_hat), its
     exact gradient (B, 3) and Hessian (B, 3, 3) in theta, sigma2_hat and
     beta_hat (B, 5).  With r_j the j-th column of a grid's R, K = Ct^-1,
@@ -524,17 +533,20 @@ def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
     all four of its variance structures.  The rank of each structure's
     X'X is numpy.linalg.matrix_rank's, from one eigvalsh of the four with
     the absent columns zeroed, which adds only zero eigenvalues.  An X'X
-    that overflows a float rejects all four structures, and so does a y
-    whose y'y, the scale of rss's rounding, is zero, subnormal or so
-    large that _profile's products overflow.
+    that overflows a float rejects all four structures, and so do a y
+    that takes a single value and a y whose centred y'y, the scale of
+    rss's rounding, is subnormal or so large that _profile's products
+    overflow.
     """
     if not np.isfinite(stats.xtx).all():  # eigvalsh would raise LinAlgError
         message = "mean design for candidate {id} overflows a float; rescale x or c"
         return dict.fromkeys((1, 2, 3, 4), message)
+    if stats.constant_response:
+        return dict.fromkeys((1, 2, 3, 4), "response y for candidate {id} is constant")
     # _profile's largest products, N = W'SW and M o N, are about y'y (sum |rr|)^2
     size, floats = np.abs(stats.rr).sum(), np.finfo(float)
     if not floats.tiny <= stats.yty <= floats.max / size / size:
-        message = "response y for candidate {id} is zero or out of float range; rescale y"
+        message = "response y for candidate {id} is out of float range; rescale y"
         return dict.fromkeys((1, 2, 3, 4), message)
     masks = _MEAN[:4]
     sizes = masks.sum(axis=1)
@@ -641,6 +653,7 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
         if fs[j] <= fs[i] + _SAME_OPTIMUM * (1.0 + abs(fs[i])):
             theta[i], f[i], beta[i], sigma2[i] = theta[j], f[j], beta[j], sigma2[j]
             fs[i], zero[i] = fs[j], zero[j]
+    beta[:, 0] += stats.y_mean  # the statistics' y is centred
     # n_e at the variances each FittedModel holds, omega2 / sigma2
     n_e, finite = np.full(len(ids), math.nan), np.isfinite(f)
     if finite.any():
@@ -700,16 +713,18 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     below one it nests.  converged is the KKT check at the point the
     search returned (see _minimize_box), to _KKT_TOLERANCE: a search
     that exhausts _MAX_ITERATIONS or stalls is returned with
-    converged=False rather than raised.  The log-likelihood and beta are
+    converged=False rather than raised.  Moving y's origin moves mu0 and
+    nothing else (see DatasetStatistics).  The log-likelihood and beta are
     those at the point found, zero variances included, and `boundary`
     lists those zeros.  A search that ends on the model of a candidate
     it nests reports that candidate's optimum bit for bit.
 
     Raises:
         UnidentifiableModelError: fewer observations than parameters, a
-            rank-deficient or overflowing mean design, a zero or out-of-range
-            y, an alpha term with a constant subject covariate, or a
-            likelihood that could not be evaluated anywhere the search went.
+            rank-deficient or overflowing mean design, a constant or
+            out-of-range y, an alpha term with a constant subject
+            covariate, or a likelihood that could not be evaluated
+            anywhere the search went.
     """
     fits = _FITS.get(data)
     if fits is None:

@@ -5,15 +5,13 @@ Philox(SeedSequence(seed, spawn_key=path)) (substream).  A Philox stream
 is fixed by its key and counter alone (Salmon, Moraes, Dror & Shaw 2011,
 SC '11), so a caller that needs many nodes can derive their keys and
 re-key one generator instead of building one per node.  substream_keys
-derives the keys of a stack of paths in one vectorised pass: it restates
-numpy's SeedSequence mixing (pool size 4, hashmix and mix with their
-constants, the seed's words zero-padded to the pool, then the path's
-words, then generate_state) on uint32 vectors.  The hash constants
-advance the same way whatever the words are, and the seed's own words
-come first, so the seed's part of the pool is mixed once, on Python
-ints, and only the path words are vector work.  Its domain is any
-non-negative int seed and path entries in [0, 2**32); substream is the
-reference it is tested against.
+derives the keys of a stack of paths in one vectorised pass.  numpy's
+SeedSequence mixes the seed's words into its pool before the path's, so
+SeedSequence(seed).pool is the pool the path words start from; only what
+numpy does not expose is restated, on uint32 vectors: the hash constant
+after the seed's hashmix calls, the mixing of each path word into the
+pool (hashmix and mix with their constants) and generate_state's
+read-out.  substream is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
 # numpy's SeedSequence constants: hash constants and multipliers for
 # mixing entropy into the pool (A) and for reading state out of it (B)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -68,33 +65,24 @@ def substream_keys(seed: int, paths) -> np.ndarray:
 
     Row r is SeedSequence(seed, spawn_key=paths[r]).generate_state(2,
     np.uint64), the key substream(seed, *paths[r]) runs on with its
-    counter at 0; returns (k, 2) uint64.
+    counter at 0; returns (k, 2) uint64.  seed is a non-negative
+    integer, as for substream: SeedSequence raises on any other number
+    and int() on a sequence of words or None.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    pool = np.random.SeedSequence(seed).pool
     paths = np.asarray(paths)
     if paths.ndim != 2 or paths.dtype.kind not in "iu" or (
         paths.size and (paths.min() < 0 or paths.max() > _MASK32)
     ):
         raise ValueError("paths must be (k, L) integers in [0, 2**32)")
-    words = []
-    seed = int(seed)
-    while seed or not words:
-        words.append(seed & _MASK32)
-        seed >>= 32
-    words += [0] * (_POOL_SIZE - len(words))
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, consts) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    # the seed's words took 4 hashmix calls to fill the pool, 12 to mix
+    # it and 4 for each word past the fourth
+    words = -(-int(seed).bit_length() // 32)
+    calls = 4 + 12 + 4 * max(0, words - 4)
+    consts = _hash_constants(_INIT_A * pow(_MULT_A, calls, 2**32) & _MASK32, _MULT_A)
     pool = [np.full(paths.shape[0], word, dtype=np.uint32) for word in pool]
     for column in paths.astype(np.uint32).T:
-        for dst in range(_POOL_SIZE):
+        for dst in range(len(pool)):
             pool[dst] = _mix(pool[dst], _hashmix(column, consts))
     consts = _hash_constants(_INIT_B, _MULT_B)
     # four uint32 words read little-endian as two uint64

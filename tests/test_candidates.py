@@ -270,11 +270,11 @@ def reference_dataset(design, truth, seed):
 
 
 class TestSubstreamKeys:
-    SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**200 - 12345)
+    # the hash constants the path words start from depend on the seed's
+    # number of 32-bit words: 1 to 7 here
+    SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96, 2**128 - 1, 2**128, 2**200 - 12345)
 
     def test_keys_match_seed_sequence(self):
-        # the 200-bit seed has more words than the pool and runs the
-        # branch that mixes them in one by one
         rng = np.random.default_rng(3)
         for seed in self.SEEDS:
             for length in (1, 2, 3):
@@ -296,6 +296,9 @@ class TestSubstreamKeys:
             substream_keys(5, [[0.5]])
         with pytest.raises(ValueError, match="seed must be non-negative"):
             substream(-1)
+        for draw in (substream, lambda seed: substream_keys(seed, [[0]])):
+            with pytest.raises(TypeError):
+                draw(1.5)
 
     @pytest.mark.parametrize("n_subjects", [1, 7, 100, 400])
     def test_generate_dataset_matches_substreams(self, n_subjects):

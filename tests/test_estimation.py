@@ -424,7 +424,8 @@ class TestDatasetStatistics:
 
     def test_statistics_equal_their_definition(self):
         # the normal equations and the GLS rss that _solve reads off the
-        # statistics equal the sums over subjects of the dense matrices
+        # statistics equal the sums over subjects of the dense matrices,
+        # with y centred on its mean
         def assert_close(fast, dense):
             assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
 
@@ -439,10 +440,11 @@ class TestDatasetStatistics:
                 A_dense[:], b_dense[:], blocks = 0.0, 0.0, []
                 for block in data.subjects:
                     d = build_design(full, block)
+                    y = block.y - data.y.mean()
                     Vt_inv = np.linalg.inv(np.eye(block.n_obs) + d.Z @ np.diag(theta) @ d.Z.T)
                     A_dense += d.X.T @ Vt_inv @ d.X
-                    b_dense += d.X.T @ Vt_inv @ block.y
-                    blocks.append((d.X[:, mean], Vt_inv, block.y))
+                    b_dense += d.X.T @ Vt_inv @ y
+                    blocks.append((d.X[:, mean], Vt_inv, y))
                 beta = np.linalg.solve(A_dense[np.ix_(mean, mean)], b_dense[mean])
                 rss = sum((y - X @ beta) @ Vt_inv @ (y - X @ beta) for X, Vt_inv, y in blocks)
                 _, rss_fast, _, K, A = _solve(stats, mean[None], np.array([theta]))
@@ -963,18 +965,21 @@ def benchmark_dataset(kind, seed):
 
 
 class TestResponseScale:
-    # y in other units: each fit moves with them, and a y whose products
-    # the core cannot hold in floats is rejected for every candidate
+    # y in other units or from another origin: each fit moves with them,
+    # and a y that is constant or whose products the core cannot hold in
+    # floats is rejected for every candidate
     FILES = [("ragged", 46021), ("shared", 46023)]
 
-    def select_scaled(self, data, scale, searches):
-        """True when select on y * scale picks the winners it picks at
-        scale 1, every loglik + n ln scale within 1e-9 relative of the one
-        at scale 1; False when every candidate is rejected for y.  Either
-        way the family is searched once and nothing warns."""
+    def select_scaled(self, data, scale, searches, shift=0.0):
+        """True when select on y * scale + shift picks the winners it picks
+        on y, every loglik + n ln scale within 1e-9 relative of the one on
+        y and, given a shift, every mu0 moved to scale mu0 + shift; False
+        when every candidate is rejected for y.  Either way the family is searched
+        once and nothing warns."""
         reference, left_out = usable_reports(data, fit_ml, build_report)
         assert not left_out
-        scaled = Dataset.from_columns(data.ids, np.diff(data.bounds), data.c, data.x, data.y * scale)
+        moved = data.y * scale + shift
+        scaled = Dataset.from_columns(data.ids, np.diff(data.bounds), data.c, data.x, moved)
         searches.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -982,24 +987,36 @@ class TestResponseScale:
         assert len(searches) == 1
         if not reports:
             assert len(left_out) == 16
+            reason = "is constant" if scale == 0.0 else "is out of float range; rescale y"
             for cand_id, why in left_out.items():
-                assert why == (
-                    f"failed to fit (response y for candidate {cand_id} "
-                    "is zero or out of float range; rescale y)"
-                )
+                assert why == f"failed to fit (response y for candidate {cand_id} {reason})"
             return False
         assert not left_out
         for crit in CRITERIA:
             assert select_model(reports, crit) == select_model(reference, crit), (scale, crit)
-        shift = data.n_obs * math.log(scale)
+        n_ln_scale = data.n_obs * math.log(scale)
         for before, after in zip(reference, reports):
-            assert after.loglik + shift == pytest.approx(before.loglik, rel=1e-9, abs=0.0)
+            assert after.loglik + n_ln_scale == pytest.approx(before.loglik, rel=1e-9, abs=0.0)
+            if shift:  # y + shift itself rounds by about eps shift
+                mu0 = scale * before.fit.theta_hat.beta[0]
+                assert after.fit.theta_hat.beta[0] - shift == pytest.approx(mu0, abs=1e-12 * shift)
         return True
 
     @pytest.mark.parametrize("kind, seed", FILES)
     def test_fits_move_with_the_units(self, kind, seed, searches):
         for scale in (1e-30, 1e-8, 1e80, 1e120):
             assert self.select_scaled(benchmark_dataset(kind, seed), scale, searches), scale
+
+    @pytest.mark.parametrize("kind, seed", FILES)
+    def test_fits_move_with_the_origin(self, kind, seed, searches):
+        for shift in (1e3, 1e4, 1e7):
+            assert self.select_scaled(benchmark_dataset(kind, seed), 1.0, searches, shift), shift
+
+    @pytest.mark.parametrize("kind, seed", FILES)
+    def test_constant_response_rejected(self, kind, seed, searches):
+        # y's mean is exact at 3 and rounds at 0.1
+        for value in (3.0, 0.1):
+            assert not self.select_scaled(benchmark_dataset(kind, seed), 0.0, searches, value)
 
     @pytest.mark.parametrize("kind, seed", FILES)
     def test_zero_or_huge_response_rejected(self, kind, seed, searches):
