@@ -119,12 +119,11 @@ _F_ROUNDING = 1e-12
 # Relative gap in f within which two optima of one model are the same:
 # above f's rounding (2e-12 at n = 10^4), below the 1e-11 nesting holds to.
 _SAME_OPTIMUM = 5e-12
-# rss is a difference of sums over the n observations, each term at most
-# y'y (y centred, see DatasetStatistics), so its rounding grows like
-# sqrt(n) eps y'y (on data the mean fits exactly it reached 16 eps y'y at
-# n = 24 and 171 eps y'y at n = 10^4).
-# An rss below _RSS_ROUNDING sqrt(n) y'y is taken as zero: the mean fits
-# the data exactly, and sigma2_hat is held at that rounding over n.
+# rss is a difference of sums over the n observations, each term at most the
+# centred y'y, so its rounding grows like sqrt(n) eps y'y (on data the mean
+# fits exactly it reached 16 eps y'y at n = 24 and 171 eps y'y at n = 10^4). An
+# rss below _RSS_ROUNDING sqrt(n) y'y is taken as zero: the mean fits the data
+# exactly, and sigma2_hat is held at that rounding over n.
 _RSS_ROUNDING = 8.0 * float(np.finfo(float).eps)
 _EYE3 = np.eye(3)
 _EYE5 = np.eye(5)
@@ -178,16 +177,15 @@ class DatasetStatistics:
 
     Subjects are grouped by observation grid as the dataset's grids give
     them, grids in order of first appearance and subjects in dataset
-    order, and a grid's responses are read from y as one (m, n) array,
-    centred on y's mean y_mean.  Every candidate's intercept absorbs the
-    centring exactly, and without it rss and the search's derivatives would
-    be differences of terms the size of y's origin.  Below, y is the
-    centred y.  Per
-    distinct grid g, with O4M4's Z = [1, x, x^2] = Q R (Q and R zero-padded to 3
-    axes when the grid has fewer than 3 points), X has no component
-    orthogonal to Z: subject i's Q'X_i = E diag(w_i), with E = R[:, MEAN_Z]
-    (3, 5) and w_i = (1, c_i)[MEAN_FACTOR] = (1, 1, 1, c_i, c_i).  So, with
-    the sums running over the grid's subjects and capacitance axes first,
+    order, and a grid's responses are read from y as one (m, n) array.
+    y is centred on its mean y_mean, which every intercept absorbs, so
+    that rss and the search's derivatives are not differences of terms
+    the size of y's origin.  Per distinct grid g, with O4M4's
+    Z = [1, x, x^2] = Q R (Q and R zero-padded to 3 axes when the grid has
+    fewer than 3 points), X has no component orthogonal to Z: subject i's
+    Q'X_i = E diag(w_i), with E = R[:, MEAN_Z] (3, 5) and
+    w_i = (1, c_i)[MEAN_FACTOR] = (1, 1, 1, c_i, c_i).  So, with the sums
+    running over the grid's subjects and capacitance axes first,
 
         R[g]                                                  (G, 3, 3)
         cross_xx[g][a, b, p, q] = E[a, p] E[b, q] sum w_ip w_iq (G, 3, 3, 5, 5)
@@ -201,8 +199,9 @@ class DatasetStatistics:
     over all subjects.  xtx = sum_g sum_a cross_xx[g][a, a] is O4M4's
     plain X'X and yty is y'y; constant_covariate and constant_response
     say whether c and y take a single value; z_scale2 is the mean square
-    of each Z column.  point_q (P, 3) stacks the rows of every grid's Q, grid after
-    grid in the order of R, and grid_sizes (G,) their number of points.
+    of each Z column.  point_q (P, 3) stacks the rows of every grid's Q,
+    grid after grid in the order of R, and grid_sizes (G,) their number
+    of points.
     """
 
     # an overflowing X'X is rejected with a clear message by _identifiability
@@ -713,18 +712,17 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     below one it nests.  converged is the KKT check at the point the
     search returned (see _minimize_box), to _KKT_TOLERANCE: a search
     that exhausts _MAX_ITERATIONS or stalls is returned with
-    converged=False rather than raised.  Moving y's origin moves mu0 and
-    nothing else (see DatasetStatistics).  The log-likelihood and beta are
+    converged=False rather than raised.  The log-likelihood and beta are
     those at the point found, zero variances included, and `boundary`
-    lists those zeros.  A search that ends on the model of a candidate
-    it nests reports that candidate's optimum bit for bit.
+    lists those zeros; y's origin moves only mu0 (DatasetStatistics).
+    A search that ends on a candidate it nests reports its optimum bit
+    for bit.
 
     Raises:
         UnidentifiableModelError: fewer observations than parameters, a
             rank-deficient or overflowing mean design, a constant or
-            out-of-range y, an alpha term with a constant subject
-            covariate, or a likelihood that could not be evaluated
-            anywhere the search went.
+            out-of-range y, an alpha term with a constant subject covariate,
+            or a likelihood that could not be evaluated anywhere the search went.
     """
     fits = _FITS.get(data)
     if fits is None:

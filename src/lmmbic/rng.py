@@ -66,8 +66,7 @@ def substream_keys(seed: int, paths) -> np.ndarray:
     Row r is SeedSequence(seed, spawn_key=paths[r]).generate_state(2,
     np.uint64), the key substream(seed, *paths[r]) runs on with its
     counter at 0; returns (k, 2) uint64.  seed is a non-negative
-    integer, as for substream: SeedSequence raises on any other number
-    and int() on a sequence of words or None.
+    integer, as for substream.
     """
     pool = np.random.SeedSequence(seed).pool
     paths = np.asarray(paths)
