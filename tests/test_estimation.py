@@ -974,8 +974,8 @@ class TestResponseScale:
         """True when select on y * scale + shift picks the winners it picks
         on y, every loglik + n ln scale within 1e-9 relative of the one on
         y and, given a shift, every mu0 moved to scale mu0 + shift; False
-        when every candidate is rejected for y.  Either way the family is searched
-        once and nothing warns."""
+        when every candidate is rejected for y.  Either way the family is
+        searched once and nothing warns."""
         reference, left_out = usable_reports(data, fit_ml, build_report)
         assert not left_out
         moved = data.y * scale + shift
