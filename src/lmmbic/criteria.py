@@ -48,6 +48,8 @@ _JEFFREYS_LABELS = (
 # Criterion values within this relative distance of the best are tied:
 # the fitted log-likelihood is good to about 1e-11 relative, so a nested
 # pair whose extra variance sits at zero differs only in rounding there.
+# Each fit holds its own search's optimum, so this is the only rule that
+# keeps such a collapsed candidate from winning on its last digits.
 _TIE_RTOL = 1e-9
 
 _DELTA_BREAKS = (2.0, 6.0, 10.0)

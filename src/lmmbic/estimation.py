@@ -116,9 +116,6 @@ _LINE_SEARCH_STEPS = 30
 # Relative size of the rounding in the objective: near an optimum, changes
 # in f smaller than this carry no information.
 _F_ROUNDING = 1e-12
-# Relative gap in f within which two optima of one model are the same:
-# above f's rounding (2e-12 at n = 10^4), below the 1e-11 nesting holds to.
-_SAME_OPTIMUM = 5e-12
 # rss is a difference of sums over the n observations, each term at most the
 # centred y'y, so its rounding grows like sqrt(n) eps y'y (on data the mean
 # fits exactly it reached 16 eps y'y at n = 24 and 171 eps y'y at n = 10^4). An
@@ -178,14 +175,16 @@ class DatasetStatistics:
     Subjects are grouped by observation grid as the dataset's grids give
     them, grids in order of first appearance and subjects in dataset
     order, and a grid's responses are read from y as one (m, n) array.
-    y is centred on its mean y_mean, which every intercept absorbs, so
-    that rss and the search's derivatives are not differences of terms
-    the size of y's origin.  Per distinct grid g, with O4M4's
-    Z = [1, x, x^2] = Q R (Q and R zero-padded to 3 axes when the grid has
-    fewer than 3 points), X has no component orthogonal to Z: subject i's
-    Q'X_i = E diag(w_i), with E = R[:, MEAN_Z] (3, 5) and
-    w_i = (1, c_i)[MEAN_FACTOR] = (1, 1, 1, c_i, c_i).  So, with the sums
-    running over the grid's subjects and capacitance axes first,
+    y is centred on its mean y_mean, which every intercept absorbs, and
+    c on its mean c_mean, which mu1 and mu2 absorb in candidates with
+    alpha terms (restore_origins), so that rss and the search's
+    derivatives are not differences of terms the size of either origin.
+    Per distinct grid g, with O4M4's Z = [1, x, x^2] = Q R (Q and R
+    zero-padded to 3 axes when the grid has fewer than 3 points), X has
+    no component orthogonal to Z: subject i's Q'X_i = E diag(w_i), with
+    E = R[:, MEAN_Z] (3, 5), w_i = (1, c_i)[MEAN_FACTOR] =
+    (1, 1, 1, c_i, c_i) and c_i centred.  So, with the sums running over
+    the grid's subjects and capacitance axes first,
 
         R[g]                                                  (G, 3, 3)
         cross_xx[g][a, b, p, q] = E[a, p] E[b, q] sum w_ip w_iq (G, 3, 3, 5, 5)
@@ -197,11 +196,11 @@ class DatasetStatistics:
     rr (3, G*9) the outer products of R's columns: Ct = I + theta @ rr.
     Only y has a component orthogonal to Z; perp_yy is its sum of squares
     over all subjects.  xtx = sum_g sum_a cross_xx[g][a, a] is O4M4's
-    plain X'X and yty is y'y; constant_covariate and constant_response
-    say whether c and y take a single value; z_scale2 is the mean square
-    of each Z column.  point_q (P, 3) stacks the rows of every grid's Q,
-    grid after grid in the order of R, and grid_sizes (G,) their number
-    of points.
+    plain X'X and yty is y'y, both centred; constant_covariate and
+    constant_response say whether the raw c and y take a single value;
+    z_scale2 is the mean square of each Z column.  point_q (P, 3) stacks
+    the rows of every grid's Q, grid after grid in the order of R, and
+    grid_sizes (G,) their number of points.
     """
 
     # an overflowing X'X is rejected with a clear message by _identifiability
@@ -212,6 +211,7 @@ class DatasetStatistics:
         self.constant_covariate = bool(data.c.min() == data.c.max())
         self.constant_response = bool(data.y.min() == data.y.max())
         self.y_mean = float(data.y.mean())
+        self.c_mean = float(data.c.mean())
         self.yty = 0.0
         self.perp_yy = 0.0
         rs, qs, moments, cross_ty, cross_yy = [], [], [], [], []
@@ -233,7 +233,7 @@ class DatasetStatistics:
             rs.append(R)
             qs.append(Q)
             # w_i repeats 1 and c_i (see MEAN_FACTOR), so the grid's sums need only those
-            one_c = np.stack([np.ones(len(members)), data.c[members]])
+            one_c = np.stack([np.ones(len(members)), data.c[members] - self.c_mean])
             moments.append(one_c @ one_c.T)
             cross_ty.append(one_c @ Qty.T)
             cross_yy.append(Qty @ Qty.T)
@@ -253,6 +253,13 @@ class DatasetStatistics:
         self.z_scale2 = self.counts @ (self.R ** 2).sum(axis=1) / self.n_obs
         self.point_q = np.concatenate(qs)
         self.grid_sizes = np.array([len(q) for q in qs])
+
+    def restore_origins(self, beta: np.ndarray) -> None:
+        """Move a beta stack (B, 5) fitted on the centred y and c back to
+        the data's origins, in place: mu0 takes y_mean, and mu1 and mu2
+        the c_mean alpha that the centred alpha columns held."""
+        beta[:, 0] += self.y_mean
+        beta[:, 1:3] -= self.c_mean * beta[:, 3:5]
 
 
 class ProfiledLikelihood:
@@ -285,7 +292,7 @@ class ProfiledLikelihood:
         theta = np.zeros((1, 3))
         theta[0, self.candidate.random_columns] = np.asarray(omega2, dtype=float) / sigma2
         logdet, rss, beta, _, _ = _solve(self._stats, self.candidate.mean_columns[None], theta)
-        beta[0, 0] += self._stats.y_mean
+        self._stats.restore_origins(beta)
         n = self._stats.n_obs
         loglik = -0.5 * (n * (LN_TWO_PI + math.log(sigma2)) + logdet[0] + rss[0] / sigma2)
         return float(loglik), beta[0, self.candidate.mean_columns]
@@ -516,11 +523,6 @@ _MEAN = _readonly([c.mean_columns for c in _CANDIDATES], dtype=bool)
 _PRESENT = _readonly([c.random_columns for c in _CANDIDATES], dtype=bool)
 _N_PARAMETERS = tuple(c.n_parameters for c in _CANDIDATES)
 _COVERS = tuple(tuple(cover.enumeration_index for cover in c.covers()) for c in _CANDIDATES)
-# per candidate, its covers with its mean columns, and the Z columns it lacks
-_SAME_COVERS = tuple(
-    tuple(j for j in covers if _CANDIDATES[j].m == c.m) for c, covers in zip(_CANDIDATES, _COVERS)
-)
-_ABSENT = tuple(tuple(np.flatnonzero(~present).tolist()) for present in _PRESENT)
 
 
 def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
@@ -598,11 +600,9 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
     candidate with a term held at zero, so its optimum is a feasible
     point: level by level up the lattice, each candidate whose best
     cover is lower by more than rounding searches once more from there,
-    each level's restarts in one stack.  One whose variances beyond a
-    cover with its mean columns end at exactly zero is that cover's
-    model and reports the cover's optimum, unless its own is better by
-    more than _SAME_OPTIMUM.  sigma2_hat and beta_hat are those the
-    searches evaluated at each optimum.
+    each level's restarts in one stack.  Every candidate reports the
+    optimum its own searches reached, and sigma2_hat and beta_hat are
+    those the searches evaluated there.
     """
     problems = _identifiability(stats)
     fits: dict[CandidateModel, FittedModel | str] = {}
@@ -645,14 +645,7 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
             rows, found = np.array(rows)[kept], [a[kept] for a in found]
             theta[rows], f[rows], converged[rows], _, _, sigma2[rows], beta[rows] = found
             restarted[rows] = True
-    fs, zero = f.tolist(), (theta == 0.0).tolist()
-    for i, k in enumerate(ids):  # covers come first in this order
-        lies = (row[j] for j in _SAME_COVERS[k] if all(zero[i][a] for a in _ABSENT[j]))
-        j = min(lies, key=fs.__getitem__, default=i)
-        if fs[j] <= fs[i] + _SAME_OPTIMUM * (1.0 + abs(fs[i])):
-            theta[i], f[i], beta[i], sigma2[i] = theta[j], f[j], beta[j], sigma2[j]
-            fs[i], zero[i] = fs[j], zero[j]
-    beta[:, 0] += stats.y_mean  # the statistics' y is centred
+    stats.restore_origins(beta)
     # n_e at the variances each FittedModel holds, omega2 / sigma2
     n_e, finite = np.full(len(ids), math.nan), np.isfinite(f)
     if finite.any():
@@ -714,9 +707,8 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     that exhausts _MAX_ITERATIONS or stalls is returned with
     converged=False rather than raised.  The log-likelihood and beta are
     those at the point found, zero variances included, and `boundary`
-    lists those zeros; y's origin moves only mu0 (DatasetStatistics).
-    A search that ends on a candidate it nests reports its optimum bit
-    for bit.
+    lists those zeros.  y's origin moves only mu0, and c's only mu1 and
+    mu2 (DatasetStatistics.restore_origins).
 
     Raises:
         UnidentifiableModelError: fewer observations than parameters, a

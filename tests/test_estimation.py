@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 import gc
 import importlib.util
 import math
 import warnings
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,13 @@ from lmmbic.candidates import (
     generate_dataset,
 )
 import lmmbic.estimation
-from lmmbic.criteria import CRITERIA, build_report, select_model, usable_reports
+from lmmbic.criteria import (
+    CRITERIA,
+    build_report,
+    partition_parameters,
+    select_model,
+    usable_reports,
+)
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
     _LINE_SEARCH_STEPS,
@@ -425,7 +433,7 @@ class TestDatasetStatistics:
     def test_statistics_equal_their_definition(self):
         # the normal equations and the GLS rss that _solve reads off the
         # statistics equal the sums over subjects of the dense matrices,
-        # with y centred on its mean
+        # with y and c centred on their means
         def assert_close(fast, dense):
             assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
 
@@ -435,10 +443,11 @@ class TestDatasetStatistics:
         for data, m in ((varying, 4), (constant, 1)):
             stats = DatasetStatistics(data)
             mean = CandidateModel(m=m, o=1).mean_columns
+            centred = [dataclasses.replace(b, c=b.c - data.c.mean()) for b in data.subjects]
             xtx, A_dense, b_dense = np.zeros((5, 5)), np.zeros((5, 5)), np.zeros(5)
             for theta in thetas:
                 A_dense[:], b_dense[:], blocks = 0.0, 0.0, []
-                for block in data.subjects:
+                for block in centred:
                     d = build_design(full, block)
                     y = block.y - data.y.mean()
                     Vt_inv = np.linalg.inv(np.eye(block.n_obs) + d.Z @ np.diag(theta) @ d.Z.T)
@@ -452,7 +461,7 @@ class TestDatasetStatistics:
                 assert_close(A[0][np.ix_(mean, mean)], A_dense[np.ix_(mean, mean)])
                 assert_close(b[0, mean], b_dense[mean])
                 assert_close(rss_fast[0], rss)
-            for block in data.subjects:
+            for block in centred:
                 X = build_design(full, block).X
                 xtx += X.T @ X
             assert_close(stats.xtx, xtx)
@@ -655,6 +664,15 @@ def free_terms(cand):
     return {name for name, free in flags.items() if free}
 
 
+def hybrid_penalty_ratio(large, small, data):
+    """N^dr n^df, exactly, for the differences dr and df in theta_R and
+    theta_F parameters from small to large: BIC_h charges large more
+    than small when it is above 1, as much when it is 1."""
+    a, b = partition_parameters(large), partition_parameters(small)
+    return (Fraction(data.n_subjects) ** (a.n_random - b.n_random)
+            * Fraction(data.n_obs) ** (a.n_fixed - b.n_fixed))
+
+
 class TestFitMl:
     def test_deterministic_bit_for_bit(self):
         # a regenerated copy, since a refit of the same dataset reads the memo
@@ -701,6 +719,9 @@ class TestFitMl:
         # candidate restarts from its best cover's optimum, which it nests
         datasets.append(study_dataset("b", "O1M4", seed=71))
         datasets.append(study_dataset("d", "O1M4", seed=7))
+        # at design d, N^2 = n: freeing a variance with no alpha term
+        # leaves BIC_h's penalty unchanged, so the tie rule alone settles it
+        datasets.append(study_dataset("d", "O1M1"))
         # data on one line: every variance is zero, and one reported at a
         # floor instead cost the larger candidates up to 32 units
         x = np.linspace(0.0, 10.0, 4)
@@ -710,6 +731,7 @@ class TestFitMl:
         rng = np.random.default_rng(34)
         datasets += [random_dataset(rng, n_subjects=12, min_obs=2, max_obs=9) for _ in range(3)]
         cands = enumerate_candidates()
+        collapsed = 0
         for data in datasets:
             fits = {c: fit_ml(c, data) for c in cands}
             loglik = {c: fit.loglik for c, fit in fits.items()}
@@ -719,13 +741,23 @@ class TestFitMl:
                         tolerance = 1e-11 * (1.0 + abs(loglik[large]))
                         assert loglik[large] >= loglik[small] - tolerance, (small.id, large.id)
                 # a candidate whose search ends with the variance it adds over
-                # a cover at exactly zero is that cover's model, bit for bit
+                # a cover at exactly zero has reached that cover's model, up to
+                # rounding, and the criteria pick the cover wherever the
+                # larger candidate's penalty is not smaller: BIC_h's can be
                 for large in cands:
                     if small in large.covers() and small.m == large.m:
                         labels = large.variance_labels()
                         (extra,) = set(labels) - set(small.variance_labels())
-                        if fits[large].theta_hat.omega2[labels.index(extra)] == 0.0:
-                            assert loglik[large] == loglik[small], (small.id, large.id)
+                        if fits[large].theta_hat.omega2[labels.index(extra)] != 0.0:
+                            continue
+                        assert loglik[large] == pytest.approx(loglik[small], rel=1e-11, abs=0.0)
+                        reports = [build_report(fits[large]), build_report(fits[small])]
+                        cheaper = hybrid_penalty_ratio(large, small, data) < 1
+                        for crit in CRITERIA:
+                            if not (crit == "h" and cheaper):
+                                assert select_model(reports, crit) == small.id, (large.id, crit)
+                                collapsed += 1
+        assert collapsed
 
     @staticmethod
     def reference_layouts():
@@ -902,28 +934,32 @@ class TestFitMl:
         assert len(searches) == 1
 
     def test_restart_that_breaks_down_keeps_the_first_optimum(self):
-        # O1M4's first search converges at loglik -109.44; its best cover's
-        # optimum lies at theta_0 ~ 1.5e14 with loglik ~ 36.86, and the
+        # O4M4's first search converges at loglik -98.48; its best cover,
+        # O4M3, stops unconverged at -72.77 with theta_2 ~ 4.9e12, and the
         # restart from there breaks down at its start
         rows = (
-            ("s0", [7.497450991458502], -0.9223814729286727, [-5422497.1385593675]),
-            ("s1", [4.738591090534387, 6.2144182254074884, 6.6146318222641565, 8.775029922635454],
-             0.8964461478298618, [-0.029592877585486534, -0.05067873720762725,
-                                  -0.05734988931895663, -0.10038392272853514]),
-            ("s2", [9.808361271079919], 1.3878015494373896, [0.11452474835092111]),
-            ("s3", [1.1967359581925796, 6.580492195117836], 0.4356849487374035,
-             [-3.699074846565707, -37.95220169341218]),
+            ("s0", [0.22320180671786316, 5.76958659189928, 7.45591060929546], -0.4926536476785379,
+             [-229.4883180362001, 42.90673855210697, -87.34816485997531]),
+            ("s1", [5.608735499299372, 5.903670651877305], 1.7085421562163476,
+             [-78.58115557399107, -101.50853230281837]),
+            ("s2", [2.2958472176348046, 3.9775476031096013], 0.2322475498646426,
+             [1.0204715858745528, -2.206642861233222]),
+            ("s3", [4.216369177008793, 7.40996170299113], 1.6580429844796694,
+             [9.129519578228154, -7.896576688577811]),
+            ("s4", [3.239804307305457], 0.1289212452444852, [33915.28901503941]),
+            ("s5", [5.519465163145086, 6.063452517437088], 0.1789270588977097,
+             [-14.778031236278473, 0.7327519479905468]),
         )
         data = Dataset(subjects=tuple(
             SubjectBlock(id=i, x=np.array(x), c=c, y=np.array(y)) for i, x, c, y in rows
         ))
-        cand = CandidateModel.from_id("O1M4")
+        cand = CandidateModel.from_id("O4M4")
         fit = fit_ml(cand, data)
         assert not fit.converged and not fit.restarted
-        assert fit.loglik == pytest.approx(-109.44, abs=0.01)
+        assert fit.loglik == pytest.approx(-98.48, abs=0.01)
         assert max(fit_ml(cover, data).loglik for cover in cand.covers()) > fit.loglik
         _, left_out = usable_reports(data, fit_ml, build_report)
-        assert left_out["O1M4"] == "did not converge"
+        assert left_out["O4M4"] == "did not converge"
 
     def test_collinear_design_rejected(self):
         # x in {0, 1} makes the linear and quadratic columns identical
@@ -965,9 +1001,9 @@ def benchmark_dataset(kind, seed):
 
 
 class TestResponseScale:
-    # y in other units or from another origin: each fit moves with them,
-    # and a y that is constant or whose products the core cannot hold in
-    # floats is rejected for every candidate
+    # y in other units or from another origin, or c from another origin:
+    # each fit moves with them, and a y that is constant or whose products
+    # the core cannot hold in floats is rejected for every candidate
     FILES = [("ragged", 46021), ("shared", 46023)]
 
     def select_scaled(self, data, scale, searches, shift=0.0):
@@ -1011,6 +1047,35 @@ class TestResponseScale:
     def test_fits_move_with_the_origin(self, kind, seed, searches):
         for shift in (1e3, 1e4, 1e7):
             assert self.select_scaled(benchmark_dataset(kind, seed), 1.0, searches, shift), shift
+
+    @pytest.mark.parametrize("kind, seed", FILES)
+    def test_fits_move_with_the_covariate_origin(self, kind, seed, searches):
+        # mu_k x^k + alpha_k c x^k = (mu_k - alpha_k a) x^k + alpha_k (c + a) x^k,
+        # so c + a moves mu1 and mu2 by -alpha a and nothing else
+        data = benchmark_dataset(kind, seed)
+        reference, left_out = usable_reports(data, fit_ml, build_report)
+        assert not left_out
+        for shift in (1e2, 1e4, 1e6):
+            sizes = np.diff(data.bounds)
+            moved = Dataset.from_columns(data.ids, sizes, data.c + shift, data.x, data.y)
+            searches.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reports, left_out = usable_reports(moved, fit_ml, build_report)
+            assert len(searches) == 1
+            assert not left_out, shift
+            for crit in CRITERIA:
+                assert select_model(reports, crit) == select_model(reference, crit), (shift, crit)
+            for before, after in zip(reference, reports):
+                assert after.loglik == pytest.approx(before.loglik, rel=1e-9, abs=0.0)
+                old = dict(zip(before.fit.candidate.mean_labels(), before.fit.theta_hat.beta))
+                new = dict(zip(after.fit.candidate.mean_labels(), after.fit.theta_hat.beta))
+                for k in ("1", "2"):
+                    if "alpha" + k in old:
+                        alpha, mu = old["alpha" + k], old["mu" + k]
+                        assert new["alpha" + k] == pytest.approx(alpha, rel=1e-6, abs=0.0)
+                        scale = abs(mu) + abs(alpha) * shift
+                        assert new["mu" + k] == pytest.approx(mu - alpha * shift, abs=1e-6 * scale)
 
     @pytest.mark.parametrize("kind, seed", FILES)
     def test_constant_response_rejected(self, kind, seed, searches):
