@@ -11,8 +11,8 @@ theta_F into theta_R, so that upgrade changes the penalty by
 (2 + a_k) ln N - (1 + a_k) ln n, with a_k = 1 when alpha_k is free.
 Whether a truth is recoverable therefore depends on the design sizes.
 
-Shared by the acceptance study check and the criteria unit tests; it
-is test support, not part of the package.
+Shared by the acceptance study check and the criteria and estimation
+unit tests; it is test support, not part of the package.
 """
 
 from __future__ import annotations
@@ -29,15 +29,22 @@ def sample_sizes(design: SimulationDesign) -> tuple[int, int]:
     return design.n_subjects, design.n_subjects * design.n_per_subject
 
 
+def penalty_ratio(
+    outer: CandidateModel, inner: CandidateModel, n_subjects: int, n_obs: int
+) -> Fraction:
+    """N^dr * n^df as an exact Fraction, for the differences dr and df in
+    theta_R and theta_F parameters from inner to outer: BIC_h charges
+    outer more than inner when it is above 1, as much when it is 1.
+    Exact, since design d sits on the tie 2 ln N == ln n, which
+    floating-point logs need not keep."""
+    a, b = partition_parameters(outer), partition_parameters(inner)
+    return (Fraction(n_subjects) ** (a.n_random - b.n_random)
+            * Fraction(n_obs) ** (a.n_fixed - b.n_fixed))
+
+
 def _nesting_signs(truth: CandidateModel, design: SimulationDesign) -> list[int]:
     """Sign (-1, 0, +1) of each strictly nesting candidate's hybrid
-    penalty minus the truth's.
-
-    The sign is decided exactly, as N^dr * n^df against 1: design d sits
-    on the tie 2 ln N == ln n, which floating-point logs need not keep.
-    """
-    n_subjects, n_obs = sample_sizes(design)
-    inner = partition_parameters(truth)
+    penalty minus the truth's (penalty_ratio against 1)."""
     signs = []
     for outer in enumerate_candidates():
         nests = (
@@ -46,10 +53,7 @@ def _nesting_signs(truth: CandidateModel, design: SimulationDesign) -> list[int]
             and set(truth.variance_labels()) <= set(outer.variance_labels())
         )
         if nests:
-            part = partition_parameters(outer)
-            ratio = Fraction(n_subjects) ** (part.n_random - inner.n_random) * Fraction(
-                n_obs
-            ) ** (part.n_fixed - inner.n_fixed)
+            ratio = penalty_ratio(outer, truth, *sample_sizes(design))
             signs.append((ratio > 1) - (ratio < 1))
     return signs
 

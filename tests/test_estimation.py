@@ -5,7 +5,6 @@ import importlib.util
 import math
 import warnings
 import weakref
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +20,7 @@ from lmmbic.candidates import (
     generate_dataset,
 )
 import lmmbic.estimation
-from lmmbic.criteria import (
-    CRITERIA,
-    build_report,
-    partition_parameters,
-    select_model,
-    usable_reports,
-)
+from lmmbic.criteria import CRITERIA, build_report, select_model, usable_reports
 from lmmbic.data import Dataset, SubjectBlock
 from lmmbic.estimation import (
     _LINE_SEARCH_STEPS,
@@ -44,6 +37,8 @@ from lmmbic.estimation import (
 from lmmbic.model import ParameterVector, log_likelihood
 from lmmbic.rng import substream
 from lmmbic.simulation import DESIGNS, SimulationDesign, draw_replicate, sample_true_parameters
+
+from hybrid_recovery import penalty_ratio
 
 
 def random_dataset(rng, n_subjects=6, min_obs=2, max_obs=7):
@@ -664,15 +659,6 @@ def free_terms(cand):
     return {name for name, free in flags.items() if free}
 
 
-def hybrid_penalty_ratio(large, small, data):
-    """N^dr n^df, exactly, for the differences dr and df in theta_R and
-    theta_F parameters from small to large: BIC_h charges large more
-    than small when it is above 1, as much when it is 1."""
-    a, b = partition_parameters(large), partition_parameters(small)
-    return (Fraction(data.n_subjects) ** (a.n_random - b.n_random)
-            * Fraction(data.n_obs) ** (a.n_fixed - b.n_fixed))
-
-
 class TestFitMl:
     def test_deterministic_bit_for_bit(self):
         # a regenerated copy, since a refit of the same dataset reads the memo
@@ -752,7 +738,7 @@ class TestFitMl:
                             continue
                         assert loglik[large] == pytest.approx(loglik[small], rel=1e-11, abs=0.0)
                         reports = [build_report(fits[large]), build_report(fits[small])]
-                        cheaper = hybrid_penalty_ratio(large, small, data) < 1
+                        cheaper = penalty_ratio(large, small, data.n_subjects, data.n_obs) < 1
                         for crit in CRITERIA:
                             if not (crit == "h" and cheaper):
                                 assert select_model(reports, crit) == small.id, (large.id, crit)
