@@ -196,10 +196,11 @@ def usable_reports(
     return reports, left_out
 
 
-def _ranked(reports: Sequence[BicReport], criterion: str) -> list[BicReport]:
+def _ranked(reports: Sequence[BicReport], criterion: str) -> tuple[list[BicReport], int]:
     """Reports best first: the candidates tied with the best (within
-    _TIE_RTOL) by (p, enumeration index), then the rest by value.
-    Raises ValueError on an unknown criterion name."""
+    _TIE_RTOL of the smallest value) by (p, enumeration index), then the
+    rest by value; and how many are tied.  Raises ValueError on an
+    unknown criterion name."""
     if criterion not in SAMPLE_SIZES:
         raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
 
@@ -210,7 +211,7 @@ def _ranked(reports: Sequence[BicReport], criterion: str) -> list[BicReport]:
     best = by_value[0].values[criterion]
     tolerance = _TIE_RTOL * abs(best)
     tied = [r for r in by_value if r.values[criterion] - best <= tolerance]
-    return sorted(tied, key=parsimony) + by_value[len(tied):]
+    return sorted(tied, key=parsimony) + by_value[len(tied):], len(tied)
 
 
 def select_model(reports: Sequence[BicReport], criterion: str) -> str:
@@ -222,7 +223,7 @@ def select_model(reports: Sequence[BicReport], criterion: str) -> str:
     """
     if not reports:
         raise ValueError("no reports to select from")
-    return _ranked(reports, criterion)[0].candidate_id
+    return _ranked(reports, criterion)[0][0].candidate_id
 
 
 def report_to_dict(report: BicReport) -> dict:
@@ -250,7 +251,7 @@ def selection_summary(
     For each criterion the two best candidates are compared by
     criterion difference and the matching approximate Bayes factor,
     each with its evidence grade; a runner-up tied with the winner (see
-    select_model) has difference 0.  Raises ValueError on an unknown or
+    select_model) has difference 0 and Bayes factor 1.  Raises ValueError on an unknown or
     repeated criterion name, or on a bare string of names.
     """
     if not reports:
@@ -263,13 +264,13 @@ def selection_summary(
     winners: dict[str, str] = {}
     evidence: dict[str, dict] = {}
     for crit in criteria:
-        ranked = _ranked(reports, crit)
+        ranked, n_tied = _ranked(reports, crit)
         winners[crit] = ranked[0].candidate_id
         if len(ranked) > 1:
             best, runner = ranked[0], ranked[1]
             best_value = best.values[crit]
-            # a runner-up tied with the winner may sit below it by rounding
-            runner_value = max(runner.values[crit], best_value)
+            # a tied runner-up may sit above or below the winner by rounding
+            runner_value = best_value if n_tied > 1 else runner.values[crit]
             delta = runner_value - best_value
             bf = bayes_factor_from_bics(best_value, runner_value)
             evidence[crit] = {

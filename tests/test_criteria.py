@@ -8,6 +8,7 @@ import pytest
 
 from lmmbic.candidates import CandidateModel, TrueParameters, enumerate_candidates, generate_dataset
 from lmmbic.criteria import (
+    _TIE_RTOL,
     CRITERIA,
     BicReport,
     ParameterPartition,
@@ -356,6 +357,23 @@ class TestSelectionSummary:
         assert ev["delta"] == 0.0
         assert ev["bayes_factor"] == 1.0
         assert ev["delta_label"] == delta_bic_label(0.0)
+
+    # O2M1's value sits this many _TIE_RTOL, relative, above O1M1's
+    @pytest.mark.parametrize("offset", [0.999, -0.999, 1.001, -1.001])
+    def test_tie_reads_the_same_on_both_sides(self, offset):
+        r_small = report_for("O1M1", -50.0)
+        value = r_small.values["h"] * (1 + offset * _TIE_RTOL)
+        r_large = rigged(report_for("O2M1", -50.0), "h", value)
+        ev = selection_summary([r_large, r_small], criteria=["h"])["evidence"]["h"]
+        if abs(offset) < 1:
+            assert (ev["best"], ev["runner_up"]) == ("O1M1", "O2M1")
+            assert (ev["delta"], ev["bayes_factor"]) == (0.0, 1.0)
+        else:
+            best, runner = sorted([r_large, r_small], key=lambda r: r.values["h"])
+            assert (ev["best"], ev["runner_up"]) == (best.candidate_id, runner.candidate_id)
+            assert ev["delta"] == runner.values["h"] - best.values["h"] > 0
+            assert ev["bayes_factor"] == bayes_factor_from_bics(best.values["h"], runner.values["h"])
+            assert ev["bayes_factor"] > 1
 
     def test_criteria_subset(self):
         reports = [report_for("O1M1", -60.0), report_for("O2M1", -40.0)]
