@@ -28,7 +28,7 @@ from numbers import Integral
 import numpy as np
 
 from .data import Dataset, SubjectBlock, _readonly
-from .rng import substream_keys
+from .rng import substream
 
 X_RANGE = (0.0, 10.0)
 
@@ -238,33 +238,22 @@ DESIGNS = {
 def generate_dataset(design: SimulationDesign, truth: TrueParameters, seed: int) -> Dataset:
     """Simulate one dataset from `truth` on the given design.
 
-    Subject i draws its covariate and random effects from the Philox
-    substream (seed, i, 0) and its noise vector from (seed, i, 1), so
-    the result is reproducible and independent of generation order.
+    Two Philox substreams hold every draw: (seed, 0) gives each subject's
+    covariate and three random effects as one (N, 4) standard-normal
+    block, and (seed, 1) its noise vectors as one (N, n) block.  A block
+    is filled row by row, so subject i's draws do not depend on how many
+    subjects follow it, and the result is reproducible from the seed.
     Random-effect draws are always taken for all three components and
     scaled by the stored standard deviations, which keeps the stream
-    layout identical across generating structures.  The 2N keys come
-    from one substream_keys pass and one generator is re-keyed per
-    substream, which draws exactly what substream(seed, i, j) would.
+    layout identical across generating structures.
     """
     x = shared_x_grid(design.n_per_subject)
     xsq = x * x
     sd_eta = np.sqrt(truth.omega2)
     sd_eps = np.sqrt(truth.sigma2)
     N = design.n_subjects
-    paths = np.stack([np.repeat(np.arange(N), 2), np.tile([0, 1], N)], axis=1)
-    keys = substream_keys(seed, paths).reshape(N, 2, 2).tolist()
-    bits = np.random.Philox(key=0)
-    draw = np.random.Generator(bits)
-    state = bits.state  # a fresh generator's: counter 0, empty buffer
-    first, noise = np.empty((N, 4)), np.empty((N, x.size))
-    for i, (key_draw, key_noise) in enumerate(keys):
-        state["state"]["key"] = key_draw
-        bits.state = state
-        first[i] = draw.normal(0.0, 1.0, size=4)  # c, then the three eta
-        state["state"]["key"] = key_noise
-        bits.state = state
-        noise[i] = draw.normal(0.0, 1.0, size=x.size)
+    first = substream(seed, 0).normal(0.0, 1.0, size=(N, 4))  # c, then the three eta
+    noise = substream(seed, 1).normal(0.0, 1.0, size=(N, x.size))
     c = first[:, 0]
     eta = first[:, 1:] * sd_eta
     psi0 = truth.mu[0] + eta[:, 0]

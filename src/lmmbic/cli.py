@@ -194,6 +194,8 @@ def cmd_select(args: argparse.Namespace) -> int:
     if not reports:
         raise UnidentifiableModelError("no candidate could be fitted on this data")
     payload = selection_summary(reports, args.criteria)
+    # x's origin is part of the model, so say which x was fitted
+    payload["x_range"] = [float(data.x.min()), float(data.x.max())]
     _emit_json(payload, args.out)
     return 0
 

@@ -12,7 +12,7 @@ from lmmbic.candidates import (
     shared_x_grid,
 )
 from lmmbic.data import SubjectBlock
-from lmmbic.rng import substream, substream_keys
+from lmmbic.rng import substream
 from lmmbic.simulation import SimulationDesign
 
 
@@ -252,13 +252,13 @@ class TestGenerateDataset:
 
 
 def reference_dataset(design, truth, seed):
-    """generate_dataset as one generator per substream draws it."""
+    """generate_dataset as two generators draw it, one subject's row at a time."""
     x = shared_x_grid(design.n_per_subject)
     xsq = x * x
     sd_eta, sd_eps = np.sqrt(truth.omega2), np.sqrt(truth.sigma2)
+    draw, noise = substream(seed, 0), substream(seed, 1)
     out = []
-    for i in range(design.n_subjects):
-        draw, noise = substream(seed, i, 0), substream(seed, i, 1)
+    for _ in range(design.n_subjects):
         c = draw.normal(0.0, 1.0)
         eta = draw.normal(0.0, 1.0, size=3) * sd_eta
         psi0 = truth.mu[0] + eta[0]
@@ -269,36 +269,12 @@ def reference_dataset(design, truth, seed):
     return out
 
 
-class TestSubstreamKeys:
-    # the hash constants the path words start from depend on the seed's
-    # number of 32-bit words: 1 to 7 here
-    SEEDS = (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96, 2**128 - 1, 2**128, 2**200 - 12345)
-
-    def test_keys_match_seed_sequence(self):
-        rng = np.random.default_rng(3)
-        for seed in self.SEEDS:
-            for length in (1, 2, 3):
-                paths = rng.integers(0, 2**32, size=(5, length))
-                paths[0], paths[1] = 0, 2**32 - 1
-                expected = [
-                    np.random.SeedSequence(seed, spawn_key=tuple(map(int, path)))
-                    .generate_state(2, np.uint64)
-                    for path in paths
-                ]
-                np.testing.assert_array_equal(substream_keys(seed, paths), expected)
-
+class TestSubstream:
     def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            substream_keys(-1, [[0]])
-        with pytest.raises(ValueError):
-            substream_keys(5, [[2**32]])
-        with pytest.raises(ValueError):
-            substream_keys(5, [[0.5]])
         with pytest.raises(ValueError, match="seed must be non-negative"):
             substream(-1)
-        for draw in (substream, lambda seed: substream_keys(seed, [[0]])):
-            with pytest.raises(TypeError):
-                draw(1.5)
+        with pytest.raises(TypeError):
+            substream(1.5)
 
     @pytest.mark.parametrize("n_subjects", [1, 7, 100, 400])
     def test_generate_dataset_matches_substreams(self, n_subjects):

@@ -175,6 +175,7 @@ class TestSelectCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["n"] == data.n_obs and payload["N"] == data.n_subjects
+        assert payload["x_range"] == [data.x.min(), data.x.max()]
         assert payload["criteria"] == list(CRITERIA)
         assert len(payload["candidates"]) == 16
         assert set(payload["winners"]) == set(CRITERIA)

@@ -338,12 +338,13 @@ class TestFamilyBatch:
 
     def test_zero_variance_optima_count_observations_exactly(self):
         # with no random effect in the truth, many optima put every
-        # variance at zero; they share the batch with optima that do not
+        # variance at zero; they share the batch with optima that do not.
+        # The seeds are a fixed run, not picked: 6 of the 20 reach such optima
         truth = TrueParameters(
             mu=[1.0, 0.3, -0.02], alpha=[0.4, 0.0], omega2=[0.0, 0.0, 0.0], sigma2=1.0
         )
         at_zero = 0
-        for seed in (74, 75):
+        for seed in range(70, 90):
             data = generate_dataset(SimulationDesign("t", 10, 6), truth, seed=seed)
             for fit in self.fits(data):
                 if not fit.theta_hat.omega2.any():

@@ -987,9 +987,10 @@ def benchmark_dataset(kind, seed):
 
 
 class TestResponseScale:
-    # y in other units or from another origin, or c from another origin:
-    # each fit moves with them, and a y that is constant or whose products
-    # the core cannot hold in floats is rejected for every candidate
+    # y in other units or from another origin, c from another origin or
+    # x in other units: each fit moves with them, and a y that is constant
+    # or whose products the core cannot hold in floats is rejected for
+    # every candidate
     FILES = [("ragged", 46021), ("shared", 46023)]
 
     def select_scaled(self, data, scale, searches, shift=0.0):
@@ -1062,6 +1063,28 @@ class TestResponseScale:
                         assert new["alpha" + k] == pytest.approx(alpha, rel=1e-6, abs=0.0)
                         scale = abs(mu) + abs(alpha) * shift
                         assert new["mu" + k] == pytest.approx(mu - alpha * shift, abs=1e-6 * scale)
+
+    @pytest.mark.parametrize("which", ["study", "ragged"])
+    def test_fits_do_not_move_with_the_units_of_x(self, which, searches):
+        # x s is a reparametrisation of every candidate (beta_k and omega_k
+        # times s^-k), unlike a shift of x, which changes the candidates
+        if which == "study":
+            cand = CandidateModel.from_id("O2M3")
+            data = draw_replicate(DESIGNS["d"], cand, 0, seed=36201)[1]
+        else:
+            data = benchmark_dataset("ragged", 36203)
+        reference, left_out = usable_reports(data, fit_ml, build_report)
+        for scale in (0.1, 10.0):
+            sizes = np.diff(data.bounds)
+            moved = Dataset.from_columns(data.ids, sizes, data.c, data.x * scale, data.y)
+            searches.clear()
+            reports, moved_out = usable_reports(moved, fit_ml, build_report)
+            assert len(searches) == 1
+            assert moved_out == left_out, scale
+            for crit in CRITERIA:
+                assert select_model(reports, crit) == select_model(reference, crit), (scale, crit)
+            for before, after in zip(reference, reports):
+                assert after.loglik == pytest.approx(before.loglik, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("kind, seed", FILES)
     def test_constant_response_rejected(self, kind, seed, searches):
