@@ -251,8 +251,9 @@ def selection_summary(
     For each criterion the two best candidates are compared by
     criterion difference and the matching approximate Bayes factor,
     each with its evidence grade; a runner-up tied with the winner (see
-    select_model) has difference 0 and Bayes factor 1.  Raises ValueError on an unknown or
-    repeated criterion name, or on a bare string of names.
+    select_model) has difference 0 and Bayes factor 1.  Raises
+    ValueError on an unknown or repeated criterion name, or on a bare
+    string of names.
     """
     if not reports:
         raise ValueError("no reports to summarize")

@@ -1074,8 +1074,8 @@ class TestResponseScale:
         else:
             data = benchmark_dataset("ragged", 36203)
         reference, left_out = usable_reports(data, fit_ml, build_report)
+        sizes = np.diff(data.bounds)
         for scale in (0.1, 10.0):
-            sizes = np.diff(data.bounds)
             moved = Dataset.from_columns(data.ids, sizes, data.c, data.x * scale, data.y)
             searches.clear()
             reports, moved_out = usable_reports(moved, fit_ml, build_report)
