@@ -89,12 +89,19 @@ from .data import Dataset, _readonly
 from .model import LN_TWO_PI, ParameterVector
 
 # KKT tolerance: a fit converged when its projected gradient on the
-# search scale is at most _KKT_TOLERANCE * (1 + |loglik|).
+# search scale is at most _KKT_TOLERANCE * f_scale, the -loglik of n
+# unit-variance observations (DatasetStatistics.f_scale), which no unit
+# of y moves.
 _KKT_TOLERANCE = 1e-8
 # Newton iteration cap of each search.
 _MAX_ITERATIONS = 2000
-# Every candidate's search starts at theta_j = _START for each random effect.
+# Every candidate's search starts at theta_j = _START for each random effect,
+# or at theta_j s_j^2 = _START_CEILING where that is lower (s_j^2 as below):
+# far above it, Ct = I + theta R R' rounds by more than f's differences show,
+# and a search that starts there stalls, as one from _START does with x in
+# large units.
 _START = 0.5
+_START_CEILING = 1e4
 
 # fit_ml searches w_j = log(theta_j s_j^2 + _ZERO_SHIFT), where s_j^2 is
 # the mean square of Z's column j: theta_j s_j^2 = 1 puts a random effect's
@@ -113,8 +120,8 @@ _LOG_CEILING = 50.0
 _MAX_STEP = 4.0
 # Backtracking halvings before the line search gives up.
 _LINE_SEARCH_STEPS = 30
-# Relative size of the rounding in the objective: near an optimum, changes
-# in f smaller than this carry no information.
+# Restart margin relative to f_scale: a cover whose optimum is lower by
+# no more than _F_ROUNDING * f_scale is no better than the candidate's own.
 _F_ROUNDING = 1e-12
 # rss is a difference of sums over the n observations, each term at most the
 # centred y'y, so its rounding grows like sqrt(n) eps y'y (on data the mean
@@ -134,7 +141,8 @@ class UnidentifiableModelError(ValueError):
 class FittedModel:
     """Result of fit_ml.
 
-    converged is the KKT check where the search stopped (see fit_ml).
+    converged is the KKT check where the search stopped (see fit_ml), to
+    a tolerance no unit of y moves.
     boundary lists the omega* labels whose estimate is exactly zero, and
     sigma2 when the mean fits the data exactly, rss within its rounding,
     where sigma2_hat is that rounding over n (see _profile); such
@@ -198,7 +206,9 @@ class DatasetStatistics:
     over all subjects.  xtx = sum_g sum_a cross_xx[g][a, a] is O4M4's
     plain X'X and yty is y'y, both centred; constant_covariate and
     constant_response say whether the raw c and y take a single value;
-    z_scale2 is the mean square of each Z column.  point_q (P, 3) stacks
+    z_scale2 is the mean square of each Z column; f_scale = 1 + n (1 +
+    ln 2 pi) / 2, the -loglik of n unit-variance observations, is the
+    search's unit-free scale of f.  point_q (P, 3) stacks
     the rows of every grid's Q, grid after grid in the order of R, and
     grid_sizes (G,) their number of points.
     """
@@ -249,6 +259,7 @@ class DatasetStatistics:
         self.cross_yy = np.stack(cross_yy).reshape(-1)
         self.rr = (self.R[:, :, None, :] * self.R[:, None, :, :]).reshape(-1, 3).T.copy()
         self.rss_rounding = _RSS_ROUNDING * math.sqrt(self.n_obs) * self.yty
+        self.f_scale = 1.0 + 0.5 * self.n_obs * (1.0 + LN_TWO_PI)
         # sum_g m_g R_g'R_g over all observations
         self.z_scale2 = self.counts @ (self.R ** 2).sum(axis=1) / self.n_obs
         self.point_q = np.concatenate(qs)
@@ -425,31 +436,34 @@ def _relative_variances(w: np.ndarray, z_scale2: np.ndarray) -> np.ndarray:
     return np.where(w > _LOWER, np.exp(w) - _ZERO_SHIFT, 0.0) / z_scale2
 
 
-def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) -> tuple:
+def _minimize_box(fun, z0, lower, upper, max_iterations: int, tol: float) -> tuple:
     """Minimize B functions, each over its box, by projected Newton in lockstep.
 
     z0 (B, d) holds the starts; lower and upper broadcast to its shape.
-    fun(z, rows) returns the values (k,), gradients (k, d) and Hessians
-    (k, d, d) of stack rows `rows` at z (k, d), and any further per-row
-    outputs (k, ...) it has there; each round calls it once, on the next
-    point of every row still searching.  Each row is a search of its
-    own: an iteration takes a Newton step on the coordinates
-    neither held at a bound nor boxed to a point, along -V |L|^-1 V'g
-    for the eigenpairs (L, V) of their Hessian, with |L| floored at 1e-10
-    of the row's largest, so every step descends; it caps the step at
-    _MAX_STEP in max-norm and halves it along the projected path until
-    the Armijo condition holds.  converged is the KKT check at the
-    returned point: the projected gradient is at most rel_tol * (1 + |f|)
-    in max-norm.  Returns per row (z, f, gradient, converged, iterations,
-    calls of fun), then fun's further outputs at z; a row whose start is
-    not finite stops there, unconverged, after 0 iterations.
+    fun(z, rows) returns the values (k,), gradients (k, d), Hessians
+    (k, d, d) and the values' roundings (k,) of stack rows `rows` at z
+    (k, d), and any further per-row outputs (k, ...) it has there; each
+    round calls it once, on the next point of every row still searching.
+    Each row is a search of its own: an iteration takes a Newton step on
+    the coordinates neither held at a bound nor boxed to a point, along
+    -V |L|^-1 V'g for the eigenpairs (L, V) of their Hessian, with |L|
+    floored at 1e-10 of the row's largest, so every step descends; it
+    caps the step at _MAX_STEP in max-norm and halves it along the
+    projected path until the Armijo condition holds, or its exact form on
+    a quadratic where f rises by no more than its rounding.  f is only
+    ever compared by differences, so no decision reads its size.
+    converged is the KKT check at the returned point: the projected
+    gradient is at most tol in max-norm.  Returns per row (z, f,
+    gradient, converged, iterations, calls of fun), then the rounding and
+    fun's further outputs at z; a row whose start is not finite stops
+    there, unconverged, after 0 iterations.
     """
     B, d = z0.shape
     lower, upper = np.broadcast_to(lower, z0.shape), np.broadcast_to(upper, z0.shape)
     eye = np.eye(d)
     z = np.clip(z0, lower, upper)
-    state = list(fun(z, np.arange(B)))  # f, g, h, then fun's further outputs
-    f, g, h = state[:3]
+    state = list(fun(z, np.arange(B)))  # f, g, h, rounding, then fun's further outputs
+    f, g, h, rounding = state[:4]
     evaluations, iterations = np.ones(B, dtype=int), np.zeros(B, dtype=int)
     started = np.isfinite(f)
     # stepped marks the rows that moved last round and need a new direction;
@@ -459,7 +473,7 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
     t, tries = np.ones(B), np.zeros(B, dtype=int)
 
     def kkt() -> np.ndarray:
-        return np.abs(z - np.clip(z - g, lower, upper)).max(axis=1) <= rel_tol * (1.0 + np.abs(f))
+        return np.abs(z - np.clip(z - g, lower, upper)).max(axis=1) <= tol
 
     def halve(rows: np.ndarray) -> np.ndarray:
         # a row out of halvings stops where it is
@@ -501,9 +515,7 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, rel_tol: float) ->
         slope = (g[rows] * s).sum(axis=1)
         # Armijo, or its exact form on a quadratic, which reads the
         # gradient where rounding has flattened f
-        flat = (new[0] <= fr + _F_ROUNDING * (1.0 + np.abs(fr))) & (
-            (new[1] * s).sum(axis=1) <= (2e-4 - 1.0) * slope
-        )
+        flat = (new[0] <= fr + rounding[rows]) & ((new[1] * s).sum(axis=1) <= (2e-4 - 1.0) * slope)
         accept = (new[0] <= fr + 1e-4 * slope) | flat
         halve(rows[~accept])
         moved = rows[accept]
@@ -532,8 +544,10 @@ def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
 
     A candidate's mean columns depend only on m, so each answer holds for
     all four of its variance structures.  The rank of each structure's
-    X'X is numpy.linalg.matrix_rank's, from one eigvalsh of the four with
-    the absent columns zeroed, which adds only zero eigenvalues.  An X'X
+    X'X is numpy.linalg.matrix_rank's of X'X scaled to unit diagonal, so
+    that the units of x and c do not move it, from one eigvalsh of the
+    four with the absent columns zeroed, which adds only zero eigenvalues;
+    an all-zero column stays zero, so it reads as rank deficient.  An X'X
     that overflows a float rejects all four structures, and so do a y
     that takes a single value and a y whose centred y'y, the scale of
     rss's rounding, is subnormal or so large that _profile's products
@@ -551,7 +565,10 @@ def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
         return dict.fromkeys((1, 2, 3, 4), message)
     masks = _MEAN[:4]
     sizes = masks.sum(axis=1)
-    s = np.abs(np.linalg.eigvalsh(np.where(masks[:, :, None] & masks[:, None, :], stats.xtx, 0.0)))
+    diagonal = np.diagonal(stats.xtx)
+    root = np.sqrt(np.where(diagonal > 0.0, diagonal, 1.0))  # an all-zero column stays zero
+    unit = stats.xtx / np.outer(root, root)
+    s = np.abs(np.linalg.eigvalsh(np.where(masks[:, :, None] & masks[:, None, :], unit, 0.0)))
     rank = (s > s.max(axis=1, keepdims=True) * sizes[:, None] * np.finfo(float).eps).sum(axis=1)
     problems: dict[int, str | None] = dict.fromkeys((1, 2, 3, 4))
     for m in problems:
@@ -568,24 +585,29 @@ def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
 def _search(stats: DatasetStatistics, mean: np.ndarray, present: np.ndarray, start: np.ndarray):
     """Search B candidates' maxima from start (B, 3) in one stack; mean
     (B, 5) and present (B, 3) mark their columns of O4M4's X and Z.
-    Returns per candidate theta, f, the KKT flag, the iterations, the
-    evaluations, and sigma2_hat and beta_hat at theta."""
-    scale2 = stats.z_scale2
+    Both margins of the search come from the data, so a fit takes the
+    same steps in any units of y: the KKT tolerance is _KKT_TOLERANCE *
+    f_scale, and f's rounding is rss's carried through n/2 ln rss,
+    rss_rounding / (2 sigma2_hat), zero on the floor, where the rss term
+    is exactly zero.  Returns per candidate theta, f, the KKT flag, the
+    iterations, the evaluations, and sigma2_hat and beta_hat at theta."""
+    scale2, floor = stats.z_scale2, stats.rss_rounding / stats.n_obs
 
     def objective(w: np.ndarray, rows: np.ndarray) -> tuple:
         # rank deficiency is rejected before the search, so a breakdown
         # means the variances are numerically extreme: price them out
         f, g, h, sigma2, beta = _profile_stack(stats, mean[rows], _relative_variances(w, scale2))
+        rounding = np.where(sigma2 > floor, 0.5 * stats.rss_rounding / sigma2, 0.0)
         # the chain rule through theta_j = (e^w_j - _ZERO_SHIFT) / s_j^2,
         # whose first and second derivatives are both e^w_j / s_j^2
         jac = np.where(present[rows], np.exp(w) / scale2, 0.0)
-        g = g * jac
-        return f, g, jac[:, :, None] * h * jac[:, None, :] + _EYE3 * g[:, None, :], sigma2, beta
+        g, h = g * jac, jac[:, :, None] * h * jac[:, None, :]
+        return f, g, h + _EYE3 * g[:, None, :], rounding, sigma2, beta
 
     w0 = np.log(start * scale2 + _ZERO_SHIFT)
     upper = np.where(present, _LOG_CEILING, _LOWER)
-    w, f, _, converged, iterations, evaluations, sigma2, beta = _minimize_box(
-        objective, w0, _LOWER, upper, _MAX_ITERATIONS, _KKT_TOLERANCE
+    w, f, _, converged, iterations, evaluations, _, sigma2, beta = _minimize_box(
+        objective, w0, _LOWER, upper, _MAX_ITERATIONS, _KKT_TOLERANCE * stats.f_scale
     )
     return _relative_variances(w, scale2), f, converged, iterations, evaluations, sigma2, beta
 
@@ -596,7 +618,8 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
     A candidate with no fewer parameters than the data has observations,
     or an unidentifiable mean structure, gets its error's message, in
     that order of precedence.  Every other candidate searches from
-    _START, all in one stack.  A cover (CandidateModel.covers) is the
+    _START, or _START_CEILING on the search scale where that is lower,
+    all in one stack.  A cover (CandidateModel.covers) is the
     candidate with a term held at zero, so its optimum is a feasible
     point: level by level up the lattice, each candidate whose best
     cover is lower by more than rounding searches once more from there,
@@ -621,7 +644,7 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
         return fits
     row = {k: i for i, k in enumerate(ids)}
     mean, present = _MEAN[ids], _PRESENT[ids]
-    start = np.where(present, _START, 0.0)
+    start = np.where(present, np.minimum(_START, _START_CEILING / stats.z_scale2), 0.0)
     found = _search(stats, mean, present, start)
     theta, f, converged, iterations, evaluations, sigma2, beta = found
     restarted = np.zeros(len(ids), dtype=bool)
@@ -632,8 +655,7 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
             row[k]: min((row[j] for j in _COVERS[k]), key=fs.__getitem__)
             for k in ids if _N_PARAMETERS[k] == size
         }
-        # rounding relative to the cover's f, which is finite even where f is not
-        rows = [i for i, j in best.items() if fs[j] < fs[i] - _F_ROUNDING * (1.0 + abs(fs[j]))]
+        rows = [i for i, j in best.items() if fs[j] < fs[i] - _F_ROUNDING * stats.f_scale]
         if rows:
             found = _search(stats, mean[rows], present[rows], theta[[best[i] for i in rows]])
             iterations[rows] += found[3]
@@ -700,12 +722,14 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     is theta_j = 0, so a variance whose maximum is at zero gets there in
     a few steps, and one near zero whose likelihood rises with it is not
     hidden by a vanishing log-scale gradient.  The search starts from
-    _START, and once more from the best optimum of the candidates with
-    one term fewer where that is lower, so no candidate's maximum lies
-    below one it nests.  converged is the KKT check at the point the
-    search returned (see _minimize_box), to _KKT_TOLERANCE: a search
-    that exhausts _MAX_ITERATIONS or stalls is returned with
-    converged=False rather than raised.  The log-likelihood and beta are
+    _START, held to at most _START_CEILING on that scale, and once more
+    from the best optimum of the candidates with one term fewer where
+    that is lower, so no candidate's maximum lies below one it nests.
+    converged is the KKT check at the point the search returned (see
+    _minimize_box), to _KKT_TOLERANCE * f_scale, and the search compares
+    values of f only by their differences, so a fit takes the same steps
+    in any units of y: a search that exhausts _MAX_ITERATIONS or stalls
+    is returned with converged=False rather than raised.  The log-likelihood and beta are
     those at the point found, zero variances included, and `boundary`
     lists those zeros.  y's origin moves only mu0, and c's only mu1 and
     mu2 (DatasetStatistics.restore_origins).

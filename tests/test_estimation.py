@@ -508,13 +508,14 @@ class TestProfileBeta:
 
 class TestBoundedNewton:
     # _minimize_box searches a stack of functions; these call it on
-    # one-row stacks, except the test that compares a stack against them
+    # one-row stacks, except the test that compares a stack against them.
+    # Each function is exact, so it returns a zero rounding.
 
     @staticmethod
     def bowl(target):
         def f(z, rows):
             hess = np.tile(2.0 * np.eye(z.shape[1]), (len(z), 1, 1))
-            return ((z - target) ** 2).sum(axis=1), 2.0 * (z - target), hess
+            return ((z - target) ** 2).sum(axis=1), 2.0 * (z - target), hess, np.zeros(len(z))
 
         return f
 
@@ -527,11 +528,11 @@ class TestBoundedNewton:
         hess[:, 0, 0] = 2.0 - 400.0 * (b - 3.0 * a * a)
         hess[:, 0, 1] = hess[:, 1, 0] = -400.0 * a
         hess[:, 1, 1] = 200.0
-        return value, grad, hess
+        return value, grad, hess, np.zeros(len(z))
 
     def test_quadratic_bowl(self):
         target = np.array([1.5, -2.0, 0.5])
-        z, fz, g, converged, _, _ = _minimize_box(
+        z, fz, g, converged, _, _, _ = _minimize_box(
             self.bowl(target), np.zeros((1, 3)), -5.0, 5.0, 500, 1e-10
         )
         assert converged[0]
@@ -543,7 +544,7 @@ class TestBoundedNewton:
         # on two coordinates: both stop on their bounds with the gradient
         # pointing out of the box, and the KKT report holds there
         target = np.array([-3.0, 7.0, 0.5])
-        z, _, g, converged, _, _ = _minimize_box(
+        z, _, g, converged, _, _, _ = _minimize_box(
             self.bowl(target), np.zeros((1, 3)), -1.0, 2.0, 500, 1e-10
         )
         assert converged[0]
@@ -564,7 +565,8 @@ class TestBoundedNewton:
         # a gradient of the wrong sign: every trial is rejected until the
         # halvings run out, and the start is returned with its own outputs
         def uphill(z, rows):
-            return -(z * z).sum(axis=1), 2.0 * z, np.tile(2.0 * np.eye(2), (len(z), 1, 1))
+            hess = np.tile(2.0 * np.eye(2), (len(z), 1, 1))
+            return -(z * z).sum(axis=1), 2.0 * z, hess, np.zeros(len(z))
 
         z, *_, point, _ = _minimize_box(with_point(uphill), np.ones((1, 2)), -5.0, 5.0, 500, 1e-10)
         np.testing.assert_array_equal(z, np.ones((1, 2)))
@@ -572,10 +574,10 @@ class TestBoundedNewton:
 
     def test_iteration_cap_reports_nonconvergence(self):
         start = np.array([[-1.2, 1.0]])
-        z, _, _, converged, iterations, _ = _minimize_box(self.rosenbrock, start, -5.0, 5.0, 3, 1e-10)
+        z, _, _, converged, iterations, *_ = _minimize_box(self.rosenbrock, start, -5.0, 5.0, 3, 1e-10)
         assert not converged[0]
         assert iterations[0] == 3
-        _, _, _, converged, _, _ = _minimize_box(self.rosenbrock, start, -5.0, 5.0, 500, 1e-10)
+        _, _, _, converged, *_ = _minimize_box(self.rosenbrock, start, -5.0, 5.0, 500, 1e-10)
         assert converged[0]
 
     def test_stack_rows_search_as_if_alone(self):
@@ -585,17 +587,18 @@ class TestBoundedNewton:
         bowl, boxed = self.bowl(np.array([1.5, -2.0, 0.5])), self.bowl(np.array([-3.0, 7.0, 0.5]))
 
         def rosenbrock(z, rows):
-            value, grad, hess = self.rosenbrock(z, rows)
+            value, grad, hess, rounding = self.rosenbrock(z, rows)
             padded = np.zeros((len(z), 3, 3))
             padded[:, :2, :2] = hess
-            return value, np.column_stack([grad, np.zeros(len(z))]), padded
+            return value, np.column_stack([grad, np.zeros(len(z))]), padded, rounding
 
         def infinite(z, rows):
-            return np.full(len(z), np.inf), np.zeros_like(z), np.zeros((len(z), 3, 3))
+            zeros = np.zeros(len(z))
+            return np.full(len(z), np.inf), np.zeros_like(z), np.zeros((len(z), 3, 3)), zeros
 
         def liar(z, rows):
             hess = np.tile(2.0 * np.eye(3), (len(z), 1, 1))
-            return -((z - 1.0) ** 2).sum(axis=1), 2.0 * (z - 1.0), hess
+            return -((z - 1.0) ** 2).sum(axis=1), 2.0 * (z - 1.0), hess, np.zeros(len(z))
 
         pieces = [bowl, boxed, rosenbrock, infinite, liar]
         calls = []
@@ -947,6 +950,16 @@ class TestFitMl:
         _, left_out = usable_reports(data, fit_ml, build_report)
         assert left_out["O4M4"] == "did not converge"
 
+    def test_step_onto_the_optimum_is_accepted_within_rounding(self):
+        # O4M4's eleventh Newton step here lands on the optimum, where f
+        # reads 1.9e-9 above the last point, more than 1e-12 (1 + |f|):
+        # the rounding f carries from rss accepts it
+        data = study_dataset("c", "O1M3", seed=36301)
+        fit = fit_ml(CandidateModel.from_id("O4M4"), data)
+        assert fit.converged and fit.evaluations <= 15
+        _, left_out = usable_reports(data, fit_ml, build_report)
+        assert not left_out
+
     def test_collinear_design_rejected(self):
         # x in {0, 1} makes the linear and quadratic columns identical
         rng = np.random.default_rng(33)
@@ -1031,6 +1044,22 @@ class TestResponseScale:
             assert self.select_scaled(benchmark_dataset(kind, seed), scale, searches), scale
 
     @pytest.mark.parametrize("kind, seed", FILES)
+    def test_search_takes_the_same_steps_in_any_units(self, kind, seed):
+        # no margin of the search reads the size of f, which holds n ln s
+        # in units s of y
+        data = benchmark_dataset(kind, seed)
+        reference = {cand: fit_ml(cand, data) for cand in enumerate_candidates()}
+        sizes = np.diff(data.bounds)
+        for k in (-100, -20, 20, 100):
+            scaled = Dataset.from_columns(data.ids, sizes, data.c, data.x, data.y * 10.0 ** k)
+            n_ln_scale = data.n_obs * k * math.log(10.0)
+            for cand, before in reference.items():
+                after = fit_ml(cand, scaled)
+                for name in ("iterations", "evaluations", "converged", "restarted"):
+                    assert getattr(after, name) == getattr(before, name), (k, cand.id, name)
+                assert after.loglik + n_ln_scale == pytest.approx(before.loglik, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("kind, seed", FILES)
     def test_fits_move_with_the_origin(self, kind, seed, searches):
         for shift in (1e3, 1e4, 1e7):
             assert self.select_scaled(benchmark_dataset(kind, seed), 1.0, searches, shift), shift
@@ -1067,7 +1096,9 @@ class TestResponseScale:
     @pytest.mark.parametrize("which", ["study", "ragged"])
     def test_fits_do_not_move_with_the_units_of_x(self, which, searches):
         # x s is a reparametrisation of every candidate (beta_k and omega_k
-        # times s^-k), unlike a shift of x, which changes the candidates
+        # times s^-k), unlike a shift of x, which changes the candidates;
+        # the rank check reads X'X at unit diagonal, and the start is capped
+        # on the search scale, so neither moves with s
         if which == "study":
             cand = CandidateModel.from_id("O2M3")
             data = draw_replicate(DESIGNS["d"], cand, 0, seed=36201)[1]
@@ -1075,7 +1106,7 @@ class TestResponseScale:
             data = benchmark_dataset("ragged", 36203)
         reference, left_out = usable_reports(data, fit_ml, build_report)
         sizes = np.diff(data.bounds)
-        for scale in (0.1, 10.0):
+        for scale in (0.1, 10.0, 1e-6, 1e3, 1e6):
             moved = Dataset.from_columns(data.ids, sizes, data.c, data.x * scale, data.y)
             searches.clear()
             reports, moved_out = usable_reports(moved, fit_ml, build_report)

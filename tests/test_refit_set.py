@@ -74,6 +74,23 @@ def test_compare_tolerates_rounding_and_counts_changes():
     assert "iterations changed: 1" in report and "restarted changed: 1" in report
 
 
+def test_compare_prints_the_summed_search_cost():
+    old = refit_lines()
+    fits = refit_set.parse(old)
+    totals = {
+        name: sum(fit[name] for fit in fits.values() if isinstance(fit, dict))
+        for name in ("iterations", "evaluations")
+    }
+    new = list(old)
+    new[0] = with_field(old[0], "iterations", fits["small O1M1"]["iterations"] + 2)
+    new[1] = with_field(old[1], "evaluations", fits["small O1M2"]["evaluations"] + 3)
+    report, ok = refit_set.compare(old, new)
+    assert ok
+    iterations, evaluations = totals["iterations"], totals["evaluations"]
+    assert f"iterations summed: old {iterations}, new {iterations + 2}" in report
+    assert f"evaluations summed: old {evaluations}, new {evaluations + 3}" in report
+
+
 def test_compare_fails_on_a_gated_change():
     old = refit_lines()
     fit = refit_set.parse(old[:1])["small O1M1"]

@@ -20,7 +20,9 @@ or compare this checkout's refit set with another's, with a tolerance:
 which prints per numeric field the largest and the median relative
 difference, max|a - b| / max(max|a|, max|b|) over a fit's values, and
 counts the fits whose converged flag, boundary, restarted flag,
-iterations, evaluations or error line changed.  It exits with status 1
+iterations, evaluations or error line changed, and prints the
+iterations and evaluations summed over each set's fits, the search
+cost of the change; the sums gate nothing.  It exits with status 1
 when the two sets hold different fits, when an error line, a converged
 flag or a boundary changed, or when a loglik moved by more than
 LOGLIK_RTOL relative.
@@ -53,6 +55,7 @@ FIELDS = (
 )
 NUMERIC = ("loglik", "beta", "omega2", "sigma2", "n_e")
 COUNTED = ("converged", "boundary", "restarted", "iterations", "evaluations")
+SUMMED = ("iterations", "evaluations")
 # a change in any of these fails the comparison
 GATED = ("error", "converged", "boundary")
 LOGLIK_RTOL = 1e-10
@@ -141,6 +144,9 @@ def compare(old_lines: list[str], new_lines: list[str]) -> tuple[list[str], bool
         largest, median = (max(values), statistics.median(values)) if values else (0.0, 0.0)
         report.append(f"{name}: max relative difference {largest:.3g}, median {median:.3g}")
     report += [f"{name} changed: {count}" for name, count in changed.items()]
+    for name in SUMMED:
+        sums = [sum(f[name] for f in fits.values() if isinstance(f, dict)) for fits in (old, new)]
+        report.append(f"{name} summed: old {sums[0]}, new {sums[1]}")
     loglik = max(differences["loglik"], default=0.0)
     ok = loglik <= LOGLIK_RTOL and not any(changed[name] for name in GATED)
     report.append("within tolerance" if ok else f"NOT within tolerance (loglik {LOGLIK_RTOL:g})")
