@@ -618,8 +618,8 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
     A candidate with no fewer parameters than the data has observations,
     or an unidentifiable mean structure, gets its error's message, in
     that order of precedence.  Every other candidate searches from
-    _START, or _START_CEILING on the search scale where that is lower,
-    all in one stack.  A cover (CandidateModel.covers) is the
+    _START, with theta_j s_j^2 at most _START_CEILING, all in one
+    stack.  A cover (CandidateModel.covers) is the
     candidate with a term held at zero, so its optimum is a feasible
     point: level by level up the lattice, each candidate whose best
     cover is lower by more than rounding searches once more from there,
@@ -722,17 +722,17 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     is theta_j = 0, so a variance whose maximum is at zero gets there in
     a few steps, and one near zero whose likelihood rises with it is not
     hidden by a vanishing log-scale gradient.  The search starts from
-    _START, held to at most _START_CEILING on that scale, and once more
+    _START, with theta_j s_j^2 at most _START_CEILING, and once more
     from the best optimum of the candidates with one term fewer where
     that is lower, so no candidate's maximum lies below one it nests.
     converged is the KKT check at the point the search returned (see
     _minimize_box), to _KKT_TOLERANCE * f_scale, and the search compares
     values of f only by their differences, so a fit takes the same steps
     in any units of y: a search that exhausts _MAX_ITERATIONS or stalls
-    is returned with converged=False rather than raised.  The log-likelihood and beta are
-    those at the point found, zero variances included, and `boundary`
-    lists those zeros.  y's origin moves only mu0, and c's only mu1 and
-    mu2 (DatasetStatistics.restore_origins).
+    is returned with converged=False rather than raised.  The
+    log-likelihood and beta are those at the point found, zero variances
+    included, and `boundary` lists those zeros.  y's origin moves only
+    mu0, and c's only mu1 and mu2 (DatasetStatistics.restore_origins).
 
     Raises:
         UnidentifiableModelError: fewer observations than parameters, a
