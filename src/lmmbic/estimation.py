@@ -71,9 +71,10 @@ Q's span); it makes two cases exact by construction.  Without random
 effects D = 0, so s = 1, a = Q'1, L = I, and ||s - Q a||^2 is below
 half an ulp of ||Q'1||^2, which is within a factor 2 of n_i:
 n_i - ||Q'1||^2 is exact and adding ||Q'1||^2 back gives n_i.  On a
-one-point grid Q = [1, 0, 0], s = Q a and s^2 = 1 + D_00 = Ct_00, so
-L^-1 a = s / sqrt(Ct_00) = 1: the sum is 1.  The second term adds two
-non-negative parts, so nothing cancels as the variances grow.
+one-point grid Q = [1, 0, 0], s = Q a and s^2 = 1 + D_00 = Ct_00, and L
+is diagonal, so solving with it divides: L^-1 a = s / sqrt(Ct_00) = 1,
+and the sum is 1.  The second term adds two non-negative parts, so
+nothing cancels as the variances grow.
 """
 
 from __future__ import annotations
@@ -145,10 +146,10 @@ class FittedModel:
     a tolerance no unit of y moves.
     boundary lists the omega* labels whose estimate is exactly zero, and
     sigma2 when the mean fits the data exactly, rss within its rounding,
-    where sigma2_hat is that rounding over n (see _profile); such
-    solutions are reported rather than rejected.  n_effective is the
-    effective sample size sum_i 1' R_i^-1 1 at theta_hat's variances
-    (_effective_sizes).  iterations counts the Newton steps and
+    where sigma2_hat is held at DatasetStatistics.sigma2_floor (see
+    _profile); such solutions are reported rather than rejected.
+    n_effective is the effective sample size sum_i 1' R_i^-1 1 at
+    theta_hat's variances (_effective_sizes).  iterations counts the Newton steps and
     evaluations the likelihood evaluations of the candidate's searches,
     and restarted says whether its optimum came from the restart at the
     optimum of a candidate it nests.  A fit holds no reference to its
@@ -208,9 +209,11 @@ class DatasetStatistics:
     constant_response say whether the raw c and y take a single value;
     z_scale2 is the mean square of each Z column; f_scale = 1 + n (1 +
     ln 2 pi) / 2, the -loglik of n unit-variance observations, is the
-    search's unit-free scale of f.  point_q (P, 3) stacks
-    the rows of every grid's Q, grid after grid in the order of R, and
-    grid_sizes (G,) their number of points.
+    search's unit-free scale of f.  rss_rounding = _RSS_ROUNDING sqrt(n)
+    y'y is rss's rounding, below which rss is zero, and sigma2_floor =
+    rss_rounding / n is sigma2_hat's floor (_profile).  point_q (P, 3)
+    stacks the rows of every grid's Q, grid after grid in the order of
+    R, and grid_sizes (G,) their number of points.
     """
 
     # an overflowing X'X is rejected with a clear message by _identifiability
@@ -259,6 +262,7 @@ class DatasetStatistics:
         self.cross_yy = np.stack(cross_yy).reshape(-1)
         self.rr = (self.R[:, :, None, :] * self.R[:, None, :, :]).reshape(-1, 3).T.copy()
         self.rss_rounding = _RSS_ROUNDING * math.sqrt(self.n_obs) * self.yty
+        self.sigma2_floor = self.rss_rounding / self.n_obs
         self.f_scale = 1.0 + 0.5 * self.n_obs * (1.0 + LN_TWO_PI)
         # sum_g m_g R_g'R_g over all observations
         self.z_scale2 = self.counts @ (self.R ** 2).sum(axis=1) / self.n_obs
@@ -341,7 +345,8 @@ def _solve(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tup
 def _effective_sizes(stats: DatasetStatistics, theta: np.ndarray) -> np.ndarray:
     """n_e = sum_i 1' R_i^-1 1 (B,) at B candidates' relative variances
     theta (B, 3), zero where a candidate has no random effect, read off
-    each grid's capacitance as the module docstring derives it."""
+    each grid's capacitance as the module docstring derives it, with
+    L^-1 a from one batched solve on Ct's Cholesky factor L."""
     B = theta.shape[0]
     D = (theta @ stats.rr).reshape(B, -1, 3, 3)
     q, sizes = stats.point_q, stats.grid_sizes
@@ -349,11 +354,7 @@ def _effective_sizes(stats: DatasetStatistics, theta: np.ndarray) -> np.ndarray:
     starts = np.cumsum(sizes) - sizes
     ones, a = np.add.reduceat(q, starts), np.add.reduceat(q * s[:, :, None], starts, axis=1)
     perp = s - (q * np.repeat(a, sizes, axis=1)).sum(axis=2)
-    # L^-1 a by forward substitution, dividing as the one-point case needs
-    L = np.linalg.cholesky(D + _EYE3)
-    x = np.empty_like(a)
-    for k in range(3):
-        x[..., k] = (a[..., k] - (L[..., k, :k] * x[..., :k]).sum(axis=2)) / L[..., k, k]
+    x = np.linalg.solve(np.linalg.cholesky(D + _EYE3), a[..., None])[..., 0]  # L^-1 a
     second = np.add.reduceat(perp * perp, starts, axis=1) + (x * x).sum(axis=2)
     return ((sizes - (ones * ones).sum(axis=1)) + second) @ stats.counts
 
@@ -364,8 +365,10 @@ def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> t
     At relative variances theta = omega2 / sigma2 (B, 3) the likelihood
     is maximized by sigma2_hat = rss / n; where the mean fits the data
     exactly, rss is zero (see _solve) and sigma2_hat is held at the
-    floor rss_rounding / n, which scales with the centred y'y.  Returns
-    per candidate f = -loglik at (theta * sigma2_hat, sigma2_hat), its
+    floor sigma2_floor = rss_rounding / n, which scales with the centred
+    y'y; max(rss / n, sigma2_floor) is max(rss, rss_rounding) / n to the
+    bit, as rounding a division by n is monotone.  Returns per
+    candidate f = -loglik at (theta * sigma2_hat, sigma2_hat), its
     exact gradient (B, 3) and Hessian (B, 3, 3) in theta, sigma2_hat and
     beta_hat (B, 5).  With r_j the j-th column of a grid's R, K = Ct^-1,
     w_j = K r_j, M = R'KR, N = W'SW for S = sum_i u_i u_i' over the
@@ -388,7 +391,7 @@ def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> t
     """
     logdet, rss, beta, K, A = _solve(stats, mean, theta)
     B, n = theta.shape[0], stats.n_obs
-    sigma2 = np.maximum(rss, stats.rss_rounding) / n
+    sigma2 = np.maximum(rss / n, stats.sigma2_floor)
     value = 0.5 * (n * (LN_TWO_PI + np.log(sigma2)) + logdet + rss / sigma2)
     W = K @ stats.R                                # columns K_g r_j
     Wt = W.transpose(0, 1, 3, 2)
@@ -443,7 +446,8 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, tol: float) -> tup
     fun(z, rows) returns the values (k,), gradients (k, d), Hessians
     (k, d, d) and the values' roundings (k,) of stack rows `rows` at z
     (k, d), and any further per-row outputs (k, ...) it has there; each
-    round calls it once, on the next point of every row still searching.
+    round calls it once, on the next point of every row still searching,
+    clip(z + t direction) at the step t its line search settled on.
     Each row is a search of its own: an iteration takes a Newton step on
     the coordinates neither held at a bound nor boxed to a point, along
     -V |L|^-1 V'g for the eigenpairs (L, V) of their Hessian, with |L|
@@ -456,7 +460,8 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, tol: float) -> tup
     gradient is at most tol in max-norm.  Returns per row (z, f,
     gradient, converged, iterations, calls of fun), then the rounding and
     fun's further outputs at z; a row whose start is not finite stops
-    there, unconverged, after 0 iterations.
+    there, unconverged, after 0 iterations, and since a step is accepted
+    only with a finite f, f is finite exactly on the rows that ran.
     """
     B, d = z0.shape
     lower, upper = np.broadcast_to(lower, z0.shape), np.broadcast_to(upper, z0.shape)
@@ -465,11 +470,12 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, tol: float) -> tup
     state = list(fun(z, np.arange(B)))  # f, g, h, rounding, then fun's further outputs
     f, g, h, rounding = state[:4]
     evaluations, iterations = np.ones(B, dtype=int), np.zeros(B, dtype=int)
-    started = np.isfinite(f)
-    # stepped marks the rows that moved last round and need a new direction;
-    # every other running row halves its last step
-    running, stepped = started.copy(), started.copy()
-    direction, trial = np.zeros((B, d)), z.copy()
+    # a row runs from a finite start and accepts only a finite f, so
+    # np.isfinite(f) marks the rows that ever ran; stepped marks the rows
+    # that moved last round and need a new direction, and every other
+    # running row halves its last step
+    running, stepped = np.isfinite(f), np.isfinite(f)
+    direction = np.zeros((B, d))
     t, tries = np.ones(B), np.zeros(B, dtype=int)
 
     def kkt() -> np.ndarray:
@@ -501,14 +507,14 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, tol: float) -> tup
         rows = np.flatnonzero(running)
         while rows.size:
             step = np.clip(z + t[:, None] * direction, lower, upper)
-            trial[rows] = step[rows]
             rows = halve(rows[~((g * (step - z)).sum(axis=1)[rows] < 0)])
         rows = np.flatnonzero(running)
         if not rows.size:
             # a row stopped by its halvings or the iteration cap has not
             # moved since its last check, so one check here covers all
-            return z, f, g, started & kkt(), iterations, evaluations, *state[3:]
-        zt = trial[rows]
+            return z, f, g, np.isfinite(f) & kkt(), iterations, evaluations, *state[3:]
+        # the point each row's line search settled on
+        zt = np.clip(z[rows] + t[rows, None] * direction[rows], lower[rows], upper[rows])
         new = fun(zt, rows)
         evaluations += running
         fr, s = f[rows], zt - z[rows]
@@ -591,13 +597,13 @@ def _search(stats: DatasetStatistics, mean: np.ndarray, present: np.ndarray, sta
     rss_rounding / (2 sigma2_hat), zero on the floor, where the rss term
     is exactly zero.  Returns per candidate theta, f, the KKT flag, the
     iterations, the evaluations, and sigma2_hat and beta_hat at theta."""
-    scale2, floor = stats.z_scale2, stats.rss_rounding / stats.n_obs
+    scale2 = stats.z_scale2
 
     def objective(w: np.ndarray, rows: np.ndarray) -> tuple:
         # rank deficiency is rejected before the search, so a breakdown
         # means the variances are numerically extreme: price them out
         f, g, h, sigma2, beta = _profile_stack(stats, mean[rows], _relative_variances(w, scale2))
-        rounding = np.where(sigma2 > floor, 0.5 * stats.rss_rounding / sigma2, 0.0)
+        rounding = np.where(sigma2 > stats.sigma2_floor, 0.5 * stats.rss_rounding / sigma2, 0.0)
         # the chain rule through theta_j = (e^w_j - _ZERO_SHIFT) / s_j^2,
         # whose first and second derivatives are both e^w_j / s_j^2
         jac = np.where(present[rows], np.exp(w) / scale2, 0.0)
@@ -683,7 +689,7 @@ def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel
             continue
         omega2 = theta[i, candidate.random_columns] * sigma2[i]
         boundary = tuple(label for label, v in zip(candidate.variance_labels(), omega2) if v == 0.0)
-        if sigma2[i] <= stats.rss_rounding / stats.n_obs:  # rss is zero
+        if sigma2[i] <= stats.sigma2_floor:  # rss is zero
             boundary += ("sigma2",)
         fits[candidate] = FittedModel(
             candidate=candidate,
