@@ -71,10 +71,9 @@ Q's span); it makes two cases exact by construction.  Without random
 effects D = 0, so s = 1, a = Q'1, L = I, and ||s - Q a||^2 is below
 half an ulp of ||Q'1||^2, which is within a factor 2 of n_i:
 n_i - ||Q'1||^2 is exact and adding ||Q'1||^2 back gives n_i.  On a
-one-point grid Q = [1, 0, 0], s = Q a and s^2 = 1 + D_00 = Ct_00, and L
-is diagonal, so solving with it divides: L^-1 a = s / sqrt(Ct_00) = 1,
-and the sum is 1.  The second term adds two non-negative parts, so
-nothing cancels as the variances grow.
+one-point grid Q = [1, 0, 0], s = Q a, s^2 = 1 + D_00 = Ct_00 and L is
+diagonal, so L^-1 a = s / sqrt(Ct_00) = 1 by division: the sum is 1.
+The second term's two parts are non-negative, so nothing cancels.
 """
 
 from __future__ import annotations
@@ -146,14 +145,14 @@ class FittedModel:
     a tolerance no unit of y moves.
     boundary lists the omega* labels whose estimate is exactly zero, and
     sigma2 when the mean fits the data exactly, rss within its rounding,
-    where sigma2_hat is held at DatasetStatistics.sigma2_floor (see
-    _profile); such solutions are reported rather than rejected.
-    n_effective is the effective sample size sum_i 1' R_i^-1 1 at
-    theta_hat's variances (_effective_sizes).  iterations counts the Newton steps and
-    evaluations the likelihood evaluations of the candidate's searches,
-    and restarted says whether its optimum came from the restart at the
-    optimum of a candidate it nests.  A fit holds no reference to its
-    dataset.
+    where sigma2_hat is on its floor, DatasetStatistics.sigma2_floor;
+    such solutions are reported rather than rejected.  n_effective is
+    the effective sample size sum_i 1' R_i^-1 1 at theta_hat's
+    variances (_effective_sizes).  iterations counts the Newton steps
+    and evaluations the likelihood evaluations of the candidate's
+    searches, and restarted says whether its optimum came from the
+    restart at the optimum of a candidate it nests.  A fit holds no
+    reference to its dataset.
     """
 
     candidate: CandidateModel
@@ -209,11 +208,11 @@ class DatasetStatistics:
     constant_response say whether the raw c and y take a single value;
     z_scale2 is the mean square of each Z column; f_scale = 1 + n (1 +
     ln 2 pi) / 2, the -loglik of n unit-variance observations, is the
-    search's unit-free scale of f.  rss_rounding = _RSS_ROUNDING sqrt(n)
-    y'y is rss's rounding, below which rss is zero, and sigma2_floor =
-    rss_rounding / n is sigma2_hat's floor (_profile).  point_q (P, 3)
-    stacks the rows of every grid's Q, grid after grid in the order of
-    R, and grid_sizes (G,) their number of points.
+    search's unit-free scale of f.  An rss within rss_rounding =
+    _RSS_ROUNDING sqrt(n) y'y is zero, and sigma2_floor = rss_rounding /
+    n is sigma2_hat's floor.  point_q (P, 3) stacks the rows of every
+    grid's Q, grid after grid in the order of R, and grid_sizes (G,)
+    their number of points.
     """
 
     # an overflowing X'X is rejected with a clear message by _identifiability
@@ -345,8 +344,7 @@ def _solve(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> tup
 def _effective_sizes(stats: DatasetStatistics, theta: np.ndarray) -> np.ndarray:
     """n_e = sum_i 1' R_i^-1 1 (B,) at B candidates' relative variances
     theta (B, 3), zero where a candidate has no random effect, read off
-    each grid's capacitance as the module docstring derives it, with
-    L^-1 a from one batched solve on Ct's Cholesky factor L."""
+    each grid's capacitance as the module docstring derives it."""
     B = theta.shape[0]
     D = (theta @ stats.rr).reshape(B, -1, 3, 3)
     q, sizes = stats.point_q, stats.grid_sizes
@@ -354,7 +352,7 @@ def _effective_sizes(stats: DatasetStatistics, theta: np.ndarray) -> np.ndarray:
     starts = np.cumsum(sizes) - sizes
     ones, a = np.add.reduceat(q, starts), np.add.reduceat(q * s[:, :, None], starts, axis=1)
     perp = s - (q * np.repeat(a, sizes, axis=1)).sum(axis=2)
-    x = np.linalg.solve(np.linalg.cholesky(D + _EYE3), a[..., None])[..., 0]  # L^-1 a
+    x = np.linalg.solve(np.linalg.cholesky(D + _EYE3), a[..., None])[..., 0]  # L^-1 a, Ct = LL'
     second = np.add.reduceat(perp * perp, starts, axis=1) + (x * x).sum(axis=2)
     return ((sizes - (ones * ones).sum(axis=1)) + second) @ stats.counts
 
@@ -365,10 +363,8 @@ def _profile(stats: DatasetStatistics, mean: np.ndarray, theta: np.ndarray) -> t
     At relative variances theta = omega2 / sigma2 (B, 3) the likelihood
     is maximized by sigma2_hat = rss / n; where the mean fits the data
     exactly, rss is zero (see _solve) and sigma2_hat is held at the
-    floor sigma2_floor = rss_rounding / n, which scales with the centred
-    y'y; max(rss / n, sigma2_floor) is max(rss, rss_rounding) / n to the
-    bit, as rounding a division by n is monotone.  Returns per
-    candidate f = -loglik at (theta * sigma2_hat, sigma2_hat), its
+    floor sigma2_floor, which scales with the centred y'y.  Returns
+    per candidate f = -loglik at (theta * sigma2_hat, sigma2_hat), its
     exact gradient (B, 3) and Hessian (B, 3, 3) in theta, sigma2_hat and
     beta_hat (B, 5).  With r_j the j-th column of a grid's R, K = Ct^-1,
     w_j = K r_j, M = R'KR, N = W'SW for S = sum_i u_i u_i' over the
@@ -446,8 +442,8 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, tol: float) -> tup
     fun(z, rows) returns the values (k,), gradients (k, d), Hessians
     (k, d, d) and the values' roundings (k,) of stack rows `rows` at z
     (k, d), and any further per-row outputs (k, ...) it has there; each
-    round calls it once, on the next point of every row still searching,
-    clip(z + t direction) at the step t its line search settled on.
+    round calls it once, at clip(z + t direction) for every row still
+    searching, with t the step its line search settled on.
     Each row is a search of its own: an iteration takes a Newton step on
     the coordinates neither held at a bound nor boxed to a point, along
     -V |L|^-1 V'g for the eigenpairs (L, V) of their Hessian, with |L|
@@ -460,8 +456,7 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, tol: float) -> tup
     gradient is at most tol in max-norm.  Returns per row (z, f,
     gradient, converged, iterations, calls of fun), then the rounding and
     fun's further outputs at z; a row whose start is not finite stops
-    there, unconverged, after 0 iterations, and since a step is accepted
-    only with a finite f, f is finite exactly on the rows that ran.
+    there, unconverged, after 0 iterations; every other keeps a finite f.
     """
     B, d = z0.shape
     lower, upper = np.broadcast_to(lower, z0.shape), np.broadcast_to(upper, z0.shape)
@@ -470,10 +465,8 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, tol: float) -> tup
     state = list(fun(z, np.arange(B)))  # f, g, h, rounding, then fun's further outputs
     f, g, h, rounding = state[:4]
     evaluations, iterations = np.ones(B, dtype=int), np.zeros(B, dtype=int)
-    # a row runs from a finite start and accepts only a finite f, so
-    # np.isfinite(f) marks the rows that ever ran; stepped marks the rows
-    # that moved last round and need a new direction, and every other
-    # running row halves its last step
+    # stepped marks the rows that moved last round and need a new direction;
+    # every other running row halves its last step
     running, stepped = np.isfinite(f), np.isfinite(f)
     direction = np.zeros((B, d))
     t, tries = np.ones(B), np.zeros(B, dtype=int)
@@ -513,7 +506,6 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, tol: float) -> tup
             # a row stopped by its halvings or the iteration cap has not
             # moved since its last check, so one check here covers all
             return z, f, g, np.isfinite(f) & kkt(), iterations, evaluations, *state[3:]
-        # the point each row's line search settled on
         zt = np.clip(z[rows] + t[rows, None] * direction[rows], lower[rows], upper[rows])
         new = fun(zt, rows)
         evaluations += running

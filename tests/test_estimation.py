@@ -1093,6 +1093,27 @@ class TestResponseScale:
                         scale = abs(mu) + abs(alpha) * shift
                         assert new["mu" + k] == pytest.approx(mu - alpha * shift, abs=1e-6 * scale)
 
+    @pytest.mark.parametrize("kind, seed", FILES)
+    def test_moderate_trend_keeps_every_winner(self, kind, seed):
+        # every candidate's mean holds x^2, so y + a x^2 moves mu2 by a and
+        # nothing else; the core still forms cross-products the size of the
+        # trend, and at a = 1000 logliks move by up to 3.4e-8 relative
+        # (ROADMAP item 3), so only what is left out, the winners and mu2
+        # are held here
+        trend = 1000.0
+        data = benchmark_dataset(kind, seed)
+        reference, left_out = usable_reports(data, fit_ml, build_report)
+        assert not left_out
+        y = data.y + trend * data.x ** 2
+        moved = Dataset.from_columns(data.ids, np.diff(data.bounds), data.c, data.x, y)
+        reports, left_out = usable_reports(moved, fit_ml, build_report)
+        assert not left_out
+        for crit in CRITERIA:
+            assert select_model(reports, crit) == select_model(reference, crit), crit
+        for before, after in zip(reference, reports):
+            mu2 = before.fit.theta_hat.beta[2] + trend
+            assert after.fit.theta_hat.beta[2] == pytest.approx(mu2, rel=0.0, abs=1e-8)
+
     @pytest.mark.parametrize("which", ["study", "ragged"])
     def test_fits_do_not_move_with_the_units_of_x(self, which, searches):
         # x s is a reparametrisation of every candidate (beta_k and omega_k
