@@ -252,7 +252,9 @@ def selection_summary(
     For each criterion the two best candidates are compared by
     criterion difference and the matching approximate Bayes factor,
     each with its evidence grade; a runner-up tied with the winner (see
-    select_model) has difference 0 and Bayes factor 1.  Raises
+    select_model) has difference 0 and Bayes factor 1.  A Bayes factor
+    exp(delta / 2) beyond a float is None, JSON's null, graded Decisive,
+    and no warning is raised.  Raises
     ValueError on an unknown or repeated criterion name, or on a bare
     string of names.
     """
@@ -274,13 +276,17 @@ def selection_summary(
             # a tied runner-up may sit above or below the winner by rounding
             runner_value = best_value if n_tied > 1 else runner.values[crit]
             delta = runner_value - best_value
-            bf = bayes_factor_from_bics(best_value, runner_value)
+            try:  # bayes_factor_from_bics without its overflow warning
+                bf = math.exp(0.5 * delta)
+            except OverflowError:
+                bf = math.inf
             evidence[crit] = {
                 "best": best.candidate_id,
                 "runner_up": runner.candidate_id,
                 "delta": delta,
                 "delta_label": delta_bic_label(delta),
-                "bayes_factor": bf,
+                # JSON has no infinity: a factor beyond a float is null
+                "bayes_factor": bf if bf < math.inf else None,
                 "jeffreys_label": jeffreys_label(bf),
             }
     return {

@@ -50,8 +50,11 @@ with one shared grid the cost does not grow with the number of
 subjects, and on unbalanced data, where every subject may have its own
 grid, it does not pay a Python loop over the grids.  The sixteen
 searches run in lockstep on a dataset's first fit (_search_family),
-which rejects candidates once per parameter count and mean structure
-and calls the core on the whole stack: the fit path constructs no
+which holds the family as one lattice of 16 rows, row k the candidate
+with enumeration index k and its covers one (16, 4) index array
+(_COVERS).  It rejects candidates once per parameter count and mean
+structure, and a rejected row keeps f = inf and is never searched; it
+calls the core on the whole stack: the fit path constructs no
 ProfiledLikelihood.
 
 The same capacitances give the effective sample size n_e = sum_i
@@ -527,12 +530,15 @@ def _minimize_box(fun, z0, lower, upper, max_iterations: int, tol: float) -> tup
 
 # The candidate lattice, in enumeration order: each candidate's columns of
 # O4M4's X (16, 5) and Z (16, 3), its parameter count, and the enumeration
-# indices of its covers (CandidateModel.covers).
+# indices of its covers (CandidateModel.covers), padded to 4 with its own.
 _CANDIDATES = tuple(enumerate_candidates())
 _MEAN = _readonly([c.mean_columns for c in _CANDIDATES], dtype=bool)
 _PRESENT = _readonly([c.random_columns for c in _CANDIDATES], dtype=bool)
-_N_PARAMETERS = tuple(c.n_parameters for c in _CANDIDATES)
-_COVERS = tuple(tuple(cover.enumeration_index for cover in c.covers()) for c in _CANDIDATES)
+_N_PARAMETERS = _readonly([c.n_parameters for c in _CANDIDATES], dtype=int)
+_COVERS = _readonly(
+    [([d.enumeration_index for d in c.covers()] + [k] * 4)[:4] for k, c in enumerate(_CANDIDATES)],
+    dtype=int,
+)
 
 
 def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
@@ -613,89 +619,87 @@ def _search(stats: DatasetStatistics, mean: np.ndarray, present: np.ndarray, sta
 def _search_family(stats: DatasetStatistics) -> dict[CandidateModel, FittedModel | str]:
     """Fit all sixteen candidates on the dataset whose statistics are stats.
 
-    A candidate with no fewer parameters than the data has observations,
-    or an unidentifiable mean structure, gets its error's message, in
-    that order of precedence.  Every other candidate searches from
-    _START, with theta_j s_j^2 at most _START_CEILING, all in one
-    stack.  A cover (CandidateModel.covers) is the
-    candidate with a term held at zero, so its optimum is a feasible
-    point: level by level up the lattice, each candidate whose best
-    cover is lower by more than rounding searches once more from there,
-    each level's restarts in one stack.  Every candidate reports the
-    optimum its own searches reached, and sigma2_hat and beta_hat are
-    those the searches evaluated there.
+    Every per-candidate array holds 16 rows, row k the candidate with
+    enumeration index k.  A candidate with no fewer parameters than the
+    data has observations, or an unidentifiable mean structure, is left
+    out before the search: its row keeps f = inf, and it gets its
+    error's message, in that order of precedence.  Every other candidate
+    searches from _START, with theta_j s_j^2 at most _START_CEILING, all
+    in one stack.  A cover (CandidateModel.covers) is the candidate with
+    a term held at zero, so its optimum is a feasible point: level by
+    level up the lattice, each candidate not left out whose best cover is
+    lower by more than rounding searches once more from there, each
+    level's restarts in one stack.  Every candidate reports the optimum
+    its own searches reached, and sigma2_hat and beta_hat are those the
+    searches evaluated there.  The dict is in enumeration order.
     """
     problems = _identifiability(stats)
-    fits: dict[CandidateModel, FittedModel | str] = {}
-    ids = []  # enumeration indices of the stack's rows
-    for k, candidate in enumerate(_CANDIDATES):
-        if stats.n_obs <= _N_PARAMETERS[k]:
-            fits[candidate] = (
-                f"candidate {candidate.id} has {_N_PARAMETERS[k]} parameters "
-                f"but the data has only {stats.n_obs} observations"
-            )
-        elif problems[candidate.m] is not None:
-            fits[candidate] = problems[candidate.m].format(id=candidate.id)
-        else:
-            ids.append(k)
-    if not ids:
-        return fits
-    row = {k: i for i, k in enumerate(ids)}
-    mean, present = _MEAN[ids], _PRESENT[ids]
-    start = np.where(present, np.minimum(_START, _START_CEILING / stats.z_scale2), 0.0)
-    found = _search(stats, mean, present, start)
-    theta, f, converged, iterations, evaluations, sigma2, beta = found
-    restarted = np.zeros(len(ids), dtype=bool)
+    ok = (_N_PARAMETERS < stats.n_obs) & np.array([problems[c.m] is None for c in _CANDIDATES])
+    theta, f = np.zeros((16, 3)), np.full(16, math.inf)
+    sigma2, beta = np.full(16, math.nan), np.zeros((16, 5))
+    converged, restarted = np.zeros(16, dtype=bool), np.zeros(16, dtype=bool)
+    iterations, evaluations = np.zeros(16, dtype=int), np.zeros(16, dtype=int)
+
+    def search(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+        # the rows whose search did not break down at its start; a restart
+        # that does keeps the first optimum, which its cover beats, so
+        # that one is not converged
+        found = _search(stats, _MEAN[rows], _PRESENT[rows], start)
+        iterations[rows] += found[3]
+        evaluations[rows] += found[4]
+        kept = np.isfinite(found[1])
+        converged[rows] &= kept
+        rows, found = rows[kept], [a[kept] for a in found]
+        theta[rows], f[rows], converged[rows], _, _, sigma2[rows], beta[rows] = found
+        return rows
+
+    if ok.any():
+        start = np.where(_PRESENT, np.minimum(_START, _START_CEILING / stats.z_scale2), 0.0)
+        search(np.flatnonzero(ok), start[ok])
     # each level of the lattice above the smallest; its covers have a parameter fewer
-    for size in sorted(set(_N_PARAMETERS))[1:]:
-        fs = f.tolist()
-        best = {
-            row[k]: min((row[j] for j in _COVERS[k]), key=fs.__getitem__)
-            for k in ids if _N_PARAMETERS[k] == size
-        }
-        rows = [i for i, j in best.items() if fs[j] < fs[i] - _F_ROUNDING * stats.f_scale]
-        if rows:
-            found = _search(stats, mean[rows], present[rows], theta[[best[i] for i in rows]])
-            iterations[rows] += found[3]
-            evaluations[rows] += found[4]
-            # a restart that breaks down at its start keeps the first
-            # optimum, which its cover beats: that one is not converged
-            kept = np.isfinite(found[1])
-            converged[rows] &= kept
-            rows, found = np.array(rows)[kept], [a[kept] for a in found]
-            theta[rows], f[rows], converged[rows], _, _, sigma2[rows], beta[rows] = found
-            restarted[rows] = True
+    for size in sorted(set(_N_PARAMETERS.tolist()))[1:]:
+        best = _COVERS[np.arange(16), f[_COVERS].argmin(axis=1)]
+        lower = f[best] < f - _F_ROUNDING * stats.f_scale
+        rows = np.flatnonzero(ok & (_N_PARAMETERS == size) & lower)
+        if rows.size:
+            restarted[search(rows, theta[best[rows]])] = True
     stats.restore_origins(beta)
     # n_e at the variances each FittedModel holds, omega2 / sigma2
-    n_e, finite = np.full(len(ids), math.nan), np.isfinite(f)
+    n_e, finite = np.full(16, math.nan), np.isfinite(f)
     if finite.any():
         scale = sigma2[finite, None]
         n_e[finite] = _effective_sizes(stats, theta[finite] * scale / scale)
-    for i, k in enumerate(ids):
-        candidate = _CANDIDATES[k]
-        if not finite[i]:
-            fits[candidate] = (
-                f"likelihood for candidate {candidate.id} "
-                "could not be evaluated at any visited point"
+    fits: dict[CandidateModel, FittedModel | str] = {}
+    for k, cand in enumerate(_CANDIDATES):
+        if stats.n_obs <= _N_PARAMETERS[k]:
+            fits[cand] = (
+                f"candidate {cand.id} has {_N_PARAMETERS[k]} parameters "
+                f"but the data has only {stats.n_obs} observations"
             )
-            continue
-        omega2 = theta[i, candidate.random_columns] * sigma2[i]
-        boundary = tuple(label for label, v in zip(candidate.variance_labels(), omega2) if v == 0.0)
-        if sigma2[i] <= stats.sigma2_floor:  # rss is zero
-            boundary += ("sigma2",)
-        fits[candidate] = FittedModel(
-            candidate=candidate,
-            theta_hat=ParameterVector(beta[i, candidate.mean_columns], omega2, sigma2[i]),
-            loglik=-float(f[i]),
-            converged=bool(converged[i]),
-            boundary=boundary,
-            n_obs=stats.n_obs,
-            n_subjects=stats.n_subjects,
-            n_effective=float(n_e[i]),
-            iterations=int(iterations[i]),
-            evaluations=int(evaluations[i]),
-            restarted=bool(restarted[i]),
-        )
+        elif problems[cand.m] is not None:
+            fits[cand] = problems[cand.m].format(id=cand.id)
+        elif not finite[k]:
+            fits[cand] = (
+                f"likelihood for candidate {cand.id} could not be evaluated at any visited point"
+            )
+        else:
+            omega2 = theta[k, cand.random_columns] * sigma2[k]
+            boundary = tuple(label for label, v in zip(cand.variance_labels(), omega2) if v == 0.0)
+            if sigma2[k] <= stats.sigma2_floor:  # rss is zero
+                boundary += ("sigma2",)
+            fits[cand] = FittedModel(
+                candidate=cand,
+                theta_hat=ParameterVector(beta[k, cand.mean_columns], omega2, sigma2[k]),
+                loglik=-float(f[k]),
+                converged=bool(converged[k]),
+                boundary=boundary,
+                n_obs=stats.n_obs,
+                n_subjects=stats.n_subjects,
+                n_effective=float(n_e[k]),
+                iterations=int(iterations[k]),
+                evaluations=int(evaluations[k]),
+                restarted=bool(restarted[k]),
+            )
     return fits
 
 

@@ -236,6 +236,27 @@ class TestSelectCommand:
         assert excinfo.value.code == 2
         assert "comma-separated subset" in capsys.readouterr().err
 
+    def test_bayes_factor_beyond_a_float_is_null(self, tmp_path, capsys):
+        # with c constant only the M1 candidates fit, and O4M1 leads O3M1 by
+        # over 4000 on every criterion: exp(delta / 2) is beyond a float
+        truth = TrueParameters(mu=(1, 0.5, -0.05), alpha=(0, 0), omega2=(1, 1, 0.05), sigma2=1)
+        data = generate_dataset(DESIGNS["d"], truth, 42401)
+        path = tmp_path / "constant_c.csv"
+        write_data(Dataset(subjects=[dataclasses.replace(b, c=0.0) for b in data.subjects]), path)
+        code, out, err = run_cli(capsys, "select", str(path))  # a warning raises here
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=strict)
+        assert code == 0 and len(payload["evidence"]) == 4
+        for ev in payload["evidence"].values():
+            assert (ev["best"], ev["runner_up"]) == ("O4M1", "O3M1")
+            assert ev["delta"] > 2.0 * np.log(sys.float_info.max)
+            assert ev["bayes_factor"] is None and ev["jeffreys_label"] == "Decisive"
+            assert ev["delta_label"] == "Very Strong"
+        assert all(line.startswith("WARNING candidate O") for line in err.splitlines())
+
 
 def test_failed_and_unconverged_fits_left_out(data_file, monkeypatch, capsys, caplog):
     raising = {"O2M2"}

@@ -880,6 +880,42 @@ class TestFitMl:
         with pytest.raises(UnidentifiableModelError, match="observations"):
             fit_ml(CandidateModel(m=1, o=1), data)
 
+    def test_left_out_candidates_are_never_searched(self, monkeypatch):
+        # a candidate left out before the search keeps f = inf, below which
+        # any finite cover lies: only the lattice's mask keeps it from a restart
+        searched = []
+        search = lmmbic.estimation._search
+
+        def recording(stats, mean, present, start):
+            searched.append((stats.n_obs, mean.copy(), present.copy()))
+            return search(stats, mean, present, start)
+
+        monkeypatch.setattr(lmmbic.estimation, "_search", recording)
+        rng = np.random.default_rng(42501)
+        x = np.linspace(0.0, 10.0, 5)
+        constant_c = Dataset(subjects=tuple(
+            SubjectBlock(id=f"s{i}", x=x, c=0.0, y=1.0 + 0.5 * x + rng.normal(size=5))
+            for i in range(8)
+        ))
+        x = np.array([0.0, 3.0, 6.0, 10.0])
+        two_subjects = Dataset(subjects=tuple(
+            SubjectBlock(id=f"s{i}", x=x, c=float(i), y=rng.normal(size=4)) for i in range(2)
+        ))
+        for data in (constant_c, two_subjects):
+            _, left_out = usable_reports(data, fit_ml, build_report)
+            assert left_out and all(why.startswith("failed to fit") for why in left_out.values())
+        rows = {40: [], 8: []}
+        for n_obs, mean, present in searched:
+            rows[n_obs] += zip(mean, present)
+        assert rows[40] and not any(mean[3:].any() for mean, _ in rows[40])  # no alpha column
+        assert rows[8] and all(mean.sum() + present.sum() + 1 < 8 for mean, present in rows[8])
+
+    def test_covers_array_holds_each_candidates_covers_in_order(self):
+        for k, cand in enumerate(enumerate_candidates()):
+            covers = [cover.enumeration_index for cover in cand.covers()]
+            padded = lmmbic.estimation._COVERS[k].tolist()
+            assert padded[: len(covers)] == covers and padded[len(covers):] == [k] * (4 - len(covers))
+
     def test_rank_checked_per_mean_structure(self):
         # c x equals c x^2 on every row: c = 1 only on the grid {0, 1},
         # where x^2 = x, so only M4, which has both columns, loses rank
