@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +184,7 @@ def _infer_delimiter(header_line: str) -> str:
     return ","
 
 
-def _floats(path: Path, column: str, values: list[str], lines: list[int]) -> np.ndarray:
+def _floats(path: Path, column: str, values: Sequence[str], lines: Sequence[int]) -> np.ndarray:
     """One column's values as finite floats; a failure names its first bad line."""
     try:
         arr = np.array(list(map(float, values)))
@@ -223,40 +223,33 @@ def read_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports write
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        blank = 0
-        while (first := handle.readline()).isspace():
-            blank += 1
+        numbered = ((k, line) for k, line in enumerate(handle, 1) if not line.isspace())
+        start, first = next(numbered, (0, ""))
         if not first:
             raise DataFormatError(f"{path}: file is empty")
-        handle.seek(0)
-        reader = csv.reader(handle, delimiter=_infer_delimiter(first))
-        header = [h.strip() for h in next(islice(reader, blank, None))]
+        # one reader from the header on, so its line_num counts from line start
+        reader = csv.reader(chain([first], handle), delimiter=_infer_delimiter(first))
+        header = [h.strip() for h in next(reader)]
         for column in REQUIRED_COLUMNS:
             if column not in header:
                 raise DataFormatError(f"{path}: missing column {column!r}")
-        index = [header.index(column) for column in REQUIRED_COLUMNS]
-        width = max(index) + 1
-        rows: list[list[str]] = []
-        lines: list[int] = []
-        for row in reader:
-            # a row whose fields are all blank is skipped, as the header
-            # search skips a blank line
-            if "".join(row).strip():
-                rows.append(row)
-                lines.append(reader.line_num)
+        # a row whose fields are all blank is skipped, as a blank line before
+        # the header is; each kept row under the line it ends on
+        rows = {start - 1 + reader.line_num: row for row in reader if "".join(row).strip()}
 
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    for row in rows:
-        if len(row) < width:
-            row += [""] * (width - len(row))
-    columns = list(zip(*rows))
-    subjects = [s.strip() for s in columns[index[0]]]
+    lines = list(rows)
+    # a short row reads as blank fields: zip_longest pads each column, and
+    # the header row reaches every required column
+    columns = list(zip_longest(header, *rows.values(), fillvalue=""))
+    values = [columns[header.index(column)][1:] for column in REQUIRED_COLUMNS]
+    subjects = [s.strip() for s in values[0]]
     if "" in subjects:
         raise DataFormatError(f"{path}:{lines[subjects.index('')]}: empty subject id")
     x, c, y = (
-        _floats(path, column, columns[i], lines)
-        for column, i in zip(REQUIRED_COLUMNS[1:], index[1:])
+        _floats(path, column, raw, lines)
+        for column, raw in zip(REQUIRED_COLUMNS[1:], values[1:])
     )
     # head[k] is the row on which row k's subject first appears
     first_row: dict[str, int] = {}
