@@ -46,9 +46,8 @@ _JEFFREYS_LABELS = (
 )
 
 # Criterion values within this relative distance of the best are tied:
-# the fitted log-likelihood is good to about 1e-11 relative when y carries
-# no large trend in x (y + 1000 x^2 moves it by up to 3e-7, README), so a
-# nested pair whose extra variance sits at zero differs only in rounding.
+# the fitted log-likelihood is good to about 1e-11 relative, so a nested
+# pair whose extra variance sits at zero differs only in rounding.
 # Each fit holds its own search's optimum, so this is the only rule that
 # keeps such a collapsed candidate from winning on its last digits.
 _TIE_RTOL = 1e-9

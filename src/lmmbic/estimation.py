@@ -126,12 +126,15 @@ _LINE_SEARCH_STEPS = 30
 # Restart margin relative to f_scale: a cover whose optimum is lower by
 # no more than _F_ROUNDING * f_scale is no better than the candidate's own.
 _F_ROUNDING = 1e-12
+_EPS = float(np.finfo(float).eps)
 # rss is a difference of sums over the n observations, each term at most the
-# centred y'y, so its rounding grows like sqrt(n) eps y'y (on data the mean
-# fits exactly it reached 16 eps y'y at n = 24 and 171 eps y'y at n = 10^4). An
-# rss below _RSS_ROUNDING sqrt(n) y'y is taken as zero: the mean fits the data
-# exactly, and sigma2_hat is held at that rounding over n.
-_RSS_ROUNDING = 8.0 * float(np.finfo(float).eps)
+# detrended y'y, so its rounding grows like sqrt(n) eps y'y (on data the mean
+# fits exactly it reached 16 eps y'y at n = 24 and 171 eps y'y at n = 10^4);
+# detrending leaves about eps |y| in each y, so the scale is y_d'y_d + eps
+# y_c'y_c with y_c the centred and y_d the detrended y.  An rss below
+# _RSS_ROUNDING sqrt(n) times that scale is taken as zero: the mean fits the
+# data exactly, and sigma2_hat is held at that rounding over n.
+_RSS_ROUNDING = 8.0 * _EPS
 _EYE3 = np.eye(3)
 _EYE5 = np.eye(5)
 
@@ -188,8 +191,11 @@ class DatasetStatistics:
     order, and a grid's responses are read from y as one (m, n) array.
     y is centred on its mean y_mean, which every intercept absorbs, and
     c on its mean c_mean, which mu1 and mu2 absorb in candidates with
-    alpha terms (restore_origins), so that rss and the search's
-    derivatives are not differences of terms the size of either origin.
+    alpha terms; the centred y's least-squares fit on [1, x, x^2], trend
+    (3,), which mu0-mu2 absorb in every candidate, comes off before any
+    cross-product is formed (restore_origins adds all three back), so
+    that rss and the search's derivatives are not differences of terms
+    the size of either origin or of y's trend.
     Per distinct grid g, with O4M4's Z = [1, x, x^2] = Q R (Q and R
     zero-padded to 3 axes when the grid has fewer than 3 points), X has
     no component orthogonal to Z: subject i's Q'X_i = E diag(w_i), with
@@ -207,13 +213,14 @@ class DatasetStatistics:
     rr (3, G*9) the outer products of R's columns: Ct = I + theta @ rr.
     Only y has a component orthogonal to Z; perp_yy is its sum of squares
     over all subjects.  xtx = sum_g sum_a cross_xx[g][a, a] is O4M4's
-    plain X'X and yty is y'y, both centred; constant_covariate and
+    plain X'X and yty is y'y, both centred, and ydy is y'y detrended, so
+    that Q'y_i above is the detrended one; constant_covariate and
     constant_response say whether the raw c and y take a single value;
     z_scale2 is the mean square of each Z column; f_scale = 1 + n (1 +
     ln 2 pi) / 2, the -loglik of n unit-variance observations, is the
     search's unit-free scale of f.  An rss within rss_rounding =
-    _RSS_ROUNDING sqrt(n) y'y is zero, and sigma2_floor = rss_rounding /
-    n is sigma2_hat's floor.  point_q (P, 3) stacks the rows of every
+    _RSS_ROUNDING sqrt(n) (ydy + eps yty) is zero, and sigma2_floor =
+    rss_rounding / n is sigma2_hat's floor.  point_q (P, 3) stacks the rows of every
     grid's Q, grid after grid in the order of R, and grid_sizes (G,)
     their number of points.
     """
@@ -229,7 +236,7 @@ class DatasetStatistics:
         self.c_mean = float(data.c.mean())
         self.yty = 0.0
         self.perp_yy = 0.0
-        rs, qs, moments, cross_ty, cross_yy = [], [], [], [], []
+        rs, qs, moments, ones_c, qtys = [], [], [], [], []
         for x, members in data.grids:
             n = x.size
             Ys = data.y[data.bounds[members][:, None] + np.arange(n)].T - self.y_mean  # (n, m)
@@ -250,20 +257,34 @@ class DatasetStatistics:
             # w_i repeats 1 and c_i (see MEAN_FACTOR), so the grid's sums need only those
             one_c = np.stack([np.ones(len(members)), data.c[members] - self.c_mean])
             moments.append(one_c @ one_c.T)
-            cross_ty.append(one_c @ Qty.T)
-            cross_yy.append(Qty @ Qty.T)
+            ones_c.append(one_c)
+            qtys.append(Qty)
         self.counts = np.array([len(members) for _, members in data.grids], dtype=float)
         self.R = np.stack(rs)
+        # y's trend: b minimises sum_g m_g |mean_i Q'y_i - R_g b|^2, the part of
+        # |y - Z b|^2 that moves with b, on unit-norm columns so that fewer
+        # than 3 distinct x still solve; R_g b comes off every Q'y_i.  An x^2
+        # or y that overflows leaves b = 0, and _identifiability rejects it
+        root = np.sqrt(self.counts)[:, None]
+        rows = (root[:, :, None] * self.R).reshape(-1, 3)
+        norm = np.linalg.norm(rows, axis=0)
+        norm[norm == 0.0] = 1.0
+        rhs = (root * np.stack([q.mean(axis=1) for q in qtys])).reshape(-1)
+        self.trend = np.zeros(3)
+        if np.isfinite(rows).all() and np.isfinite(rhs).all():
+            self.trend = np.linalg.lstsq(rows / norm, rhs)[0] / norm
+        qtys = [q - r[:, None] for q, r in zip(qtys, self.R @ self.trend)]
+        self.ydy = self.perp_yy + sum(float((q * q).sum()) for q in qtys)
         E = self.R.take(MEAN_Z, axis=2)                                  # (G, 3, 5)
         w2 = np.stack(moments)[:, MEAN_FACTOR][:, :, MEAN_FACTOR]        # sum w_i w_i'
-        wy = np.stack(cross_ty)[:, MEAN_FACTOR]                          # sum w_i (Q'y_i)'
+        wy = np.stack([c @ q.T for c, q in zip(ones_c, qtys)])[:, MEAN_FACTOR]  # sum w_i (Q'y_i)'
         cross_xx = E[:, :, None, :, None] * E[:, None, :, None, :] * w2[:, None, None]
         self.xtx = np.einsum("gaapq->pq", cross_xx)
         self.cross_xx = cross_xx.reshape(-1, 25)
         self.cross_xy = (E[:, :, None, :] * wy.transpose(0, 2, 1)[:, None]).reshape(-1, 5)
-        self.cross_yy = np.stack(cross_yy).reshape(-1)
+        self.cross_yy = np.stack([q @ q.T for q in qtys]).reshape(-1)
         self.rr = (self.R[:, :, None, :] * self.R[:, None, :, :]).reshape(-1, 3).T.copy()
-        self.rss_rounding = _RSS_ROUNDING * math.sqrt(self.n_obs) * self.yty
+        self.rss_rounding = _RSS_ROUNDING * math.sqrt(self.n_obs) * (self.ydy + _EPS * self.yty)
         self.sigma2_floor = self.rss_rounding / self.n_obs
         self.f_scale = 1.0 + 0.5 * self.n_obs * (1.0 + LN_TWO_PI)
         # sum_g m_g R_g'R_g over all observations
@@ -272,9 +293,11 @@ class DatasetStatistics:
         self.grid_sizes = np.array([len(q) for q in qs])
 
     def restore_origins(self, beta: np.ndarray) -> None:
-        """Move a beta stack (B, 5) fitted on the centred y and c back to
-        the data's origins, in place: mu0 takes y_mean, and mu1 and mu2
-        the c_mean alpha that the centred alpha columns held."""
+        """Move a beta stack (B, 5) fitted on the detrended y and centred c
+        back to the data's origins, in place: mu0-mu2 take y's trend, mu0
+        y_mean, and mu1 and mu2 the c_mean alpha that the centred alpha
+        columns held."""
+        beta[:, :3] += self.trend
         beta[:, 0] += self.y_mean
         beta[:, 1:3] -= self.c_mean * beta[:, 3:5]
 
@@ -553,9 +576,8 @@ def _identifiability(stats: DatasetStatistics) -> dict[int, str | None]:
     four with the absent columns zeroed, which adds only zero eigenvalues;
     an all-zero column stays zero, so it reads as rank deficient.  An X'X
     that overflows a float rejects all four structures, and so do a y
-    that takes a single value and a y whose centred y'y, the scale of
-    rss's rounding, is subnormal or so large that _profile's products
-    overflow.
+    that takes a single value and a y whose centred y'y is subnormal or
+    so large that _profile's products overflow.
     """
     if not np.isfinite(stats.xtx).all():  # eigvalsh would raise LinAlgError
         message = "mean design for candidate {id} overflows a float; rescale x or c"
@@ -734,7 +756,8 @@ def fit_ml(candidate: CandidateModel, data: Dataset) -> FittedModel:
     is returned with converged=False rather than raised.  The
     log-likelihood and beta are those at the point found, zero variances
     included, and `boundary` lists those zeros.  y's origin moves only
-    mu0, and c's only mu1 and mu2 (DatasetStatistics.restore_origins).
+    mu0, a trend a x^k in y only mu_k, and c's origin only mu1 and mu2
+    (DatasetStatistics.restore_origins).
 
     Raises:
         UnidentifiableModelError: fewer observations than parameters, a

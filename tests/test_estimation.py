@@ -428,9 +428,11 @@ class TestDatasetStatistics:
     def test_statistics_equal_their_definition(self):
         # the normal equations and the GLS rss that _solve reads off the
         # statistics equal the sums over subjects of the dense matrices,
-        # with y and c centred on their means
-        def assert_close(fast, dense):
-            assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
+        # with c centred on its mean and y detrended: y less its
+        # least-squares fit on [1, x, x^2] over all observations
+        def assert_close(fast, dense, scale=None):
+            scale = np.abs(dense).max() if scale is None else scale
+            assert np.abs(fast - dense).max() <= 1e-10 * scale
 
         full = CandidateModel(m=4, o=4)
         thetas = ([0.0, 0.0, 0.0], [0.5, 0.1, 0.01], [3.0, 0.0, 0.2], [100.0, 10.0, 1.0])
@@ -439,12 +441,14 @@ class TestDatasetStatistics:
             stats = DatasetStatistics(data)
             mean = CandidateModel(m=m, o=1).mean_columns
             centred = [dataclasses.replace(b, c=b.c - data.c.mean()) for b in data.subjects]
+            trend = np.column_stack([np.ones(data.n_obs), data.x, data.x ** 2])
+            detrended = data.y - trend @ np.linalg.lstsq(trend, data.y)[0]
             xtx, A_dense, b_dense = np.zeros((5, 5)), np.zeros((5, 5)), np.zeros(5)
             for theta in thetas:
                 A_dense[:], b_dense[:], blocks = 0.0, 0.0, []
-                for block in centred:
+                for block, lo, hi in zip(centred, data.bounds, data.bounds[1:]):
                     d = build_design(full, block)
-                    y = block.y - data.y.mean()
+                    y = detrended[lo:hi]
                     Vt_inv = np.linalg.inv(np.eye(block.n_obs) + d.Z @ np.diag(theta) @ d.Z.T)
                     A_dense += d.X.T @ Vt_inv @ d.X
                     b_dense += d.X.T @ Vt_inv @ y
@@ -454,7 +458,9 @@ class TestDatasetStatistics:
                 _, rss_fast, _, K, A = _solve(stats, mean[None], np.array([theta]))
                 b = K.reshape(1, -1) @ stats.cross_xy
                 assert_close(A[0][np.ix_(mean, mean)], A_dense[np.ix_(mean, mean)])
-                assert_close(b[0, mean], b_dense[mean])
+                # |b_j| <= sqrt(A_jj y'Vt^-1 y), and b is 0 on [1, x, x^2] at theta = 0
+                yy = sum(y @ Vt_inv @ y for _, Vt_inv, y in blocks)
+                assert_close(b[0, mean], b_dense[mean], math.sqrt(A_dense.diagonal().max() * yy))
                 assert_close(rss_fast[0], rss)
             for block in centred:
                 X = build_design(full, block).X
@@ -958,22 +964,37 @@ class TestFitMl:
                     fit_ml(cand, data)
         assert len(searches) == 1
 
+    def test_grid_whose_square_overflows_is_rejected(self):
+        # x^2 itself overflows, so R is not finite: no trend in y is taken
+        # off, and every candidate is rejected as where only x^4 overflows
+        rng = np.random.default_rng(8123)
+        x = np.linspace(0.0, 10.0, 5) * 1e200
+        data = Dataset(subjects=tuple(
+            SubjectBlock(id=f"s{i}", x=x, c=rng.normal(), y=rng.normal(size=5)) for i in range(12)
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for cand in enumerate_candidates():
+                message = f"candidate {cand.id} overflows a float"
+                with pytest.raises(UnidentifiableModelError, match=message):
+                    fit_ml(cand, data)
+
     def test_restart_that_breaks_down_keeps_the_first_optimum(self):
-        # O4M4's first search converges at loglik -98.48; its best cover,
-        # O4M3, stops unconverged at -72.77 with theta_2 ~ 4.9e12, and the
+        # O4M4's first search converges at loglik -89.57; its best cover,
+        # O4M2, stops unconverged at -68.70 with theta_2 ~ 6.1e12, and the
         # restart from there breaks down at its start
         rows = (
-            ("s0", [0.22320180671786316, 5.76958659189928, 7.45591060929546], -0.4926536476785379,
-             [-229.4883180362001, 42.90673855210697, -87.34816485997531]),
-            ("s1", [5.608735499299372, 5.903670651877305], 1.7085421562163476,
-             [-78.58115557399107, -101.50853230281837]),
-            ("s2", [2.2958472176348046, 3.9775476031096013], 0.2322475498646426,
-             [1.0204715858745528, -2.206642861233222]),
-            ("s3", [4.216369177008793, 7.40996170299113], 1.6580429844796694,
-             [9.129519578228154, -7.896576688577811]),
-            ("s4", [3.239804307305457], 0.1289212452444852, [33915.28901503941]),
-            ("s5", [5.519465163145086, 6.063452517437088], 0.1789270588977097,
-             [-14.778031236278473, 0.7327519479905468]),
+            ("s0", [0.22320180671786316, 5.76958659189928, 7.45591060929546], -0.23241434996622806,
+             [-99.70241245636996, 35.29263388460741, -145.67426899960182]),
+            ("s1", [5.608735499299372, 5.903670651877305], 1.7177240286952367,
+             [-75.86976969866818, -79.17415354946478]),
+            ("s2", [2.2958472176348046, 3.9775476031096013], 0.23362077138982254,
+             [0.814697338644479, -5.4388719927314275]),
+            ("s3", [4.216369177008793, 7.40996170299113], 1.9659324626522032,
+             [21.808709722766, -8.020328526843446]),
+            ("s4", [3.239804307305457], 0.10334245024753491, [8247.107578388752]),
+            ("s5", [5.519465163145086, 6.063452517437088], 0.05556396204572983,
+             [-18.53856816949931, 0.8590685209950535]),
         )
         data = Dataset(subjects=tuple(
             SubjectBlock(id=i, x=np.array(x), c=c, y=np.array(y)) for i, x, c, y in rows
@@ -981,7 +1002,7 @@ class TestFitMl:
         cand = CandidateModel.from_id("O4M4")
         fit = fit_ml(cand, data)
         assert not fit.converged and not fit.restarted
-        assert fit.loglik == pytest.approx(-98.48, abs=0.01)
+        assert fit.loglik == pytest.approx(-89.57, abs=0.01)
         assert max(fit_ml(cover, data).loglik for cover in cand.covers()) > fit.loglik
         _, left_out = usable_reports(data, fit_ml, build_report)
         assert left_out["O4M4"] == "did not converge"
@@ -1132,10 +1153,8 @@ class TestResponseScale:
     @pytest.mark.parametrize("kind, seed", FILES)
     def test_moderate_trend_keeps_every_winner(self, kind, seed):
         # every candidate's mean holds x^2, so y + a x^2 moves mu2 by a and
-        # nothing else; the core still forms cross-products the size of the
-        # trend, and at a = 1000 logliks move by up to 3.4e-8 relative
-        # (ROADMAP item 3), so only what is left out, the winners and mu2
-        # are held here
+        # nothing else; this holds what is left out, the winners and mu2,
+        # and test_large_trend_keeps_every_fit the logliks
         trend = 1000.0
         data = benchmark_dataset(kind, seed)
         reference, left_out = usable_reports(data, fit_ml, build_report)
@@ -1149,6 +1168,26 @@ class TestResponseScale:
         for before, after in zip(reference, reports):
             mu2 = before.fit.theta_hat.beta[2] + trend
             assert after.fit.theta_hat.beta[2] == pytest.approx(mu2, rel=0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("kind, seed", FILES)
+    def test_large_trend_keeps_every_fit(self, kind, seed):
+        # y's least-squares fit on [1, x, x^2] comes off before any
+        # cross-product is formed, so y + a x^2 moves each loglik only by
+        # rounding: before that, a = 1e4 left candidates out and a = 1e7
+        # changed winners
+        data = benchmark_dataset(kind, seed)
+        reference, left_out = usable_reports(data, fit_ml, build_report)
+        assert not left_out
+        for trend in (1e4, 1e5, 1e7):
+            y = data.y + trend * data.x ** 2
+            moved = Dataset.from_columns(data.ids, np.diff(data.bounds), data.c, data.x, y)
+            reports, left_out = usable_reports(moved, fit_ml, build_report)
+            for crit in CRITERIA:
+                assert select_model(reports, crit) == select_model(reference, crit), (trend, crit)
+            if trend <= 1e5:
+                assert not left_out, trend
+                for before, after in zip(reference, reports):
+                    assert after.loglik == pytest.approx(before.loglik, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("which", ["study", "ragged"])
     def test_fits_do_not_move_with_the_units_of_x(self, which, searches):
