@@ -189,8 +189,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     data = read_dataset(args.data)
     reports, left_out = usable_reports(data, fit_ml, build_report)
+    # each reason once: candidates whose reasons differ only by their own id share a line
+    by_reason: dict[str, list[str]] = {}
     for cand_id, reason in left_out.items():
-        logger.warning("candidate %s %s", cand_id, reason)
+        shared = reason.replace(f"candidate {cand_id}", "each candidate")
+        by_reason.setdefault(shared, []).append(cand_id)
+    for reason, ids in by_reason.items():
+        logger.warning("candidate %s %s", ", ".join(ids), reason if ids[1:] else left_out[ids[0]])
     if not reports:
         raise UnidentifiableModelError("no candidate could be fitted on this data")
     payload = selection_summary(reports, args.criteria)

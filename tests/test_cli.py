@@ -257,6 +257,19 @@ class TestSelectCommand:
             assert ev["delta_label"] == "Very Strong"
         assert all(line.startswith("WARNING candidate O") for line in err.splitlines())
 
+    def test_each_left_out_reason_is_said_once(self, tmp_path, capsys):
+        # with c constant the twelve M2-M4 candidates fail for one reason
+        truth = TrueParameters(mu=(1, 0.5, -0.05), alpha=(0, 0), omega2=(1, 1, 0.05), sigma2=1)
+        data = generate_dataset(DESIGNS["d"], truth, 42401)
+        path = tmp_path / "constant_c.csv"
+        write_data(Dataset(subjects=[dataclasses.replace(b, c=0.0) for b in data.subjects]), path)
+        code, _, err = run_cli(capsys, "select", str(path))
+        ids = ", ".join(c.id for c in enumerate_candidates() if c.m > 1)
+        assert code == 0 and err == (
+            f"WARNING candidate {ids} failed to fit (each candidate has a covariate-by-x "
+            "term but the subject covariate takes a single value)\n"
+        )
+
 
 def test_failed_and_unconverged_fits_left_out(data_file, monkeypatch, capsys, caplog):
     raising = {"O2M2"}
