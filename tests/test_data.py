@@ -375,6 +375,24 @@ class TestReadDataset:
             assert [s.id for s in data.subjects] == ["s1"]
             np.testing.assert_array_equal(data.subjects[0].y, plain.subjects[0].y)
 
+    def test_quoted_id_holds_the_delimiter(self, tmp_path):
+        text = '\n  \nsubject;x;c;y\n"a;b";0.0;1.5;2.0\n"a;b";1.0;1.5;3.0\ns2;0.0;2.0;1.0\n'
+        data = read_dataset(self.write(tmp_path, text))
+        assert data.ids == ("a;b", "s2")
+        np.testing.assert_array_equal(data.subjects[0].y, [2.0, 3.0])
+
+    def test_line_break_in_a_quoted_field_counts_as_a_line(self, tmp_path):
+        # the quoted id "s\n2" spans lines 4 and 5, so the bad value is on line 6
+        text = (
+            'subject,x,c,y\n"s,1",0.0,1.0,2.0\n"s,1",1.0,1.0,3.0\n'
+            '"s\n2",0.0,2.0,1.0\ns3,0.0,3.0,oops\n'
+        )
+        message = "data.csv:6: column 'y' has non-numeric value 'oops'"
+        with pytest.raises(DataFormatError, match=message):
+            read_dataset(self.write(tmp_path, text))
+        data = read_dataset(self.write(tmp_path, text.replace("oops", "4.0")))
+        assert data.ids == ("s,1", "s\n2", "s3")
+
     def test_header_only(self, tmp_path):
         path = self.write(tmp_path, "subject,x,c,y\n")
         with pytest.raises(DataFormatError, match="no data rows"):
