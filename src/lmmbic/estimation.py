@@ -213,16 +213,16 @@ class DatasetStatistics:
     rr (3, G*9) the outer products of R's columns: Ct = I + theta @ rr.
     Only y has a component orthogonal to Z; perp_yy is its sum of squares
     over all subjects.  xtx = sum_g sum_a cross_xx[g][a, a] is O4M4's
-    plain X'X and yty is y'y, both centred, and ydy is y'y detrended, so
-    that Q'y_i above is the detrended one; constant_covariate and
-    constant_response say whether the raw c and y take a single value;
-    z_scale2 is the mean square of each Z column; f_scale = 1 + n (1 +
-    ln 2 pi) / 2, the -loglik of n unit-variance observations, is the
-    search's unit-free scale of f.  An rss within rss_rounding =
+    plain X'X and yty is y'y, both centred, and ydy is y'y of the
+    detrended y, whose Q'y_i the cross tensors hold; constant_covariate
+    and constant_response say whether the raw c and y take a single
+    value; z_scale2 is the mean square of each Z column; f_scale = 1 + n
+    (1 + ln 2 pi) / 2, the -loglik of n unit-variance observations, is
+    the search's unit-free scale of f.  An rss within rss_rounding =
     _RSS_ROUNDING sqrt(n) (ydy + eps yty) is zero, and sigma2_floor =
-    rss_rounding / n is sigma2_hat's floor.  point_q (P, 3) stacks the rows of every
-    grid's Q, grid after grid in the order of R, and grid_sizes (G,)
-    their number of points.
+    rss_rounding / n is sigma2_hat's floor.  point_q (P, 3) stacks the
+    rows of every grid's Q, grid after grid in the order of R, and
+    grid_sizes (G,) their number of points.
     """
 
     # an overflowing X'X is rejected with a clear message by _identifiability
